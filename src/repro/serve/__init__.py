@@ -10,8 +10,9 @@ durable; this package gives it a network face.  Modules:
   and op dispatch, with orphan abort on disconnect;
 * :mod:`repro.serve.admission` -- in-flight caps, token-bucket
   arrival limiting, and shed backoff hints;
-* :mod:`repro.serve.server` -- the asyncio TCP server with
-  per-connection request batching over a bounded worker pool;
+* :mod:`repro.serve.server` -- the asyncio TCP server: a lone
+  request runs on the event loop, whatever would block (and every
+  pipelined batch) on a bounded worker pool;
 * :mod:`repro.serve.client` -- sync and async (pipelining) clients;
 * :mod:`repro.serve.loadgen` -- open-loop Poisson and closed-loop
   load generators reporting :mod:`repro.obs` latency percentiles.

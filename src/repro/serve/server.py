@@ -3,36 +3,74 @@
 One :class:`TransactionServer` owns a
 :class:`~repro.engine.threadsafe.ThreadSafeEngine` and serves the
 framed-JSON protocol of :mod:`repro.serve.protocol` over TCP.  The
+rule is **inline first, pool when it would block**: Moss' locking
+makes an uncontended access a few microseconds of lock-table work, so
+only a real conflict should pay for the machinery that waits.  The
 layering, bottom up:
 
 * **Engine** -- any registered kernel scheme behind the blocking
   facade; lock waits block *worker* threads, never the event loop.
-* **Worker pool** -- a bounded ``ThreadPoolExecutor``; every engine op
-  runs there via ``run_in_executor``.  ``workers`` bounds concurrent
-  lock-waiters, the admission controller bounds the queue feeding it.
-* **Batching** -- each connection's admitted requests go through a
+* **Inline attempt** -- a *lone* request (its connection has nothing
+  admitted-but-unanswered, and the socket read that delivered it
+  decoded exactly one frame) is tried on the event-loop thread through
+  :meth:`~repro.serve.session.Session.try_run`: the same dispatch with
+  a zero lock-wait budget.  If it completes it is answered at once; if
+  it *would block* (the facade tried the lock, ran its wound pass and
+  raised ``LockDenied``) nothing is answered and the message goes to
+  the worker pool below with the full ``op_timeout``, exactly as if
+  the attempt had not happened.  The loop must never wait on a lock
+  wait, a pipe or an fsync, so the attempt is made only when
+
+  a. the facade is an in-process ``ThreadSafeEngine`` -- never a
+     ``ShardedEngine`` (``repro serve --sharded``), whose every op
+     blocks on a worker pipe; and
+  b. no WAL is attached.  Every op appends to the log, under the
+     log's own lock, and some appender holds that lock across an
+     fsync: a plain ``FileWalSink`` flushes inside the commit's
+     structural lock set, and even a group-commit sink (which defers
+     the commit flush outside the facade's locks) is flushed
+     synchronously by whichever append crosses ``segment_bytes``.
+     The loop must neither make that append nor queue behind it, and
+     a top-level ``commit``/``abort`` waits for its flush on the
+     calling thread besides.  So ``repro serve --wal-dir`` keeps every
+     op on the pool.
+
+  Eligibility is read off that state per request; there is no switch.
+* **Worker pool** -- a bounded ``ThreadPoolExecutor`` for everything
+  the loop did not answer: pipelined bursts, requests behind an
+  in-flight batch, ops that would block, and every op of an ineligible
+  deployment.  ``workers`` bounds concurrent lock-waiters, the
+  admission controller bounds the queue feeding it.
+* **Batching** -- requests bound for the pool go through a
   per-connection queue; the pump coalesces everything currently
   queued (up to ``max_batch``) into **one** executor hop that runs the
   ops in order and encodes the responses off the event loop.  A
   pipelining client therefore pays one thread handoff per batch, not
-  per op -- the throughput effect bench E23 measures.
+  per op.  A connection is driven from one thread at a time: the
+  inline attempt requires that nothing of the connection is in flight,
+  and a request that arrives while a batch is in flight queues behind
+  it, so responses keep request order.
 * **Admission control** (:mod:`repro.serve.admission`) -- per-conn and
   global in-flight caps plus an optional token bucket; shed requests
   are answered immediately with ``overloaded`` + ``retry_after_ms``
-  instead of queueing.
+  instead of queueing.  Inline requests are admitted and released like
+  any other.
 * **Sessions** (:mod:`repro.serve.session`) -- transaction ownership;
   a dead connection's trees are aborted (``abort_top``) once its pump
   drains, and an idle reaper closes connections with no traffic and
   no in-flight work for ``idle_timeout`` seconds.
 
-Observability: ``serve.requests`` / ``serve.shed`` / ``serve.batch_size``
-/ ``serve.reaped`` and the in-flight gauge live in a server-owned
+Observability: ``serve.requests`` / ``serve.shed`` / ``serve.inline`` /
+``serve.would_block`` / ``serve.batch_size`` / ``serve.reaped`` and the
+in-flight gauge live in a server-owned
 :class:`~repro.obs.metrics.MetricsRegistry` touched only from the
-event-loop thread (so counters stay exact without locks); an optional
-:class:`repro.obs.Observer` passed at construction instruments the
-engine side exactly as it would off-network.  ``attach_wal`` /
-``attach_auditor`` mirror the facade's seams, so a served engine can
-be durable and self-auditing.
+event-loop thread (so counters stay exact without locks).
+``serve.batch_size`` / ``serve.batch_seconds`` describe only what went
+through the pool; ``serve.inline`` counts the ops that did not.  An
+optional :class:`repro.obs.Observer` passed at construction
+instruments the engine side exactly as it would off-network.
+``attach_wal`` / ``attach_auditor`` mirror the facade's seams, so a
+served engine can be durable and self-auditing.
 """
 
 from __future__ import annotations
@@ -90,6 +128,20 @@ class ServeConfig:
             raise ValueError("workers must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+
+
+def _encode_response(response: Dict[str, Any]) -> bytes:
+    """Frame *response*; an unencodable one becomes ``internal``."""
+    try:
+        return proto.encode_frame(response)
+    except Exception as exc:
+        return proto.encode_frame(
+            proto.error_response(
+                response.get("id"),
+                proto.ERR_INTERNAL,
+                "unencodable response: %s" % (exc,),
+            )
+        )
 
 
 class _Connection:
@@ -165,7 +217,12 @@ class TransactionServer:
     # Seams (mirror the facade's)
     # ------------------------------------------------------------------
     def attach_wal(self, wal=None, sink=None, segment_bytes=None):
-        """Attach a write-ahead log before starting; returns it."""
+        """Attach a write-ahead log before starting; returns it.
+
+        Attach through this seam, not the facade's own: ``self.wal`` is
+        how the inline path knows an op can wait on a flush (module
+        docstring, rule b).
+        """
         self.wal = self.facade.attach_wal(
             wal=wal, sink=sink, segment_bytes=segment_bytes
         )
@@ -275,14 +332,22 @@ class TransactionServer:
                     ),
                 )
                 return
+            lone = len(messages) == 1
             for message in messages:
-                self._ingest(conn, message)
+                self._ingest(conn, message, lone)
             try:
                 await conn.writer.drain()
             except (ConnectionError, OSError):
                 return
 
-    def _ingest(self, conn: _Connection, message: Dict[str, Any]) -> None:
+    def _ingest(
+        self, conn: _Connection, message: Dict[str, Any], lone: bool
+    ) -> None:
+        """Answer, shed, try inline or queue one decoded request.
+
+        *lone*: the read that delivered *message* decoded no other
+        frame (a pipelined burst keeps the batching pump).
+        """
         op = message.get("op")
         request_id = message.get("id")
         self.metrics.counter(
@@ -314,9 +379,28 @@ class TransactionServer:
                 ),
             )
             return
+        if lone and conn.inflight == 0 and self._loop_may_run():
+            response = conn.session.try_run(message)
+            if response is not None:
+                self.admission.release(1)
+                self.metrics.counter("serve.inline").inc()
+                self._send(conn, response)
+                return
+            self.metrics.counter("serve.would_block").inc()
         conn.inflight += 1
         self.metrics.gauge("serve.inflight").set(self.admission.inflight)
         conn.queue.put_nowait(message)
+
+    def _loop_may_run(self) -> bool:
+        """May an op be attempted on the event-loop thread?
+
+        The module docstring's rules a and b: only an in-process
+        facade, and never behind a WAL (any append can wait on a
+        flush).
+        """
+        return self.wal is None and isinstance(
+            self.facade, ThreadSafeEngine
+        )
 
     def _fast_op(self, op, request_id, message) -> Dict[str, Any]:
         if op == "ping":
@@ -366,12 +450,13 @@ class TransactionServer:
         if conn.dead:
             return
         try:
-            conn.writer.write(proto.encode_frame(response))
+            conn.writer.write(_encode_response(response))
         except (ConnectionError, OSError):
             conn.dead = True
 
     # ------------------------------------------------------------------
     # Batching pump: session queue -> one executor hop per batch
+    # (everything the inline attempt did not answer)
     # ------------------------------------------------------------------
     async def _pump(self, conn: _Connection) -> None:
         loop = asyncio.get_running_loop()
@@ -418,22 +503,9 @@ class TransactionServer:
 
     def _run_batch(self, session: Session, batch) -> bytes:
         """Worker-thread half: run the ops in order, encode responses."""
-        frames = []
-        for message in batch:
-            response = session.run(message)
-            try:
-                frames.append(proto.encode_frame(response))
-            except Exception as exc:
-                frames.append(
-                    proto.encode_frame(
-                        proto.error_response(
-                            message.get("id"),
-                            proto.ERR_INTERNAL,
-                            "unencodable response: %s" % (exc,),
-                        )
-                    )
-                )
-        return b"".join(frames)
+        return b"".join(
+            _encode_response(session.run(message)) for message in batch
+        )
 
     # ------------------------------------------------------------------
     # Cleanup and reaping

@@ -3,16 +3,19 @@
 Börger--Schewe model the transaction manager as an agent mediating
 concurrent client programs; a :class:`Session` is that agent's
 per-client half.  It owns every transaction a connection begins, runs
-the connection's requests strictly in order (the server's batching
-layer hands each session's requests to one executor thread at a time,
-so handles are never driven concurrently -- the facade's documented
-handle contract), and is the unit of orphan cleanup: when the
-connection dies, every top-level tree it still owns is aborted through
+the connection's requests strictly in order (the server drives a
+session from one thread at a time -- the event loop for a lone
+request, else one executor thread per batch -- so handles are never
+driven concurrently: the facade's documented handle contract), and is
+the unit of orphan cleanup: when the connection dies, every top-level
+tree it still owns is aborted through
 :meth:`repro.engine.threadsafe.ThreadSafeEngine.abort_top`.
 
-Dispatch (:meth:`Session.run`) is the only code that runs on worker
-threads; everything it touches is session-private or engine-side
-thread-safe.
+Dispatch has two entry points over one handler table:
+:meth:`Session.run` may wait up to ``op_timeout`` for a lock and so
+belongs on a worker thread; :meth:`Session.try_run` never waits and
+returns ``None`` where ``run`` would have.  Everything either touches
+is session-private or engine-side thread-safe.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.engine.threadsafe import (
 from repro.errors import (
     EngineError,
     InvalidTransactionState,
+    LockDenied,
     TransactionAborted,
 )
 from repro.serve import protocol as proto
@@ -83,35 +87,73 @@ class Session:
         return aborted
 
     # ------------------------------------------------------------------
-    # Dispatch (worker-thread side)
+    # Dispatch
     # ------------------------------------------------------------------
     def run(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one request against the engine; never raises."""
-        request_id = message.get("id")
-        op = message.get("op")
+        """Execute one request against the engine; never raises.
+
+        An access waits up to ``op_timeout`` for its lock, so this is
+        the worker-thread entry point.
+        """
         self.requests += 1
         try:
-            handler = _HANDLERS.get(op)
-            if handler is None:
-                return proto.error_response(
-                    request_id,
-                    proto.ERR_BAD_REQUEST,
-                    "unknown op %r" % (op,),
-                )
-            return handler(self, request_id, message)
-        except UnknownTransaction as exc:
+            return self._call(message, self.op_timeout)
+        except Exception as exc:
+            return self._error_response(message, exc)
+
+    def try_run(
+        self, message: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """:meth:`run` without the wait; ``None`` if it would block.
+
+        Same dispatch, but an access gets a zero wait budget: the
+        facade tries the lock, runs its wound pass and raises
+        :class:`~repro.errors.LockDenied` instead of parking.  That
+        denial is not answered -- the caller hands the message to
+        :meth:`run` on a thread that may wait -- and is not counted in
+        ``requests``, so a request that falls back counts once.
+        """
+        try:
+            response = self._call(message, 0)
+        except LockDenied:
+            return None
+        except Exception as exc:
+            response = self._error_response(message, exc)
+        self.requests += 1
+        return response
+
+    def _call(
+        self, message: Dict[str, Any], timeout: Optional[float]
+    ) -> Dict[str, Any]:
+        request_id = message.get("id")
+        op = message.get("op")
+        handler = _HANDLERS.get(op)
+        if handler is None:
+            return proto.error_response(
+                request_id,
+                proto.ERR_BAD_REQUEST,
+                "unknown op %r" % (op,),
+            )
+        return handler(self, request_id, message, timeout)
+
+    def _error_response(
+        self, message: Dict[str, Any], exc: Exception
+    ) -> Dict[str, Any]:
+        """The typed error a handler's exception maps to."""
+        request_id = message.get("id")
+        if isinstance(exc, UnknownTransaction):
             return proto.error_response(
                 request_id, proto.ERR_UNKNOWN_TXN, str(exc)
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        if isinstance(exc, (ValueError, KeyError, TypeError)):
             return proto.error_response(
                 request_id, proto.ERR_BAD_REQUEST, str(exc)
             )
-        except Exception as exc:  # engine errors -> typed taxonomy
-            exc = self._translate_dead(message, exc)
-            return proto.exception_to_error(
-                request_id, exc, retry_after_ms=self.retry_hint_ms
-            )
+        # engine errors -> typed taxonomy
+        exc = self._translate_dead(message, exc)
+        return proto.exception_to_error(
+            request_id, exc, retry_after_ms=self.retry_hint_ms
+        )
 
     def _translate_dead(
         self, message: Dict[str, Any], exc: Exception
@@ -162,13 +204,13 @@ class Session:
             del self.handles[name]
 
     # -- ops -----------------------------------------------------------
-    def _op_begin(self, request_id, message):
+    def _op_begin(self, request_id, message, timeout):
         handle = self.facade.begin_top()
         name = handle.name
         self.handles[name] = handle
         return proto.ok_response(request_id, txn=list(name))
 
-    def _op_child(self, request_id, message):
+    def _op_child(self, request_id, message, timeout):
         parent = self._handle(message)
         child = parent.begin_child()
         self.handles[child.name] = child
@@ -192,7 +234,7 @@ class Session:
             raise ValueError("write needs a value (or kind/args)")
         return Operation(kind or "write", args, is_read=False)
 
-    def _op_read(self, request_id, message):
+    def _op_read(self, request_id, message, timeout):
         handle = self._handle(message)
         object_name = message.get("object")
         if not isinstance(object_name, str):
@@ -200,11 +242,11 @@ class Session:
         result = handle.perform(
             object_name,
             self._operation(message, is_read=True),
-            timeout=self.op_timeout,
+            timeout=timeout,
         )
         return proto.ok_response(request_id, result=result)
 
-    def _op_write(self, request_id, message):
+    def _op_write(self, request_id, message, timeout):
         handle = self._handle(message)
         object_name = message.get("object")
         if not isinstance(object_name, str):
@@ -212,11 +254,11 @@ class Session:
         result = handle.perform(
             object_name,
             self._operation(message, is_read=False),
-            timeout=self.op_timeout,
+            timeout=timeout,
         )
         return proto.ok_response(request_id, result=result)
 
-    def _op_commit(self, request_id, message):
+    def _op_commit(self, request_id, message, timeout):
         handle = self._handle(message)
         name = handle.name
         handle.commit(message.get("value"))
@@ -226,7 +268,7 @@ class Session:
             del self.handles[name]
         return proto.ok_response(request_id)
 
-    def _op_abort(self, request_id, message):
+    def _op_abort(self, request_id, message, timeout):
         name = proto.txn_name(message.get("txn"))
         handle = self.handles.get(name)
         if handle is None:
@@ -244,18 +286,14 @@ class Session:
         return proto.ok_response(request_id)
 
 
-def _dispatch(name):
-    def call(session, request_id, message):
-        return getattr(session, name)(request_id, message)
-
-    return call
-
-
+#: One table for :meth:`Session.run` and :meth:`Session.try_run`:
+#: ``handler(session, request_id, message, timeout) -> response``,
+#: where only the accesses (``read``/``write``) can spend *timeout*.
 _HANDLERS = {
-    "begin": _dispatch("_op_begin"),
-    "child": _dispatch("_op_child"),
-    "read": _dispatch("_op_read"),
-    "write": _dispatch("_op_write"),
-    "commit": _dispatch("_op_commit"),
-    "abort": _dispatch("_op_abort"),
+    "begin": Session._op_begin,
+    "child": Session._op_child,
+    "read": Session._op_read,
+    "write": Session._op_write,
+    "commit": Session._op_commit,
+    "abort": Session._op_abort,
 }

@@ -208,15 +208,21 @@ class ShardWorker:
         self._nodes[name] = node
         return node
 
-    def _lookup(self, message: Dict[str, Any]):
-        name = proto.txn_name(message.get("txn"))
-        node = self._nodes.get(name)
-        if node is None:
-            raise EngineError(
-                "shard %d does not know transaction %r"
-                % (self.config.shard, name)
-            )
-        return name, node
+    def _forgotten(self, request_id, name) -> Dict[str, Any]:
+        """The answer for a request naming a tree no longer mirrored.
+
+        Tops are only ever created by an explicit ``begin``; one that
+        is missing was forgotten (the tree aborted or committed while
+        this request raced it down the pipe -- a wound-wait abort from
+        another coordinator thread, typically).  The coordinator
+        surfaces the code as ``TransactionAborted``.
+        """
+        return proto.error_response(
+            request_id,
+            proto.ERR_TXN_ABORTED,
+            "shard %d no longer mirrors tree %r "
+            "(aborted or committed)" % (self.config.shard, name[:1]),
+        )
 
     def _forget_top(self, ordinal: int) -> None:
         for name in self._by_top.pop(ordinal, ()):
@@ -258,17 +264,9 @@ class ShardWorker:
         if not isinstance(object_name, str):
             raise EngineError("perform needs an object name")
         if name[0] not in self._by_top:
-            # Tops are only ever created by an explicit ``begin``; one
-            # that is missing here was forgotten (the tree aborted or
-            # committed while this perform raced it down the pipe).
-            # Lazily re-beginning it would plant a ghost mirror whose
-            # locks nothing ever releases, so refuse instead.
-            return proto.error_response(
-                request_id,
-                proto.ERR_TXN_ABORTED,
-                "shard %d no longer mirrors tree %r "
-                "(aborted or committed)" % (self.config.shard, name[:1]),
-            )
+            # Lazily re-beginning a forgotten top would plant a ghost
+            # mirror whose locks nothing ever releases; refuse instead.
+            return self._forgotten(request_id, name)
         node = self._mirror(name)
         operation = Operation(
             message.get("kind") or "read",
@@ -297,9 +295,12 @@ class ShardWorker:
         return proto.ok_response(request_id)
 
     def _op_prepare(self, request_id, message) -> Dict[str, Any]:
-        name, node = self._lookup(message)
+        name = proto.txn_name(message.get("txn"))
         if len(name) != 1:
             raise EngineError("prepare takes a top-level name")
+        node = self._nodes.get(name)
+        if node is None:
+            return self._forgotten(request_id, name)
         if not node.is_active:
             raise EngineError(
                 "cannot prepare %r: tree is %s" % (name, node.status)
@@ -314,9 +315,12 @@ class ShardWorker:
         return proto.ok_response(request_id, local=node.name[0])
 
     def _op_decide(self, request_id, message) -> Dict[str, Any]:
-        name, node = self._lookup(message)
+        name = proto.txn_name(message.get("txn"))
         if len(name) != 1:
             raise EngineError("decide takes a top-level name")
+        node = self._nodes.get(name)
+        if node is None:
+            return self._forgotten(request_id, name)
         node.commit()
         self._forget_top(name[0])
         return proto.ok_response(request_id)

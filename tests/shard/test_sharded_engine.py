@@ -249,6 +249,88 @@ class TestGhostMirrorRegression:
         assert retry["ok"] is True, retry
 
 
+class TestAbortRacesCommit:
+    """A wound-wait abort that reaches a worker before the victim's
+    own ``prepare``/``decide`` must read as a retryable abort -- not
+    the raw ``EngineError: shard N does not know transaction`` the
+    forgotten tree used to raise."""
+
+    @staticmethod
+    def _worker_with_aborted_top():
+        from repro.shard.worker import ShardWorker, WorkerConfig
+
+        worker = ShardWorker(
+            WorkerConfig(
+                shard=0, shards=1, specs=_specs(), check_sharding=False
+            )
+        )
+        assert worker.handle({"id": 1, "op": "begin", "txn": [0]})["ok"]
+        assert worker.handle(
+            {
+                "id": 2,
+                "op": "perform",
+                "txn": [0],
+                "object": "r0",
+                "kind": "write",
+                "args": [3],
+            }
+        )["ok"]
+        # The wound: another coordinator thread aborts the tree, and
+        # the worker forgets it.
+        assert worker.handle({"id": 3, "op": "abort", "txn": [0]})["ok"]
+        return worker
+
+    @pytest.mark.parametrize("op", ["prepare", "decide"])
+    def test_worker_answers_txn_aborted_for_forgotten_top(self, op):
+        from repro.serve import protocol as proto
+
+        worker = self._worker_with_aborted_top()
+        late = worker.handle({"id": 4, "op": op, "txn": [0]})
+        assert late["ok"] is False
+        assert late["error"]["code"] == proto.ERR_TXN_ABORTED
+        assert late["error"]["retryable"] is True
+        # Nothing was committed or re-mirrored by the late request.
+        value = worker.handle({"id": 5, "op": "value", "object": "r0"})
+        assert value["value"] == 0
+        assert worker.handle({"id": 6, "op": "begin", "txn": [1]})["ok"]
+        assert worker.handle(
+            {
+                "id": 7,
+                "op": "perform",
+                "txn": [1],
+                "object": "r0",
+                "kind": "write",
+                "args": [8],
+            }
+        )["ok"]
+
+    @pytest.mark.parametrize(
+        "objects", [("r0",), ("r0", "r1")], ids=["decide", "prepare"]
+    )
+    def test_coordinator_surfaces_transaction_aborted(self, objects):
+        # One participant commits through ``decide`` alone, two go
+        # through ``prepare`` first.  The worker-side abort is sent
+        # down the link directly: exactly the window in which a wound
+        # has reached the workers while the victim's thread is already
+        # past the coordinator's own liveness check.
+        with ShardedEngine(
+            _specs(), workers=2, sharding=_spread_sharding
+        ) as engine:
+            top = engine.begin_top()
+            for name in objects:
+                top.perform(name, IntRegister.write(5))
+            for shard in sorted(top._top.participants):
+                reply = engine._links[shard].call(
+                    "abort", txn=[top._top.ordinal]
+                )
+                assert reply["ok"]
+            with pytest.raises(TransactionAborted):
+                top.commit()
+            assert not top.is_active
+            for name in objects:
+                assert engine.object_value(name) == 0
+
+
 class TestValues:
     def test_object_value_unknown_object(self):
         with ShardedEngine(_specs(), workers=2) as engine:
