@@ -22,6 +22,9 @@ CD005    lock-holder tables / version stacks mutated (even through
          ``self``) outside the modules that own the transition
          discipline -- a policy or helper class that grows its own
          ``write_holders.add`` bypasses the lock manager
+CD006    ``zlib.crc32`` (or ``crc32`` imported by name) outside
+         ``repro/core/framing.py`` -- a checksum anywhere else is
+         another copy of the frame codec
 =======  =========================================================
 
 A line may opt out with ``# repro-lint: ignore`` or
@@ -95,7 +98,17 @@ CD005 = register_rule(
     "protocol outside the audited discipline.",
 )
 
-CODE_RULES = (CD001, CD002, CD003, CD004, CD005)
+CD006 = register_rule(
+    "CD006",
+    "CRC32 computed outside the frame codec",
+    "repo invariant; docs/DURABILITY.md (record format)",
+    "repro.core.framing is the only reader and writer of "
+    "`varint(len) body crc32le(body)`; the WAL, the wire protocol and "
+    "the decision log call it.  A crc32 elsewhere is a second codec "
+    "that the golden-frame tests do not cover.",
+)
+
+CODE_RULES = (CD001, CD002, CD003, CD004, CD005, CD006)
 
 #: Attributes forming the lock-table / version-map state (CD001).
 LOCK_STATE_ATTRS = frozenset(
@@ -128,8 +141,21 @@ LOCK_OWNER_MODULES = (
     os.path.join("repro", "analysis", "schedule.py"),
 )
 
+#: Modules allowed to compute a CRC32 (CD006): the frame codec, and
+#: the object store's cross-process sharding hash (not a checksum).
+CRC_MODULES = (
+    os.path.join("repro", "core", "framing.py"),
+    os.path.join("repro", "kernel", "store.py"),
+)
+
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*ignore(?:\[(?P<codes>[A-Z0-9, ]+)\])?"
+)
+
+
+_CD006_MESSAGE = (
+    "crc32 outside repro/core/framing.py; frame bytes with "
+    "repro.core.framing instead"
 )
 
 
@@ -160,7 +186,7 @@ def _receiver_of_attribute(node: ast.expr) -> Optional[ast.expr]:
 
 
 class _ModuleLinter(ast.NodeVisitor):
-    """One file's worth of CD001-CD004 checks."""
+    """One file's worth of CD001-CD006 checks."""
 
     def __init__(self, path: str, tree: ast.Module, source: str):
         self.path = path
@@ -172,6 +198,9 @@ class _ModuleLinter(ast.NodeVisitor):
         )
         self.is_lock_owner_module = any(
             path.endswith(suffix) for suffix in LOCK_OWNER_MODULES
+        )
+        self.is_crc_module = any(
+            path.endswith(suffix) for suffix in CRC_MODULES
         )
         # Stack of (class node, is_guarded) for CD002.
         self._class_stack: List[Tuple[ast.ClassDef, bool]] = []
@@ -361,9 +390,18 @@ class _ModuleLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
-    # CD002: guarded internals
+    # CD002: guarded internals; CD006: crc32
     # ------------------------------------------------------------------
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "zlib" and not self.is_crc_module:
+            for alias in node.names:
+                if alias.name == "crc32":
+                    self._emit(CD006, node, _CD006_MESSAGE)
+        self.generic_visit(node)
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "crc32" and not self.is_crc_module:
+            self._emit(CD006, node, _CD006_MESSAGE)
         if self._class_stack and self._class_stack[-1][1]:
             inner = node.value
             if (

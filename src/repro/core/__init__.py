@@ -20,6 +20,9 @@ This package models nested-transaction systems exactly as the paper does:
   Lemma 33.
 * :mod:`~repro.core.correctness` -- the serial-correctness checker
   (Theorem 34, Corollary 35).
+
+Not from the paper: :mod:`~repro.core.framing`, the byte-frame codec the
+WAL, the wire protocol and the 2PC decision log share.
 """
 
 from repro.core.names import (

@@ -60,6 +60,18 @@ __all__ = [
 ]
 
 
+def _round_latency(value: float) -> float:
+    """Three decimals, or three significant digits when below 1.
+
+    Sim latencies are virtual time units (>= 1); wall-clock backends
+    report seconds, where a sub-millisecond transaction would round to
+    0.0 at three decimals.
+    """
+    if value >= 1.0:
+        return round(value, 3)
+    return float("%.3g" % value)
+
+
 @dataclass
 class ScenarioResult:
     """What one scenario run reports, backend-independent."""
@@ -101,8 +113,8 @@ class ScenarioResult:
             "retries": self.retries,
             "ops": self.ops,
             "throughput": round(self.throughput, 3),
-            "p50_latency": round(self.latency(0.50), 3),
-            "p95_latency": round(self.latency(0.95), 3),
+            "p50_latency": _round_latency(self.latency(0.50)),
+            "p95_latency": _round_latency(self.latency(0.95)),
             "makespan": round(self.makespan, 3),
             "digest": self.digest[:16],
         }

@@ -1,15 +1,11 @@
 """The wire protocol of the transaction service: framed canonical JSON.
 
-A connection is a byte stream of *frames*, with exactly the WAL's
-framing discipline (:mod:`repro.wal.records`)::
-
-    frame := varint(len(body)) body crc32le(body)
-    body  := canonical JSON (sorted keys, compact separators, UTF-8)
-
-``varint`` is unsigned LEB128.  The CRC covers the body only.  The
-format is pinned by a golden test (``tests/serve/test_protocol.py``);
-bump :data:`PROTOCOL_VERSION` when changing anything here, including
-any response field.
+A connection is a byte stream of frames (:mod:`repro.core.framing`,
+the codec the WAL uses: varint length, body, CRC32 of the body) whose
+bodies are canonical JSON (sorted keys, compact separators, UTF-8).
+The format is pinned by a golden test
+(``tests/serve/test_protocol.py``); bump :data:`PROTOCOL_VERSION` when
+changing anything here, including any response field.
 
 Requests and responses
 ----------------------
@@ -70,9 +66,9 @@ list ``blockers`` (transaction names as lists) when known.
 from __future__ import annotations
 
 import json
-import zlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.framing import FrameError, frame, read_frame
 from repro.errors import (
     InvalidTransactionState,
     LockDenied,
@@ -133,41 +129,8 @@ class FrameCorrupt(ProtocolError):
 
 
 # ----------------------------------------------------------------------
-# Framing (LEB128 length prefix + CRC32 trailer, as in repro.wal)
+# Messages as frames
 # ----------------------------------------------------------------------
-def _encode_varint(value: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def _decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    """Decode a varint at *offset*; returns (value, next_offset).
-
-    Returns ``(-1, offset)`` when the buffer ends mid-varint (a torn
-    prefix, not an error -- the decoder waits for more bytes).
-    """
-    result = 0
-    shift = 0
-    index = offset
-    while index < len(data):
-        byte = data[index]
-        index += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, index
-        shift += 7
-        if shift > 35:
-            raise FrameCorrupt("varint length prefix over 5 bytes")
-    return -1, offset
-
-
 def _jsonify(value: Any) -> Any:
     """JSON fallback for engine result values (sets become lists)."""
     if isinstance(value, (set, frozenset)):
@@ -196,10 +159,7 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
             "message encodes to %d bytes (max %d)"
             % (len(body), MAX_FRAME_BYTES)
         )
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return b"".join(
-        (_encode_varint(len(body)), body, crc.to_bytes(4, "little"))
-    )
+    return frame(body)
 
 
 def decode_frame(data: bytes) -> Dict[str, Any]:
@@ -241,23 +201,14 @@ class FrameDecoder:
         view = bytes(self._buffer)
         offset = 0
         while True:
-            length, body_start = _decode_varint(view, offset)
-            if length < 0:
-                break  # torn varint; wait for more bytes
-            if length > self._max:
-                raise FrameTooLarge(
-                    "frame announces %d body bytes (max %d)"
-                    % (length, self._max)
-                )
-            frame_end = body_start + length + 4
-            if frame_end > len(view):
-                break  # torn body/CRC; wait for more bytes
-            body = view[body_start:body_start + length]
-            crc = int.from_bytes(
-                view[body_start + length:frame_end], "little"
-            )
-            if zlib.crc32(body) & 0xFFFFFFFF != crc:
-                raise FrameCorrupt("frame CRC mismatch")
+            try:
+                found = read_frame(view, offset, self._max)
+            except FrameError as exc:
+                refusal = FrameTooLarge if exc.oversized else FrameCorrupt
+                raise refusal(str(exc)) from None
+            if found is None:
+                break  # torn; wait for more bytes
+            body, offset = found
             try:
                 message = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as exc:
@@ -270,7 +221,6 @@ class FrameDecoder:
                     % type(message).__name__
                 )
             messages.append(message)
-            offset = frame_end
         del self._buffer[:offset]
         return messages
 

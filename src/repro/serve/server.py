@@ -56,7 +56,8 @@ layering, bottom up:
   instead of queueing.  Inline requests are admitted and released like
   any other.
 * **Sessions** (:mod:`repro.serve.session`) -- transaction ownership;
-  a dead connection's trees are aborted (``abort_top``) once its pump
+  a dead connection's trees are aborted (``abort_top``, on the worker
+  pool: it takes the facade's locks and a WAL's fsync) once its pump
   drains, and an idle reaper closes connections with no traffic and
   no in-flight work for ``idle_timeout`` seconds.
 
@@ -545,7 +546,15 @@ class TransactionServer:
                 released += 1
         if released:
             self.admission.release(released)
-        aborted = conn.session.abort_orphans()
+        # On the pool, never the loop: ``abort_top`` takes the facade's
+        # locks and, behind a WAL, waits on the abort record's fsync.
+        try:
+            aborted = await asyncio.get_running_loop().run_in_executor(
+                self._executor, conn.session.abort_orphans
+            )
+        except RuntimeError:
+            # ``stop`` gave up on this drain and shut the pool down.
+            aborted = conn.session.abort_orphans()
         if aborted:
             self.metrics.counter("serve.orphan_aborts").inc(aborted)
         self._close_transport(conn)

@@ -16,10 +16,11 @@ unprepared or undecided cross-shard tree, because the coordinator acks
 a commit only after *every* participant logged COMMIT durably.
 
 The decision log adds the one piece the per-shard logs cannot carry:
-for each cross-shard commit, a framed-JSON record (the serve protocol
-framing, so it is CRC-checked and torn-tail tolerant) written *between*
-phase 1 and phase 2, naming the global ordinal, the participant
-shards, and each participant's local top slot.  Recovery uses it to
+for each cross-shard commit, a framed canonical-JSON record
+(:mod:`repro.core.framing`, so it is CRC-checked and torn-tail
+tolerant like a WAL record) written *between* phase 1 and phase 2,
+naming the global ordinal, the participant shards, and each
+participant's local top slot.  Recovery uses it to
 flag decided-but-unapplied shards (prepared, decision durable, crash
 before the shard's COMMIT record): those trees were never acked, but
 the decision shows how to roll them forward.
@@ -27,13 +28,16 @@ the decision shows how to roll them forward.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.framing import FrameError, frame, scan_frames
 from repro.errors import EngineError
-from repro.serve import protocol as proto
+from repro.wal.log import FileWalSink, GroupCommitSink, read_log_bytes
+from repro.wal.records import MAX_BODY_BYTES
 
 #: Subdirectory of the sharded ``wal_dir`` holding decision records.
 COORD_DIRNAME = "coord"
@@ -52,8 +56,6 @@ class DecisionLog:
     """
 
     def __init__(self, wal_dir: str, window_ms: Optional[float] = None):
-        from repro.wal.log import FileWalSink, GroupCommitSink
-
         self.directory = os.path.join(wal_dir, COORD_DIRNAME)
         if window_ms is not None:
             self._sink = GroupCommitSink(
@@ -79,16 +81,19 @@ class DecisionLog:
         Returns only once the record is on disk -- this is the 2PC
         commit point between prepare and decide.
         """
-        frame = proto.encode_frame(
-            {
-                "decision": "commit",
-                "txn": [int(ordinal)],
-                "participants": [int(shard) for shard in participants],
-                "local": locals_map or {},
-            }
+        record = {
+            "decision": "commit",
+            "txn": [int(ordinal)],
+            "participants": [int(shard) for shard in participants],
+            "local": locals_map or {},
+        }
+        data = frame(
+            json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            ).encode()
         )
         with self._lock:
-            self._sink.append(frame)
+            self._sink.append(data)
             self._count += 1
         flush_begin = getattr(self._sink, "flush_begin", None)
         if flush_begin is not None:
@@ -104,33 +109,30 @@ class DecisionLog:
             self._sink.close()
 
 
+def _decode_decision(body: bytes, start: int, end: int) -> Dict[str, Any]:
+    try:
+        decision = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise FrameError("bad decision record: %s" % exc) from None
+    if not isinstance(decision, dict):
+        raise FrameError("decision record is not an object")
+    return decision
+
+
 def read_decisions(wal_dir: str) -> List[Dict[str, Any]]:
     """Replay the decision log; torn or corrupt tails stop the scan.
 
-    Returns the decoded decision records in log order.  A missing
-    ``coord`` directory (no cross-shard commit ever decided) is an
-    empty list, not an error -- presumed abort covers everything.
+    Returns the decoded decision records in log order: every record
+    before the first bad one, as ``scan_records`` does for a WAL.  A
+    missing ``coord`` directory (no cross-shard commit ever decided) is
+    an empty list, not an error -- presumed abort covers everything.
     """
     directory = os.path.join(wal_dir, COORD_DIRNAME)
     if not os.path.isdir(directory):
         return []
-    parts = []
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("wal-") and name.endswith(".seg"):
-            with open(os.path.join(directory, name), "rb") as handle:
-                parts.append(handle.read())
-    data = b"".join(parts)
-    decoder = proto.FrameDecoder()
-    decisions: List[Dict[str, Any]] = []
-    # Feed in chunks so a corrupt record surrenders only the tail: the
-    # frames before it decode normally (a merely *torn* tail is
-    # buffered by the decoder and ignored, like a torn WAL record).
-    for offset in range(0, len(data), 4096):
-        try:
-            decisions.extend(decoder.feed(data[offset : offset + 4096]))
-        except proto.ProtocolError:
-            break
-    return decisions
+    return scan_frames(
+        read_log_bytes(directory), MAX_BODY_BYTES, _decode_decision
+    ).items
 
 
 @dataclass

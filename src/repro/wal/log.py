@@ -34,49 +34,60 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Tuple
 
-from zlib import crc32
-
+from repro.core.framing import frame
 from repro.errors import EngineError
 from repro.wal import records as rec
-from repro.wal.records import (
-    _BYTE,
-    _acquire_tail,
-    encode_acquire_record,
-    encode_txn_record,
-    encode_varint,
-)
 
 #: Default segment size before rolling to a new one.
 DEFAULT_SEGMENT_BYTES = 64 * 1024
 
-# Body templates for the writer's inlined fast paths, one per record
-# kind x transaction depth (the leading byte is the kind tag).  Depths
-# 1-3 cover every hot workload; deeper trees fall back to the generic
-# encoders.  ``bytes %% int`` renders the same decimal digits as
-# ``json.dumps``, so the output is byte-identical to
-# :func:`repro.wal.records.encode_record` -- pinned by
-# ``tests/wal/test_format.py::TestWriterMatchesEncodeRecord``.
-_BEGIN1 = b'\x01{"lsn":%d,"txn":[%d]}'
-_BEGIN2 = b'\x01{"lsn":%d,"txn":[%d,%d]}'
-_BEGIN3 = b'\x01{"lsn":%d,"txn":[%d,%d,%d]}'
-_COMMIT1 = b'\x03{"lsn":%d,"txn":[%d]}'
-_COMMIT2 = b'\x03{"lsn":%d,"txn":[%d,%d]}'
-_COMMIT3 = b'\x03{"lsn":%d,"txn":[%d,%d,%d]}'
-_ABORT1 = b'\x04{"lsn":%d,"txn":[%d]}'
-_ABORT2 = b'\x04{"lsn":%d,"txn":[%d,%d]}'
-_ABORT3 = b'\x04{"lsn":%d,"txn":[%d,%d,%d]}'
-_ACQ1 = b'\x02{"access":[%d],"gen":%d,"lsn":%d,'
-_ACQ2 = b'\x02{"access":[%d,%d],"gen":%d,"lsn":%d,'
-_ACQ3 = b'\x02{"access":[%d,%d,%d],"gen":%d,"lsn":%d,'
 
-#: Rendered ``"object":...,"op":{...}}`` tails keyed by
-#: ``(id(operation), object_name)``.  The identity key makes the
-#: lookup pure C (a frozen dataclass ``__hash__`` is a Python frame);
-#: the cached entry holds the operation so its id cannot be recycled
-#: while cached, and the ``is`` check keeps correctness independent of
-#: that lifetime argument.
+class _Templates(dict):
+    """``depth -> body template`` for one record kind, built on first use.
+
+    A template is ``prefix + b"%d,%d,...,%d" + suffix`` with one
+    ``%d`` per part of the transaction name.  ``bytes % int`` renders
+    the same decimal digits as ``json.dumps``, so for plain-int names
+    the output is byte-identical to :func:`repro.wal.records.
+    encode_record`, the reference encoder -- pinned for every depth by
+    ``tests/wal/test_format.py::TestWriterMatchesEncodeRecord``.
+    """
+
+    def __init__(self, prefix: bytes, suffix: bytes):
+        super().__init__()
+        self._prefix = prefix
+        self._suffix = suffix
+
+    def __missing__(self, depth: int) -> bytes:
+        template = self[depth] = (
+            self._prefix + b",".join([b"%d"] * depth) + self._suffix
+        )
+        return template
+
+
+#: ``kind{"lsn":L,"txn":[...]}`` -- filled with ``(lsn, *name)``.
+_TXN_TEMPLATES = {
+    kind: _Templates(bytes((kind,)) + b'{"lsn":%d,"txn":[', b"]}")
+    for kind in (rec.BEGIN, rec.COMMIT, rec.ABORT)
+}
+
+#: ``\x02{"access":[...],"gen":G,"lsn":L,`` -- filled with
+#: ``(*access, generation, lsn)``; the ``"object"``/``"op"`` tail
+#: follows.
+_ACQUIRE_HEADS = _Templates(
+    bytes((rec.ACQUIRE,)) + b'{"access":[', b'],"gen":%d,"lsn":%d,'
+)
+
+#: Rendered ACQUIRE tails keyed by ``(id(operation), object_name)``, in
+#: front of the by-value cache of :func:`repro.wal.records.
+#: acquire_tail`.  The identity key makes the lookup pure C (a frozen
+#: dataclass ``__hash__`` is a Python frame); the cached entry holds
+#: the operation so its id cannot be recycled while cached, and the
+#: ``is`` check keeps correctness independent of that lifetime
+#: argument.
 _TAILS: Dict[Tuple[int, str], Tuple[Any, bytes]] = {}
 _TAILS_LIMIT = 4096
 
@@ -344,6 +355,17 @@ class WriteAheadLog:
         self._acquire_lock = self._lock.acquire
         self._release_lock = self._lock.release
         self._sink_append = self.sink.append
+        # One body for the three transaction-boundary records, bound
+        # per kind (a C-level partial, not a wrapper frame).
+        self.log_begin = partial(
+            self._log_txn, rec.BEGIN, _TXN_TEMPLATES[rec.BEGIN]
+        )
+        self.log_commit = partial(
+            self._log_txn, rec.COMMIT, _TXN_TEMPLATES[rec.COMMIT]
+        )
+        self.log_abort = partial(
+            self._log_txn, rec.ABORT, _TXN_TEMPLATES[rec.ABORT]
+        )
         self._lsn = 0
         self._segment = 0
         self._opened = False
@@ -404,12 +426,7 @@ class WriteAheadLog:
             self._objects = objects
             self._opened = True
             self._writable = True
-            self._append_locked(
-                rec.SEGMENT,
-                rec.segment_payload(
-                    self._next_lsn(), self._segment, scheme, objects
-                ),
-            )
+            self._append_header_locked()
 
     def close(self) -> None:
         """Flush and close the sink (further appends are errors)."""
@@ -424,69 +441,42 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Event API (called by the engine under its own locks)
     #
-    # These bodies are deliberately flat: encode, frame, append and
-    # count run inline with no helper calls on the common shapes.  The
-    # calls arrive interleaved with ~60us of engine work per
-    # transaction, so every extra Python frame executes cold and costs
-    # several times its tight-loop price; the overhead guard (bench
-    # E22) holds the whole path under 20% of commit throughput.
-    # Byte-compatibility with ``encode_record`` is pinned by
-    # ``tests/wal/test_format.py::TestWriterMatchesEncodeRecord``.
+    # ``log_begin`` / ``log_commit`` / ``log_abort`` are ``_log_txn``
+    # bound per kind in ``__init__``.  The two bodies are deliberately
+    # flat: render, frame, append and count with one call
+    # (``framing.frame``) and no wrapper frames.  The calls arrive
+    # interleaved with ~60us of engine work per transaction, so every
+    # extra Python frame executes cold and costs several times its
+    # tight-loop price; the perf ladder reads the whole path as
+    # ``wal.encode_us_per_txn`` and ``logged_txn_per_s``.  A name with
+    # a part that is not a plain ``int`` (``%d`` would render ``True``
+    # as ``1``) goes to the reference encoder.  The LSN is assigned
+    # only once the frame is built, so a record that cannot be encoded
+    # (``WalFormatError``) leaves no gap.
     # ------------------------------------------------------------------
-    def log_begin(self, name) -> None:
+    def _log_txn(self, kind: int, templates: _Templates, name) -> None:
         self._acquire_lock()
         try:
             if not self._writable:
                 self._refuse_locked()
-            lsn = self._lsn = self._lsn + 1
-            body = None
-            count = len(name)
-            if count == 1:
-                n0 = name[0]
-                if type(n0) is int:
-                    body = _BEGIN1 % (lsn, n0)
-            elif count == 2:
-                n0 = name[0]
-                n1 = name[1]
-                if type(n0) is int and type(n1) is int:
-                    body = _BEGIN2 % (lsn, n0, n1)
-            elif count == 3:
-                n0 = name[0]
-                n1 = name[1]
-                n2 = name[2]
-                if (
-                    type(n0) is int
-                    and type(n1) is int
-                    and type(n2) is int
-                ):
-                    body = _BEGIN3 % (lsn, n0, n1, n2)
-            if body is None:
-                self._put_locked(
-                    encode_txn_record(rec.BEGIN, lsn, name), rec.BEGIN
-                )
-                return
-            length = len(body)
-            if length < 0x80:
-                size = length + 5
-                self._sink_append(
-                    _BYTE[length]
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-                )
+            lsn = self._lsn + 1
+            for part in name:
+                if type(part) is not int:
+                    data = rec.encode_record(
+                        kind, {"lsn": lsn, "txn": rec.name_to_wire(name)}
+                    )
+                    break
             else:
-                frame = (
-                    encode_varint(length)
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-                )
-                size = len(frame)
-                self._sink_append(frame)
+                data = frame(templates[len(name)] % (lsn, *name))
+            self._lsn = lsn
+            self._sink_append(data)
+            size = len(data)
             self._n_appends += 1
             self._n_bytes += size
             active = self._active_bytes = self._active_bytes + size
             obs = self.obs
             if obs is not None:
-                obs.count("wal.append", kind="begin")
+                obs.count("wal.append", kind=rec.KIND_NAMES[kind])
                 obs.observe("wal.append_bytes", float(size))
             if active >= self.segment_bytes:
                 self._roll_locked()
@@ -500,63 +490,35 @@ class WriteAheadLog:
         try:
             if not self._writable:
                 self._refuse_locked()
-            lsn = self._lsn = self._lsn + 1
-            head = None
-            count = len(access)
-            if count == 1:
-                a0 = access[0]
-                if type(a0) is int:
-                    head = _ACQ1 % (a0, generation, lsn)
-            elif count == 2:
-                a0 = access[0]
-                a1 = access[1]
-                if type(a0) is int and type(a1) is int:
-                    head = _ACQ2 % (a0, a1, generation, lsn)
-            elif count == 3:
-                a0 = access[0]
-                a1 = access[1]
-                a2 = access[2]
-                if (
-                    type(a0) is int
-                    and type(a1) is int
-                    and type(a2) is int
-                ):
-                    head = _ACQ3 % (a0, a1, a2, generation, lsn)
-            if head is None:
-                self._put_locked(
-                    encode_acquire_record(
-                        lsn, access, object_name, operation, generation
-                    ),
-                    rec.ACQUIRE,
-                )
-                return
-            entry = _TAILS.get((id(operation), object_name))
-            if entry is not None and entry[0] is operation:
-                body = head + entry[1]
-            else:
-                tail = _acquire_tail(object_name, operation).encode()
-                if len(_TAILS) < _TAILS_LIMIT:
-                    _TAILS[(id(operation), object_name)] = (
-                        operation,
-                        tail,
+            lsn = self._lsn + 1
+            for part in access:
+                if type(part) is not int:
+                    data = rec.encode_record(
+                        rec.ACQUIRE,
+                        rec.acquire_payload(
+                            lsn, access, object_name, operation, generation
+                        ),
                     )
-                body = head + tail
-            length = len(body)
-            if length < 0x80:
-                size = length + 5
-                self._sink_append(
-                    _BYTE[length]
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-                )
+                    break
             else:
-                frame = (
-                    encode_varint(length)
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+                entry = _TAILS.get((id(operation), object_name))
+                if entry is not None and entry[0] is operation:
+                    tail = entry[1]
+                else:
+                    tail = rec.acquire_tail(object_name, operation)
+                    if len(_TAILS) < _TAILS_LIMIT:
+                        _TAILS[(id(operation), object_name)] = (
+                            operation,
+                            tail,
+                        )
+                data = frame(
+                    _ACQUIRE_HEADS[len(access)]
+                    % (*access, generation, lsn)
+                    + tail
                 )
-                size = len(frame)
-                self._sink_append(frame)
+            self._lsn = lsn
+            self._sink_append(data)
+            size = len(data)
             self._n_appends += 1
             self._n_bytes += size
             active = self._active_bytes = self._active_bytes + size
@@ -569,172 +531,11 @@ class WriteAheadLog:
         finally:
             self._release_lock()
 
-    def log_commit(self, name) -> None:
-        self._acquire_lock()
-        try:
-            if not self._writable:
-                self._refuse_locked()
-            lsn = self._lsn = self._lsn + 1
-            body = None
-            count = len(name)
-            if count == 1:
-                n0 = name[0]
-                if type(n0) is int:
-                    body = _COMMIT1 % (lsn, n0)
-            elif count == 2:
-                n0 = name[0]
-                n1 = name[1]
-                if type(n0) is int and type(n1) is int:
-                    body = _COMMIT2 % (lsn, n0, n1)
-            elif count == 3:
-                n0 = name[0]
-                n1 = name[1]
-                n2 = name[2]
-                if (
-                    type(n0) is int
-                    and type(n1) is int
-                    and type(n2) is int
-                ):
-                    body = _COMMIT3 % (lsn, n0, n1, n2)
-            if body is None:
-                self._put_locked(
-                    encode_txn_record(rec.COMMIT, lsn, name), rec.COMMIT
-                )
-                return
-            length = len(body)
-            if length < 0x80:
-                size = length + 5
-                self._sink_append(
-                    _BYTE[length]
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-                )
-            else:
-                frame = (
-                    encode_varint(length)
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-                )
-                size = len(frame)
-                self._sink_append(frame)
-            self._n_appends += 1
-            self._n_bytes += size
-            active = self._active_bytes = self._active_bytes + size
-            obs = self.obs
-            if obs is not None:
-                obs.count("wal.append", kind="commit")
-                obs.observe("wal.append_bytes", float(size))
-            if active >= self.segment_bytes:
-                self._roll_locked()
-        finally:
-            self._release_lock()
-
-    def log_abort(self, name) -> None:
-        self._acquire_lock()
-        try:
-            if not self._writable:
-                self._refuse_locked()
-            lsn = self._lsn = self._lsn + 1
-            body = None
-            count = len(name)
-            if count == 1:
-                n0 = name[0]
-                if type(n0) is int:
-                    body = _ABORT1 % (lsn, n0)
-            elif count == 2:
-                n0 = name[0]
-                n1 = name[1]
-                if type(n0) is int and type(n1) is int:
-                    body = _ABORT2 % (lsn, n0, n1)
-            elif count == 3:
-                n0 = name[0]
-                n1 = name[1]
-                n2 = name[2]
-                if (
-                    type(n0) is int
-                    and type(n1) is int
-                    and type(n2) is int
-                ):
-                    body = _ABORT3 % (lsn, n0, n1, n2)
-            if body is None:
-                self._put_locked(
-                    encode_txn_record(rec.ABORT, lsn, name), rec.ABORT
-                )
-                return
-            length = len(body)
-            if length < 0x80:
-                size = length + 5
-                self._sink_append(
-                    _BYTE[length]
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-                )
-            else:
-                frame = (
-                    encode_varint(length)
-                    + body
-                    + (crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-                )
-                size = len(frame)
-                self._sink_append(frame)
-            self._n_appends += 1
-            self._n_bytes += size
-            active = self._active_bytes = self._active_bytes + size
-            obs = self.obs
-            if obs is not None:
-                obs.count("wal.append", kind="abort")
-                obs.observe("wal.append_bytes", float(size))
-            if active >= self.segment_bytes:
-                self._roll_locked()
-        finally:
-            self._release_lock()
-
     def flush(self) -> None:
-        """Force the log durable (top-level commits are flush points).
-
-        With a group-commit sink the wait happens *outside* the
-        writer's lock: the ticket is taken under it (so it covers this
-        committer's appends), then the lock is released while the
-        group fsync completes -- concurrent committers reach their own
-        tickets and share the fsync instead of queueing one each.
-        """
-        sink = self.sink
-        flush_begin = getattr(sink, "flush_begin", None)
-        if flush_begin is not None:
-            self._acquire_lock()
-            try:
-                ticket = flush_begin()
-                self._n_flushes += 1
-            finally:
-                self._release_lock()
-            sink.flush_wait(ticket)
-            fsyncs = 0
-            self._acquire_lock()
-            try:
-                issued = sink.fsync_count
-                if issued > self._n_fsyncs:
-                    fsyncs = issued - self._n_fsyncs
-                    self._n_fsyncs = issued
-            finally:
-                self._release_lock()
-        else:
-            self._acquire_lock()
-            try:
-                # A non-durable sink (``DURABLE = False``) has nothing
-                # to add; unknown sinks are flushed to be safe.
-                if getattr(sink, "DURABLE", True):
-                    fsyncs = sink.flush()
-                else:
-                    fsyncs = 0
-                self._n_flushes += 1
-                self._n_fsyncs += fsyncs
-            finally:
-                self._release_lock()
-        obs = self.obs
-        if obs is not None:
-            obs.count("wal.flush")
-            if fsyncs:
-                obs.count("wal.fsync", fsyncs)
+        """Force the log durable (top-level commits are flush points)."""
+        waiter = self.flush_async()
+        if waiter is not None:
+            waiter()
 
     def flush_async(self):
         """Take a flush ticket now; return a waiter to call later.
@@ -744,21 +545,29 @@ class WriteAheadLog:
         the ticket *inside* the critical section -- it covers every
         append made so far -- and run the returned waiter *after*
         releasing their locks, so concurrent committers' waits overlap
-        and share one fsync.  With a plain (non-group) sink there is
-        nothing to overlap; the flush happens inline here and ``None``
-        is returned.
+        and share one fsync.  The wait happens outside the writer's
+        lock too, for the same reason.  With a plain (non-group) sink
+        there is nothing to overlap; the flush happens inline here and
+        ``None`` is returned.
         """
         sink = self.sink
         flush_begin = getattr(sink, "flush_begin", None)
-        if flush_begin is None:
-            self.flush()
-            return None
+        fsyncs = 0
         self._acquire_lock()
         try:
-            ticket = flush_begin()
             self._n_flushes += 1
+            if flush_begin is not None:
+                ticket = flush_begin()
+            elif getattr(sink, "DURABLE", True):
+                # A non-durable sink (``DURABLE = False``) has nothing
+                # to add; unknown sinks are flushed to be safe.
+                fsyncs = sink.flush()
+                self._n_fsyncs += fsyncs
         finally:
             self._release_lock()
+        if flush_begin is None:
+            self._count_flush(fsyncs)
+            return None
 
         def waiter() -> None:
             sink.flush_wait(ticket)
@@ -771,41 +580,39 @@ class WriteAheadLog:
                     self._n_fsyncs = issued
             finally:
                 self._release_lock()
-            obs = self.obs
-            if obs is not None:
-                obs.count("wal.flush")
-                if fsyncs:
-                    obs.count("wal.fsync", fsyncs)
+            self._count_flush(fsyncs)
 
         return waiter
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_lsn(self) -> int:
-        self._lsn += 1
-        return self._lsn
-
-    def _append_locked(self, kind: int, payload: Dict[str, Any]) -> None:
-        self._write_locked(kind, rec.encode_record(kind, payload))
-
-    def _write_locked(self, kind: int, frame: bytes) -> None:
-        if not self._writable:
-            self._refuse_locked()
-        self._put_locked(frame, kind)
-
-    def _put_locked(self, frame: bytes, kind: int) -> None:
-        self._sink_append(frame)
-        size = len(frame)
-        self._n_appends += 1
-        self._n_bytes += size
-        active = self._active_bytes = self._active_bytes + size
+    def _count_flush(self, fsyncs: int) -> None:
         obs = self.obs
         if obs is not None:
-            obs.count("wal.append", kind=rec.KIND_NAMES[kind])
+            obs.count("wal.flush")
+            if fsyncs:
+                obs.count("wal.fsync", fsyncs)
+
+    def _append_header_locked(self) -> None:
+        """Write the active segment's SEGMENT header (never rolls)."""
+        lsn = self._lsn + 1
+        data = rec.encode_record(
+            rec.SEGMENT,
+            rec.segment_payload(
+                lsn, self._segment, self._scheme, self._objects
+            ),
+        )
+        self._lsn = lsn
+        self._sink_append(data)
+        size = len(data)
+        self._n_appends += 1
+        self._n_bytes += size
+        self._active_bytes += size
+        obs = self.obs
+        if obs is not None:
+            obs.count("wal.append", kind="segment")
             obs.observe("wal.append_bytes", float(size))
-        if active >= self.segment_bytes and kind != rec.SEGMENT:
-            self._roll_locked()
 
     def _refuse_locked(self) -> None:
         if self._closed:
@@ -824,12 +631,4 @@ class WriteAheadLog:
         obs = self.obs
         if obs is not None:
             obs.count("wal.segment_roll")
-        self._append_locked(
-            rec.SEGMENT,
-            rec.segment_payload(
-                self._next_lsn(),
-                self._segment,
-                self._scheme,
-                self._objects,
-            ),
-        )
+        self._append_header_locked()

@@ -1,18 +1,14 @@
 """The WAL on-disk record format: CRC-framed, varint-length records.
 
-A log is a byte stream of *frames*::
+A log is a byte stream of frames (:mod:`repro.core.framing`: varint
+length, body, CRC32 of the body) whose bodies are::
 
-    frame   := varint(len(body)) body crc32le(body)
     body    := kind(1 byte) payload
     payload := canonical JSON (sorted keys, compact separators, UTF-8)
 
-``varint`` is unsigned LEB128 (7 bits per byte, high bit = continue).
-The CRC covers the body only; the varint length is implicitly checked
-because a corrupted length either points past the end of the data
-(scanned as a torn tail) or lands the 4 CRC bytes on the wrong offsets
-(scanned as a corrupt record).  Framing carries no magic bytes: the
-first record of every segment is a :data:`SEGMENT` header whose payload
-names the format version, so a non-log file fails the very first frame.
+Framing carries no magic bytes: the first record of every segment is a
+:data:`SEGMENT` header whose payload names the format version, so a
+non-log file fails the very first frame.
 
 The format is pinned by a golden test (``tests/wal/test_format.py``);
 bump ``FORMAT_VERSION`` when changing anything here.
@@ -40,10 +36,10 @@ for denials, so equal prefixes of two logs describe equal state.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.framing import FrameError, frame, scan_frames
 from repro.errors import ReproError
 
 #: Bump when the frame or payload layout changes.
@@ -73,204 +69,57 @@ class WalFormatError(ReproError):
     """A WAL record could not be encoded or decoded."""
 
 
-def encode_varint(value: int) -> bytes:
-    """Unsigned LEB128."""
-    if value < 0:
-        raise WalFormatError("varint cannot encode %d" % value)
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    """Decode an unsigned LEB128 at *offset*; return ``(value, end)``.
-
-    Raises :class:`IndexError` when the varint runs past the end of
-    *data* (a torn tail) and :class:`WalFormatError` when it is longer
-    than any encodable length (corruption).
-    """
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise IndexError("varint truncated")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 35:
-            raise WalFormatError("varint too long")
-
-
-_BYTE = [bytes([value]) for value in range(256)]
-
-
-def _frame(kind: int, rendered: str) -> bytes:
-    body = _BYTE[kind] + rendered.encode()
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    length = len(body)
-    prefix = _BYTE[length] if length < 0x80 else encode_varint(length)
-    return prefix + body + crc.to_bytes(4, "little")
-
-
-def encode_record(kind: int, payload: Dict[str, Any]) -> bytes:
-    """Frame one record: varint length + body + CRC32 of the body."""
-    if kind not in KIND_NAMES:
-        raise WalFormatError("unknown record kind %d" % kind)
+def _canonical_json(payload: Dict[str, Any]) -> str:
     try:
-        rendered = json.dumps(
+        return json.dumps(
             payload, sort_keys=True, separators=(",", ":")
         )
     except (TypeError, ValueError) as exc:
         raise WalFormatError(
             "payload is not JSON-serializable: %s" % exc
         ) from None
-    return _frame(kind, rendered)
 
 
-# ----------------------------------------------------------------------
-# Fast encoders (the writer's hot path)
-#
-# ``encode_record`` pays for a fresh ``JSONEncoder``, a recursive key
-# sort, and an intermediate payload dict on every append -- several
-# microseconds each on a path the overhead guard (bench E22) budgets
-# at ~3us/record.  The canonical rendering of the four hot payloads is
-# a fixed template over ints and pre-escaped strings, so these build
-# the exact same bytes directly.  ``tests/wal/test_format.py`` pins
-# fast == slow frame-for-frame.
-# ----------------------------------------------------------------------
-_STRING_CACHE: Dict[str, str] = {}
-_OPERATION_CACHE: Dict[Any, str] = {}
-#: Both caches hold small fixed vocabularies (object names, operation
-#: shapes); the cap only guards against pathological workloads.
+def encode_record(kind: int, payload: Dict[str, Any]) -> bytes:
+    """Frame one record: the reference encoder.
+
+    The writer (:mod:`repro.wal.log`) renders hot records from byte
+    templates instead; ``tests/wal/test_format.py`` pins those to this
+    function's output frame for frame.
+    """
+    if kind not in KIND_NAMES:
+        raise WalFormatError("unknown record kind %d" % kind)
+    return frame(bytes((kind,)) + _canonical_json(payload).encode())
+
+
+#: ``(object, op shape) -> b'"object":...,"op":{...}}'`` -- the constant
+#: tail of an ACQUIRE body (the per-record head is access/gen/lsn).
+#: The vocabulary (object names x operation shapes) is small and fixed;
+#: the cap only guards against pathological workloads.
+_ACQUIRE_TAILS: Dict[Any, bytes] = {}
 _CACHE_LIMIT = 4096
 
 
-def _json_string(text: str) -> str:
-    rendered = _STRING_CACHE.get(text)
-    if rendered is None:
-        rendered = json.dumps(text)
-        if len(_STRING_CACHE) < _CACHE_LIMIT:
-            _STRING_CACHE[text] = rendered
-    return rendered
-
-
-def _render_operation(operation) -> str:
-    key = (operation.kind, operation.args, operation.is_read)
-    try:
-        rendered = _OPERATION_CACHE.get(key)
-    except TypeError:  # unhashable args: render without caching
-        key = None
-        rendered = None
-    if rendered is None:
-        rendered = json.dumps(
-            operation_to_wire(operation),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        if key is not None and len(_OPERATION_CACHE) < _CACHE_LIMIT:
-            _OPERATION_CACHE[key] = rendered
-    return rendered
-
-
-def _all_plain_ints(name) -> bool:
-    for part in name:
-        if type(part) is not int:
-            return False
-    return True
-
-
-def _wire_ints(name) -> str:
-    # "5,0" -- the inside of the JSON array; callers add the brackets.
-    count = len(name)
-    if count == 1:
-        return "%d" % name
-    if count == 2:
-        return "%d,%d" % name
-    if count == 3:
-        return "%d,%d,%d" % name
-    return ",".join(map(str, name))
-
-
-def encode_txn_record(kind: int, lsn: int, name) -> bytes:
-    """Fast path for BEGIN/COMMIT/ABORT; byte-identical to the slow one."""
-    if not _all_plain_ints(name):
-        return encode_record(
-            kind, {"lsn": lsn, "txn": name_to_wire(name)}
-        )
-    return _frame(
-        kind, '{"lsn":%d,"txn":[%s]}' % (lsn, _wire_ints(name))
-    )
-
-
-#: ``(object, op-shape) -> '"object":...,"op":{...}}'`` -- the constant
-#: tail of an ACQUIRE rendering (the per-record head is access/gen/lsn).
-_ACQUIRE_TAIL_CACHE: Dict[Any, str] = {}
-
-
-def _acquire_tail(object_name: str, operation) -> str:
+def acquire_tail(object_name: str, operation) -> bytes:
+    """The rendered ``"object"``/``"op"`` tail of an ACQUIRE body."""
+    # ``repr`` keeps 1, True and 1.0 apart (they hash and compare
+    # equal but render differently) and makes unhashable args keyable.
     key = (
         object_name,
         operation.kind,
-        operation.args,
+        repr(operation.args),
         operation.is_read,
     )
-    try:
-        tail = _ACQUIRE_TAIL_CACHE.get(key)
-    except TypeError:  # unhashable args: render without caching
-        key = None
-        tail = None
+    tail = _ACQUIRE_TAILS.get(key)
     if tail is None:
-        tail = '"object":%s,"op":%s}' % (
-            _json_string(object_name),
-            _render_operation(operation),
-        )
-        if key is not None and len(_ACQUIRE_TAIL_CACHE) < _CACHE_LIMIT:
-            _ACQUIRE_TAIL_CACHE[key] = tail
+        # Both keys sort after access/gen/lsn, so the tail is the
+        # canonical rendering of just these two, minus its ``{``.
+        tail = _canonical_json(
+            {"object": object_name, "op": operation_to_wire(operation)}
+        )[1:].encode()
+        if len(_ACQUIRE_TAILS) < _CACHE_LIMIT:
+            _ACQUIRE_TAILS[key] = tail
     return tail
-
-
-def encode_acquire_record(
-    lsn: int,
-    access,
-    object_name: str,
-    operation,
-    generation: int,
-) -> bytes:
-    """Fast path for ACQUIRE; byte-identical to ``encode_record``."""
-    if not _all_plain_ints(access):
-        return encode_record(
-            ACQUIRE,
-            acquire_payload(
-                lsn, access, object_name, operation, generation
-            ),
-        )
-    try:
-        tail = _acquire_tail(object_name, operation)
-    except (TypeError, ValueError) as exc:
-        raise WalFormatError(
-            "payload is not JSON-serializable: %s" % exc
-        ) from None
-    rendered = '{"access":[%s],"gen":%d,"lsn":%d,%s' % (
-        _wire_ints(access),
-        generation,
-        lsn,
-        tail,
-    )
-    # _frame, inlined: this is the hottest call in the writer.
-    body = b"\x02" + rendered.encode()
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    length = len(body)
-    prefix = _BYTE[length] if length < 0x80 else encode_varint(length)
-    return prefix + body + crc.to_bytes(4, "little")
 
 
 @dataclass(frozen=True)
@@ -314,6 +163,21 @@ class ScanResult:
         return [0] + [record.end for record in self.records]
 
 
+def _decode_record(body: bytes, start: int, end: int) -> Record:
+    if not body:
+        raise FrameError("empty body")
+    kind = body[0]
+    if kind not in KIND_NAMES:
+        raise FrameError("unknown record kind %d" % kind)
+    try:
+        payload = json.loads(body[1:].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise FrameError("bad payload: %s" % exc) from None
+    if not isinstance(payload, dict):
+        raise FrameError("payload not an object")
+    return Record(kind, payload, start, end)
+
+
 def scan_records(data: bytes) -> ScanResult:
     """Decode every well-formed frame prefix of *data*.
 
@@ -321,63 +185,10 @@ def scan_records(data: bytes) -> ScanResult:
     corrupt frame and reports how far it got, which is exactly the
     prefix recovery is allowed to trust.
     """
-    records: List[Record] = []
-    offset = 0
-    while offset < len(data):
-        start = offset
-        try:
-            length, body_start = decode_varint(data, offset)
-        except IndexError:
-            return ScanResult(
-                tuple(records), "torn", start, "truncated length varint"
-            )
-        except WalFormatError as exc:
-            return ScanResult(tuple(records), "corrupt", start, str(exc))
-        if length > MAX_BODY_BYTES:
-            return ScanResult(
-                tuple(records),
-                "corrupt",
-                start,
-                "frame length %d exceeds limit" % length,
-            )
-        end = body_start + length + 4
-        if end > len(data):
-            return ScanResult(
-                tuple(records), "torn", start, "truncated frame body"
-            )
-        body = data[body_start : body_start + length]
-        stored = int.from_bytes(
-            data[body_start + length : end], "little"
-        )
-        if zlib.crc32(body) & 0xFFFFFFFF != stored:
-            return ScanResult(
-                tuple(records), "corrupt", start, "CRC mismatch"
-            )
-        if not body:
-            return ScanResult(
-                tuple(records), "corrupt", start, "empty body"
-            )
-        kind = body[0]
-        if kind not in KIND_NAMES:
-            return ScanResult(
-                tuple(records),
-                "corrupt",
-                start,
-                "unknown record kind %d" % kind,
-            )
-        try:
-            payload = json.loads(body[1:].decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            return ScanResult(
-                tuple(records), "corrupt", start, "bad payload: %s" % exc
-            )
-        if not isinstance(payload, dict):
-            return ScanResult(
-                tuple(records), "corrupt", start, "payload not an object"
-            )
-        records.append(Record(kind, payload, start, end))
-        offset = end
-    return ScanResult(tuple(records), "end", offset)
+    records, stopped, stopped_at, detail = scan_frames(
+        data, MAX_BODY_BYTES, _decode_record
+    )
+    return ScanResult(tuple(records), stopped, stopped_at, detail)
 
 
 def iter_frames(data: bytes) -> Iterator[Record]:

@@ -1,4 +1,4 @@
-"""Tests for the AST code lint (rules CD000...CD005)."""
+"""Tests for the AST code lint (rules CD000...CD006)."""
 
 from pathlib import Path
 
@@ -128,3 +128,25 @@ class TestCD005:
             "        return name in self.write_holders\n"
         )
         assert lint_source("rogue.py", source) == []
+
+
+class TestCD006:
+    """The frame codec's checksum stays in ``repro.core.framing``."""
+
+    FIXTURE = FIXTURE.parent / "bad_private_framing.py"
+
+    def test_fixture_module_is_flagged(self):
+        report = lint_paths([str(self.FIXTURE)])
+        assert [f.rule.code for f in report.findings] == ["CD006"] * 2
+        # The ``from zlib import crc32`` and the ``zlib.crc32`` call.
+        assert [finding.line for finding in report.findings] == [6, 14]
+
+    def test_allowed_modules_are_exempt(self):
+        from repro.analysis.codelint import CRC_MODULES
+
+        source = "import zlib\nvalue = zlib.crc32(b'x')\n"
+        assert [
+            f.rule.code for f in lint_source("src/repro/wal/log.py", source)
+        ] == ["CD006"]
+        for suffix in CRC_MODULES:
+            assert lint_source("src/" + suffix, source) == []

@@ -104,6 +104,12 @@ class TestSimDriver:
         assert row["digest"] == result.digest[:16]
         assert "small" in result.render()
 
+    def test_sim_row_keeps_three_decimals(self):
+        result = get_driver("sim").run(compile_scenario(SPEC, 3))
+        row = result.row()
+        assert row["p50_latency"] == round(result.latency(0.50), 3) >= 1.0
+        assert row["p95_latency"] == round(result.latency(0.95), 3)
+
     def test_scheme_is_threaded_through(self):
         serial = get_driver("sim").run(
             compile_scenario(SPEC, 3), scheme="serial"
@@ -121,6 +127,15 @@ class TestCrossBackendDigest:
         assert sim.digest == safe.digest == compiled.digest()
         assert sim.committed == safe.committed == SPEC.transactions
         assert safe.aborted == 0
+
+    def test_wall_clock_row_keeps_its_latencies(self):
+        # Seconds per transaction are ~1e-4: three decimals read 0.0.
+        safe = get_driver("threadsafe").run(compile_scenario(SPEC, 0))
+        row = safe.row()
+        assert 0.0 < row["p50_latency"] <= row["p95_latency"] < 1.0
+        assert row["p50_latency"] == float(
+            "%.3g" % safe.latency(0.50)
+        )
 
     def test_sim_dist_digest_identical(self):
         compiled = compile_scenario(SPEC, 5)

@@ -366,3 +366,35 @@ class TestNoFlushOnTheLoop:
         assert LOOP_THREAD not in flush_threads
         assert "serve.inline" not in stats["metrics"]["counters"]
         assert server.facade.object_value("r0") == 4
+
+    @pytest.mark.parametrize(
+        "sink_class",
+        [FileWalSink, GroupCommitSink],
+        ids=["plain-file", "group-commit"],
+    )
+    def test_disconnect_cleanup_never_flushes_on_the_loop(
+        self, tmp_path, sink_class
+    ):
+        # A client that vanishes with a live tree: the server aborts
+        # the orphan (an ABORT record plus its flush) from the pool.
+        sink = _recording(sink_class)(str(tmp_path))
+        server = TransactionServer(_registers(), config=ServeConfig(port=0))
+        server.attach_wal(sink=sink)
+        handle = server.start_in_thread()
+        try:
+            with connect(server) as doomed:
+                top = doomed.begin()
+                doomed.write(top, "r0", 41)
+                before = len(sink.flush_threads)
+            with connect(server) as witness:
+                wait_for(
+                    lambda: counters(witness).get("serve.orphan_aborts")
+                    == 1,
+                    "the orphan abort",
+                )
+            flush_threads = sink.flush_threads[before:]
+        finally:
+            handle.stop()
+        assert flush_threads, "the orphan's abort must be flushed"
+        assert LOOP_THREAD not in flush_threads
+        assert server.facade.object_value("r0") == 0

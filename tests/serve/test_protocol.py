@@ -9,12 +9,12 @@ discipline as the WAL golden pin in ``tests/wal/test_format.py``.)
 """
 
 import json
-import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import framing
 from repro.serve import protocol as proto
 
 # One golden frame per request op, plus representative responses and
@@ -298,7 +298,7 @@ class TestFraming:
 
     def test_oversized_announcement_refused_before_body(self):
         # A corrupt length must be refused without buffering the body.
-        announced = proto._encode_varint(proto.MAX_FRAME_BYTES + 1)
+        announced = framing.encode_varint(proto.MAX_FRAME_BYTES + 1)
         with pytest.raises(proto.FrameTooLarge):
             proto.FrameDecoder().feed(announced)
 
@@ -309,24 +309,12 @@ class TestFraming:
             proto.FrameDecoder().feed(bytes(frame))
 
     def test_garbage_body_with_valid_crc_refused(self):
-        body = b"\xff\xfenot json"
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        frame = (
-            proto._encode_varint(len(body))
-            + body
-            + crc.to_bytes(4, "little")
-        )
+        frame = framing.frame(b"\xff\xfenot json")
         with pytest.raises(proto.FrameCorrupt):
             proto.FrameDecoder().feed(frame)
 
     def test_non_object_body_refused(self):
-        body = json.dumps([1, 2, 3]).encode()
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        frame = (
-            proto._encode_varint(len(body))
-            + body
-            + crc.to_bytes(4, "little")
-        )
+        frame = framing.frame(json.dumps([1, 2, 3]).encode())
         with pytest.raises(proto.FrameCorrupt):
             proto.FrameDecoder().feed(frame)
 

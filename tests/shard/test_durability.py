@@ -20,6 +20,7 @@ import pytest
 from repro.adt import Counter
 from repro.errors import EngineError
 from repro.shard import ShardDown, ShardedEngine, recover_sharded
+from repro.shard.recovery import DecisionLog, read_decisions
 
 
 def _counter_specs(count=8):
@@ -175,3 +176,43 @@ class TestRecoveryErrors:
         empty.mkdir()
         with pytest.raises(EngineError):
             recover_sharded(str(empty))
+
+
+class TestDecisionLogDamage:
+    """A damaged tail costs the decisions behind it, never those before:
+    losing a good decision presumes a decided cross-shard tree aborted."""
+
+    def _segment(self, wal_dir, count=10):
+        log = DecisionLog(wal_dir)
+        for ordinal in range(count):
+            log.log(ordinal, [0, 1], {"0": ordinal, "1": ordinal})
+        log.close()
+        path = os.path.join(log.directory, "wal-00000000.seg")
+        with open(path, "rb") as handle:
+            return path, handle.read()
+
+    def test_flipped_byte_in_last_record_keeps_the_nine_before(
+        self, tmp_path
+    ):
+        wal_dir = str(tmp_path)
+        path, data = self._segment(wal_dir)
+        damaged = bytearray(data)
+        damaged[-6] ^= 0xFF  # inside record 10's body
+        with open(path, "wb") as handle:
+            handle.write(bytes(damaged))
+        decisions = read_decisions(wal_dir)
+        assert [d["txn"] for d in decisions] == [[n] for n in range(9)]
+
+    def test_truncation_mid_record_keeps_the_nine_before(self, tmp_path):
+        wal_dir = str(tmp_path)
+        path, data = self._segment(wal_dir)
+        with open(path, "wb") as handle:
+            handle.write(data[:-3])
+        decisions = read_decisions(wal_dir)
+        assert [d["txn"] for d in decisions] == [[n] for n in range(9)]
+        assert decisions[0] == {
+            "decision": "commit",
+            "local": {"0": 0, "1": 0},
+            "participants": [0, 1],
+            "txn": [0],
+        }

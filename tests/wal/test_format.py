@@ -8,7 +8,10 @@ test to match.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import framing
 from repro.core.object_spec import Operation
 from repro.wal import records as rec
 from repro.wal import scan_records
@@ -113,22 +116,23 @@ class TestVarint:
         ],
     )
     def test_known_encodings(self, value, encoded):
-        assert rec.encode_varint(value) == bytes.fromhex(encoded)
-        decoded, end = rec.decode_varint(bytes.fromhex(encoded), 0)
+        assert framing.encode_varint(value) == bytes.fromhex(encoded)
+        decoded, end = framing.decode_varint(bytes.fromhex(encoded), 0)
         assert decoded == value
         assert end == len(bytes.fromhex(encoded))
 
     def test_truncated_varint_is_torn(self):
-        with pytest.raises(IndexError):
-            rec.decode_varint(b"\x80", 0)
+        assert framing.decode_varint(b"\x80", 0) == (-1, 0)
+        assert scan_records(b"\x80").stopped == "torn"
 
     def test_oversized_varint_is_corrupt(self):
-        with pytest.raises(rec.WalFormatError):
-            rec.decode_varint(b"\x80" * 6 + b"\x01", 0)
+        with pytest.raises(framing.FrameError):
+            framing.decode_varint(b"\x80" * 6 + b"\x01", 0)
+        assert scan_records(b"\x80" * 6 + b"\x01").stopped == "corrupt"
 
     def test_negative_value_rejected(self):
-        with pytest.raises(rec.WalFormatError):
-            rec.encode_varint(-1)
+        with pytest.raises(framing.FrameError):
+            framing.encode_varint(-1)
 
 
 class TestScanDiscrimination:
@@ -165,20 +169,13 @@ class TestScanDiscrimination:
         assert [r.kind_name for r in scan.records] == ["segment"]
 
     def test_unknown_kind_is_corrupt(self):
-        import zlib
-
-        body = bytes([9]) + b"{}"
-        frame = (
-            rec.encode_varint(len(body))
-            + body
-            + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-        )
+        frame = framing.frame(bytes([9]) + b"{}")
         scan = scan_records(GOLDEN_FRAMES["segment"] + frame)
         assert scan.stopped == "corrupt"
         assert "unknown record kind" in scan.detail
 
     def test_oversized_length_is_corrupt_not_torn(self):
-        data = GOLDEN_FRAMES["segment"] + rec.encode_varint(
+        data = GOLDEN_FRAMES["segment"] + framing.encode_varint(
             rec.MAX_BODY_BYTES + 1
         )
         scan = scan_records(data)
@@ -238,24 +235,43 @@ class TestCorruptRecovery:
 
 
 class TestWriterMatchesEncodeRecord:
-    """The writer's inlined fast paths emit ``encode_record`` bytes.
+    """The writer's templated path emits ``encode_record`` bytes.
 
-    ``WriteAheadLog.log_*`` build frames from fixed byte templates on
-    hot shapes (depth <= 3, plain-int names) and fall back to the
-    generic encoders elsewhere; every emitted frame must be
-    indistinguishable from the slow canonical encoding.
+    ``WriteAheadLog.log_*`` render plain-int names of any depth from
+    byte templates and hand everything else to ``encode_record``;
+    every emitted frame must be indistinguishable from that reference
+    encoding.
     """
 
     NAMES = [
         (0,),
         (3, 1),
         (3, 1, 2),
-        (1, 2, 3, 4),  # depth 4: generic-encoder fallback
+        (1, 2, 3, 4),
+        (1, 2, 3, 4, 5),
+        (9, 8, 7, 6, 5, 4),
+        (1, 2, 3, 4, 5, 6, 7),
+        (1, 2, 3, 4, 5, 6, 7, 8),
         (10**40, 10**41, 10**42),  # long body: varint length path
+        ("a", 1),  # not plain ints: reference-encoder fallback
+        (True,),
+        (2, 1.0),
     ]
-    ACCESSES = [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 9)]
+    ACCESSES = [name + (9,) for name in NAMES]
 
-    def test_every_frame_matches_the_canonical_encoding(self):
+    def test_every_frame_matches_the_canonical_encoding(self, monkeypatch):
+        # Count the writer's trips to the reference encoder: one per
+        # segment header and per record whose name is not plain ints.
+        # ``expected`` is built with the unpatched function.
+        encode_record = rec.encode_record
+        fallbacks = []
+
+        def counting(kind, payload):
+            fallbacks.append(kind)
+            return encode_record(kind, payload)
+
+        monkeypatch.setattr(rec, "encode_record", counting)
+
         from repro.adt import Counter
         from repro.wal.log import MemoryWalSink, WriteAheadLog
 
@@ -264,7 +280,7 @@ class TestWriterMatchesEncodeRecord:
         )
         wal.open("moss-rw", [Counter("c")])
         expected = [
-            rec.encode_record(
+            encode_record(
                 rec.SEGMENT,
                 rec.segment_payload(
                     1, 0, "moss-rw", [("c", "Counter")]
@@ -276,13 +292,15 @@ class TestWriterMatchesEncodeRecord:
             wal.log_begin(name)
             lsn += 1
             expected.append(
-                rec.encode_record(
+                encode_record(
                     rec.BEGIN, rec.begin_payload(lsn, name)
                 )
             )
         operations = [
             Operation("increment", (1,), False),
             Operation("increment", (1,), False),  # equal, distinct id
+            Operation("increment", (True,), False),  # == and hash-equal,
+            Operation("increment", (1.0,), False),  # rendered differently
             Operation("value", (), True),
             Operation("weird", ((1, 2), "s"), False),
             Operation("odd", ([1], {"k": 1}), False),  # unhashable args
@@ -294,7 +312,7 @@ class TestWriterMatchesEncodeRecord:
                         wal.log_acquire(access, obj, operation, 7)
                         lsn += 1
                         expected.append(
-                            rec.encode_record(
+                            encode_record(
                                 rec.ACQUIRE,
                                 rec.acquire_payload(
                                     lsn, access, obj, operation, 7
@@ -305,15 +323,101 @@ class TestWriterMatchesEncodeRecord:
             wal.log_commit(name)
             lsn += 1
             expected.append(
-                rec.encode_record(
+                encode_record(
                     rec.COMMIT, rec.commit_payload(lsn, name)
                 )
             )
             wal.log_abort(name)
             lsn += 1
             expected.append(
-                rec.encode_record(
+                encode_record(
                     rec.ABORT, rec.abort_payload(lsn, name)
                 )
             )
         assert wal.sink.getvalue() == b"".join(expected)
+        slow = sum(
+            any(type(part) is not int for part in name)
+            for name in self.NAMES
+        )
+        assert slow == 3
+        per_access = 3 * len(operations) * 2
+        assert sorted(fallbacks) == sorted(
+            [rec.SEGMENT]
+            + [rec.BEGIN, rec.COMMIT, rec.ABORT] * slow
+            + [rec.ACQUIRE] * (slow * per_access)
+        )
+
+
+class TestWriterMatchesEncodeRecordProperty:
+    """Any depth, and frame lengths on both sides of the one-byte
+    varint boundary (a body of 0x80 bytes needs a two-byte length)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.lists(
+            st.integers(min_value=-(10**12), max_value=10**12),
+            min_size=1,
+            max_size=10,
+        ).map(tuple),
+        # The LSN's digits move the body length across 0x80.
+        before=st.one_of(
+            st.integers(min_value=0, max_value=10**6),
+            st.integers(min_value=10**60, max_value=10**130),
+        ),
+        generation=st.integers(min_value=0, max_value=10**9),
+    )
+    def test_writer_equals_reference(self, name, before, generation):
+        from repro.adt import Counter
+        from repro.wal.log import MemoryWalSink, WriteAheadLog
+
+        wal = WriteAheadLog(sink=MemoryWalSink(), segment_bytes=1 << 30)
+        wal.open("moss-rw", [Counter("c")])
+        header = wal.sink.getvalue()
+        wal._lsn = before
+        operation = Operation("increment", (1,), False)
+        wal.log_begin(name)
+        wal.log_acquire(name + (0,), "c", operation, generation)
+        wal.log_commit(name)
+        wal.log_abort(name)
+        expected = [
+            rec.encode_record(
+                rec.BEGIN, rec.begin_payload(before + 1, name)
+            ),
+            rec.encode_record(
+                rec.ACQUIRE,
+                rec.acquire_payload(
+                    before + 2, name + (0,), "c", operation, generation
+                ),
+            ),
+            rec.encode_record(
+                rec.COMMIT, rec.commit_payload(before + 3, name)
+            ),
+            rec.encode_record(
+                rec.ABORT, rec.abort_payload(before + 4, name)
+            ),
+        ]
+        assert wal.sink.getvalue() == header + b"".join(expected)
+        scan = scan_records(wal.sink.getvalue())
+        assert scan.clean and len(scan.records) == 5
+
+
+class TestWriterErrorContract:
+    """A record that cannot be encoded is a ``WalFormatError`` at any
+    nesting depth, and costs no LSN (a gap would read as a lost record)."""
+
+    @pytest.mark.parametrize(
+        "access", [(0, 1), (0, 1, 2, 3, 4)], ids=["depth-2", "depth-5"]
+    )
+    def test_unserialisable_argument(self, access):
+        from repro.adt import Counter
+        from repro.wal.log import MemoryWalSink, WriteAheadLog
+
+        wal = WriteAheadLog(sink=MemoryWalSink())
+        wal.open("moss-rw", [Counter("c")])
+        bad = Operation("write", (object(),), False)
+        with pytest.raises(rec.WalFormatError):
+            wal.log_acquire(access, "c", bad, 0)
+        assert wal.lsn == 1
+        wal.log_commit(access[:1])
+        scan = scan_records(wal.sink.getvalue())
+        assert [r.payload["lsn"] for r in scan.records] == [1, 2]
