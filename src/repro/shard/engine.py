@@ -13,6 +13,12 @@ exactly one worker *process*; the coordinator:
   worker (ancestry is carried by the global name tuple, so each
   shard's lock automata see the same ancestor relation the paper's
   footnote 9 relies on);
+* gives a request a pipe write of its own only if the caller needs
+  its answer or another tree could observe its effect: a mirror
+  ``begin`` and a subtransaction ``commit`` are *held* on their link
+  (the paper's ``INFORM_COMMIT_AT(X)OF(T)`` may come any time after
+  ``COMMIT(T)``), go only to the shards that mirror the node, and
+  have their acks checked before the top-level decision is claimed;
 * resolves cross-shard conflicts with wound-wait over *global* top
   ordinals (workers return blockers translated to global top names;
   older trees win, younger are wounded) -- worker engines stay
@@ -27,9 +33,10 @@ exactly one worker *process*; the coordinator:
   every per-shard WAL.
 
 Observer/auditor events are emitted coordinator-side: lifecycle events
-under the coordinator mutex, access events on each link's receiver
-thread in the shard's actual execution order -- the merged stream an
-attached :class:`~repro.audit.OnlineAuditor` consumes.
+by the thread making the transition, access events by whichever
+thread is reading the link, in the shard's actual execution order --
+the merged stream an attached :class:`~repro.audit.OnlineAuditor`
+consumes.
 """
 
 from __future__ import annotations
@@ -84,7 +91,9 @@ def placement_sharding(
 class _Node:
     """Coordinator-side state of one transaction in a tree."""
 
-    __slots__ = ("name", "parent", "status", "children", "next_child")
+    __slots__ = (
+        "name", "parent", "status", "children", "next_child", "mirrors"
+    )
 
     def __init__(self, name: Tuple[int, ...], parent: Optional["_Node"]):
         self.name = name
@@ -92,20 +101,24 @@ class _Node:
         self.status = TransactionStatus.ACTIVE
         self.children: List[_Node] = []
         self.next_child = 0
+        #: shards that mirror this node: a superset of every
+        #: descendant's, so the root's is the 2PC participant set
+        self.mirrors: set = set()
 
 
 class _Top:
     """One top-level tree: its root node plus 2PC bookkeeping."""
 
-    __slots__ = ("ordinal", "root", "participants", "joined", "cause")
+    __slots__ = ("ordinal", "root", "participants", "held", "cause")
 
     def __init__(self, ordinal: int):
         self.ordinal = ordinal
         self.root = _Node((ordinal,), None)
         #: shards this tree has touched (the 2PC participant set)
-        self.participants: set = set()
-        #: shard -> in-flight begin waiter, or True once mirrored
-        self.joined: Dict[int, Any] = {}
+        self.participants = self.root.mirrors
+        #: (shard, waiter) of every held begin/subcommit, in order;
+        #: checked at the commit point
+        self.held: List[Tuple[int, Any]] = []
         #: abort cause, for error messages after the tree died
         self.cause: Optional[str] = None
 
@@ -349,8 +362,9 @@ class ShardedEngine:
 
         The auditor consumes the coordinator's merged observer stream:
         per-object access order is each shard's true execution order
-        (events are emitted on the link receiver threads), lifecycle
-        events are globally ordered under the coordinator mutex.
+        (access events are emitted by whichever thread reads the
+        link, in reply order); lifecycle events come from the thread
+        making the transition, a subcommit's before its shards hear.
         """
         from repro.audit import AuditConfig, OnlineAuditor
 
@@ -546,43 +560,15 @@ class ShardedEngine:
             "%r is %s" % (node.name, status.name.lower())
         )
 
-    def _join_shard(self, top: _Top, shard: int, link: ShardLink) -> None:
-        """Mirror *top* onto *shard* exactly once (begin on first touch).
-
-        The winner sends ``begin`` under the mutex so it enters the
-        link FIFO before any loser's ``perform``; everyone waits on
-        the same waiter, so no access runs before the mirror exists.
-        The global ordinal doubles as the tree's cross-shard timestamp
-        (MVTO workers order by it, keeping one serialization order
-        across shards) and as its wound-wait age.
-        """
-        with self._mutex:
-            state = top.joined.get(shard)
-            if state is None:
-                # Re-check under the mutex: ``_abort_node`` snapshots
-                # its participant set under this same mutex, so a join
-                # that loses the race must not begin a mirror the
-                # abort broadcast will never reach.
-                self._check_node(top.root, top)
-                state = link.send(
-                    "begin",
-                    txn=[top.ordinal],
-                    ts=top.ordinal + 1,
-                    at=float(top.ordinal),
-                )
-                top.joined[shard] = state
-                top.participants.add(shard)
-        if state is True:
-            return
-        reply = link.wait(state)
-        if reply.get("ok"):
-            with self._mutex:
-                top.joined[shard] = True
-            return
-        error = reply.get("error") or {}
-        raise EngineError(
-            "shard %d refused begin: %s" % (shard, error.get("message"))
-        )
+    def _check_committable(self, node: _Node, top: _Top) -> None:
+        self._check_node(node, top)
+        if any(
+            child.status is TransactionStatus.ACTIVE
+            for child in node.children
+        ):
+            raise InvalidTransactionState(
+                "%r cannot commit with live children" % (node.name,)
+            )
 
     def _perform(
         self,
@@ -602,15 +588,18 @@ class ShardedEngine:
         while True:
             with self._mutex:
                 self._check_node(node, top)
-            self._join_shard(top, shard, link)
+                if shard not in node.mirrors:
+                    self._mirror_onto(node, top, shard)
+                # Counted when sent; taken back if the shard refuses.
+                stats["accesses"] += 1
             obs = self.obs
             on_ok = None
             if obs is not None:
                 on_ok = self._access_hook(
                     obs, node.name, object_name, operation
                 )
-            reply = link.wait(
-                link.send(
+            try:
+                reply = link.call(
                     "perform",
                     on_ok=on_ok,
                     txn=list(node.name),
@@ -619,14 +608,20 @@ class ShardedEngine:
                     args=args,
                     read=True if operation.is_read else None,
                 )
-            )
+            except ShardDown:
+                with self._mutex:
+                    stats["accesses"] -= 1
+                raise
             if reply.get("ok"):
-                stats["accesses"] += 1
                 return reply.get("value")
             error = reply.get("error") or {}
             code = error.get("code")
-            if code in (proto.ERR_LOCK_DENIED, proto.ERR_RETRY_LATER):
-                stats["denials"] += 1
+            denied = code in (proto.ERR_LOCK_DENIED, proto.ERR_RETRY_LATER)
+            with self._mutex:
+                stats["accesses"] -= 1
+                if denied:
+                    stats["denials"] += 1
+            if denied:
                 blockers = [
                     tuple(blocker)
                     for blocker in error.get("blockers") or ()
@@ -644,6 +639,27 @@ class ShardedEngine:
                 time.sleep(min(pause, _MAX_PAUSE_S))
                 continue
             self._raise_error(error, node, top)
+
+    def _mirror_onto(self, node: _Node, top: _Top, shard: int) -> None:
+        """Record that *shard* mirrors *node* (coordinator mutex held).
+
+        A tree's first touch of a shard holds its ``begin``, under the
+        mutex, so it is in front of whichever thread's ``perform``
+        leaves first.  The global ordinal doubles as the tree's
+        cross-shard timestamp (MVTO workers order by it, keeping one
+        serialization order across shards) and as its wound-wait age.
+        """
+        if shard not in top.root.mirrors:
+            waiter = self._links[shard].hold(
+                "begin",
+                txn=[top.ordinal],
+                ts=top.ordinal + 1,
+                at=float(top.ordinal),
+            )
+            top.held.append((shard, waiter))
+        while node is not None and shard not in node.mirrors:
+            node.mirrors.add(shard)
+            node = node.parent
 
     @staticmethod
     def _access_hook(obs, txn_name, object_name, operation):
@@ -694,10 +710,10 @@ class ShardedEngine:
                     or victim.root.status is not TransactionStatus.ACTIVE
                 ):
                     continue
+                self.stats["deadlocks"] += 1
             obs = self.obs
             if obs is not None:
                 obs.wound(victim.name, top.name)
-            self.stats["deadlocks"] += 1
             self._abort_node(victim.root, victim, cause="wound-wait")
 
     # ------------------------------------------------------------------
@@ -709,39 +725,18 @@ class ShardedEngine:
             self._commit_top(handle, value)
             return
         with self._mutex:
-            self._check_node(node, top)
-            if any(
-                child.status is TransactionStatus.ACTIVE
-                for child in node.children
-            ):
-                raise InvalidTransactionState(
-                    "%r cannot commit with live children" % (node.name,)
-                )
+            self._check_committable(node, top)
             node.status = TransactionStatus.COMMITTED  # repro-lint: ignore[CD003]
-            participants = sorted(top.participants)
-        # Broadcast the subcommit so each shard moves the mirror's
-        # locks up to its local parent; shards that never mirrored
-        # this child answer ok as a no-op.
-        link_waiters = [
-            (self._links[shard], None) for shard in participants
-        ]
-        for index, (link, _) in enumerate(link_waiters):
-            link_waiters[index] = (
-                link,
-                link.send("commit", txn=list(node.name)),
-            )
-        failure = None
-        for link, waiter in link_waiters:
-            try:
-                reply = link.wait(waiter)
-            except ShardDown as exc:
-                failure = {"code": proto.ERR_INTERNAL, "message": str(exc)}
-                continue
-            if not reply.get("ok"):
-                failure = reply.get("error") or {}
-        if failure is not None:
-            self._raise_error(failure, node, top)
-        self.stats["commits"] += 1
+            self.stats["commits"] += 1
+            # The subcommit only moves locks and versions from child
+            # to parent inside this tree, on the shards that mirror
+            # the child: no caller needs the answer, no other tree can
+            # see the difference, so it is held.
+            for shard in node.mirrors:
+                waiter = self._links[shard].hold(
+                    "commit", txn=list(node.name)
+                )
+                top.held.append((shard, waiter))
         obs = self.obs
         if obs is not None:
             obs.txn_commit(node.name)
@@ -749,14 +744,7 @@ class ShardedEngine:
     def _commit_top(self, handle: ShardedTransaction, value: Any) -> None:
         node, top = handle._node, handle._top
         with self._mutex:
-            self._check_node(node, top)
-            if any(
-                child.status is TransactionStatus.ACTIVE
-                for child in node.children
-            ):
-                raise InvalidTransactionState(
-                    "%r cannot commit with live children" % (node.name,)
-                )
+            self._check_committable(node, top)
             participants = sorted(top.participants)
         if not participants:
             self._finalize_commit(top)
@@ -773,6 +761,10 @@ class ShardedEngine:
                     node,
                     top,
                 )
+            # The held acks came back in the decide's batch; a failed
+            # subcommit also made the worker refuse the decide (live
+            # children), so nothing was committed.
+            self._check_held(node, top)
             if not reply.get("ok"):
                 self._raise_error(reply.get("error") or {}, node, top)
             self._finalize_commit(top)
@@ -818,6 +810,8 @@ class ShardedEngine:
                 node.name,
                 "2pc prepare failed: %s" % failure.get("message"),
             )
+        # Every link's held acks came back in front of its prepare's.
+        self._check_held(node, top)
         # Claim the decision: a wound-wait abort racing this commit
         # marks the root under the mutex before broadcasting worker
         # aborts, so checking-and-marking here is atomic against it.
@@ -864,11 +858,31 @@ class ShardedEngine:
                 % (top.ordinal, stragglers)
             )
 
+    def _check_held(self, node: _Node, top: _Top) -> None:
+        """Abort the tree unless every held request was acked ok.
+
+        Runs after each participant's first commit-phase reply (held
+        frames left in front of it, so their acks are in) and before
+        the decision is claimed: a failed or missing ack means some
+        mirror is not the tree the coordinator is about to commit.
+        """
+        for shard, waiter in top.held:
+            reply = waiter.reply
+            if reply is not None and reply.get("ok"):
+                continue
+            cause = "held request failed on shard %d: %s" % (
+                shard,
+                ShardDown(shard) if reply is None
+                else (reply.get("error") or {}).get("message"),
+            )
+            self._abort_node(top.root, top, cause=cause)
+            raise TransactionAborted(node.name, cause)
+
     def _finalize_commit(self, top: _Top) -> None:
         with self._mutex:
             top.root.status = TransactionStatus.COMMITTED  # repro-lint: ignore[CD003]
             self._tops.pop(top.ordinal, None)
-        self.stats["commits"] += 1
+            self.stats["commits"] += 1
         obs = self.obs
         if obs is not None:
             obs.txn_commit(top.name)
@@ -876,7 +890,7 @@ class ShardedEngine:
     def _abort_node(
         self, node: _Node, top: _Top, cause: str = "explicit"
     ) -> None:
-        """Abort *node*'s subtree locally and on every participant."""
+        """Abort *node*'s subtree locally and on every shard mirroring it."""
         with self._mutex:
             if node.status is not TransactionStatus.ACTIVE:
                 return
@@ -885,7 +899,8 @@ class ShardedEngine:
             if node.parent is None:
                 top.cause = cause
                 self._tops.pop(top.ordinal, None)
-            participants = sorted(top.participants)
+            participants = sorted(node.mirrors)
+            self.stats["aborts"] += 1
         obs = self.obs
         if obs is not None:
             if cause not in ("explicit", "ancestor-abort"):
@@ -894,12 +909,10 @@ class ShardedEngine:
                 obs.txn_abort(
                     name, cause=cause if index == 0 else "ancestor-abort"
                 )
-        self.stats["aborts"] += 1
+        # Never held: an abort frees locks other trees wait on.
         waiters = []
         for shard in participants:
             link = self._links[shard]
-            if not link.alive:
-                continue
             try:
                 waiters.append((link, link.send("abort", txn=list(node.name))))
             except ShardDown:

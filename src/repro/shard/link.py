@@ -1,24 +1,32 @@
 """Coordinator-side RPC link to one shard worker.
 
 A :class:`ShardLink` wraps one duplex pipe connection with the framed
-JSON protocol and a dedicated receiver thread, so any number of client
-threads can pipeline requests onto the same worker: ``send`` assigns a
-request id and writes the frame under a short lock, ``wait`` blocks on
-the caller's own waiter until the receiver thread dispatches the
-matching reply.  Replies therefore arrive in the worker's execution
-order, and per-reply hooks (observer access events) fire in that order
-on the receiver thread -- which is what keeps the merged audit stream
-faithful to each shard's actual history.
+JSON protocol.  A pipe message is a batch of frames: ``send`` assigns
+a request id and writes the frame at once, behind every frame *held*
+on the link, in one ``send_bytes``; ``hold`` (for a request whose
+answer no caller needs and whose effect no other tree can observe)
+assigns the id and queues the frame, which leaves -- in order, in
+front -- inside the next ``send`` any thread makes.
 
-A dead pipe (worker SIGKILLed, or exited) fails every pending waiter
-and every later call with :class:`ShardDown`, a typed
-:class:`~repro.errors.EngineError`.
+The waiting thread reads: ``wait`` takes the link's receive lock,
+reads pipe messages and hands every reply in them to its waiter until
+its own has come, then lets the next waiter take over.  Replies
+therefore arrive in the worker's execution order, and per-reply hooks
+(observer access events) fire in that order on whichever thread is
+reading -- which is what keeps the merged audit stream faithful to
+each shard's actual history.  An idle waiter blocks in ``recv_bytes``
+(``poll`` under a timeout) or on the lock; nothing spins.
+
+A dead pipe (worker SIGKILLed, or exited) fails every pending waiter,
+held ones included, and every later call with :class:`ShardDown`, a
+typed :class:`~repro.errors.EngineError`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional
+import time
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import EngineError
 from repro.serve import protocol as proto
@@ -35,13 +43,22 @@ class ShardDown(EngineError):
         super().__init__(message)
 
 
-class _Waiter:
-    """One in-flight request: an event plus its reply slot."""
+def decode_batch(data: bytes) -> List[Dict[str, Any]]:
+    """The messages of one pipe message: whole frames, nothing torn."""
+    decoder = proto.FrameDecoder()
+    messages = decoder.feed(data)
+    if decoder.pending:
+        raise proto.FrameCorrupt("pipe message ends inside a frame")
+    return messages
 
-    __slots__ = ("event", "reply", "on_ok")
+
+class _Waiter:
+    """One in-flight request: its ok-hook and its reply slot, which
+    stays ``None`` if the link dies before the answer is read."""
+
+    __slots__ = ("reply", "on_ok")
 
     def __init__(self, on_ok: Optional[Callable[[Dict[str, Any]], None]]):
-        self.event = threading.Event()
         self.reply: Optional[Dict[str, Any]] = None
         self.on_ok = on_ok
 
@@ -53,20 +70,35 @@ class ShardLink:
         self.shard = shard
         self.conn = conn
         self._send_lock = threading.Lock()
+        self._recv_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending: Dict[int, _Waiter] = {}
+        self._held: List[bytes] = []
         self._next_id = 0
         self._down: Optional[ShardDown] = None
-        self._receiver = threading.Thread(
-            target=self._receive_loop,
-            name="repro-shard-%d" % shard,
-            daemon=True,
-        )
-        self._receiver.start()
 
     # ------------------------------------------------------------------
     # Request/reply
     # ------------------------------------------------------------------
+    def _enqueue(self, op: str, waiter: _Waiter, fields) -> None:
+        """Frame one request onto the held queue (send lock held)."""
+        request_id = self._next_id
+        self._next_id += 1
+        with self._pending_lock:
+            self._pending[request_id] = waiter
+        self._held.append(
+            proto.encode_frame(proto.request(op, request_id, **fields))
+        )
+
+    def hold(self, op: str, **fields: Any) -> _Waiter:
+        """Queue one request in front of the link's next ``send``; never
+        raises (on a dead link the waiter just never gets a reply)."""
+        waiter = _Waiter(None)
+        with self._send_lock:
+            if self._down is None:
+                self._enqueue(op, waiter, fields)
+        return waiter
+
     def send(
         self,
         op: str,
@@ -75,26 +107,20 @@ class ShardLink:
     ) -> _Waiter:
         """Fire one request; returns the waiter to pass to ``wait``.
 
-        *on_ok* runs on the receiver thread right before the waiter is
-        released, only for ok replies -- the coordinator uses it to
+        Held frames leave in front of it in the same pipe write.
+        *on_ok* runs on the reading thread right before the reply is
+        handed over, only for ok replies -- the coordinator uses it to
         emit observer events in the shard's execution order.
         """
-        if self._down is not None:
-            raise self._down
         waiter = _Waiter(on_ok)
         with self._send_lock:
-            request_id = self._next_id
-            self._next_id += 1
-            with self._pending_lock:
-                self._pending[request_id] = waiter
-            frame = proto.encode_frame(
-                proto.request(op, request_id, **fields)
-            )
+            if self._down is not None:
+                raise self._down
+            self._enqueue(op, waiter, fields)
+            held, self._held = self._held, []
             try:
-                self.conn.send_bytes(frame)
+                self.conn.send_bytes(b"".join(held))
             except (OSError, ValueError, BrokenPipeError) as exc:
-                with self._pending_lock:
-                    self._pending.pop(request_id, None)
                 self._mark_down(str(exc))
                 raise self._down from None
         return waiter
@@ -102,15 +128,26 @@ class ShardLink:
     def wait(
         self, waiter: _Waiter, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Block for the reply; raises :class:`ShardDown` on link death."""
-        if not waiter.event.wait(timeout):
+        """Read replies until *waiter*'s has come; return it.
+
+        Raises :class:`ShardDown` on link death and a plain
+        :class:`~repro.errors.EngineError` after *timeout* seconds.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if self._recv_lock.acquire(timeout=-1 if timeout is None else timeout):
+            try:
+                while waiter.reply is None:
+                    if self._down is not None:
+                        raise self._down
+                    if self._read_batch(deadline):
+                        break  # timed out
+            finally:
+                self._recv_lock.release()
+        if waiter.reply is None:
             raise EngineError(
                 "shard %d reply timed out after %ss" % (self.shard, timeout)
             )
-        reply = waiter.reply
-        if reply is None:
-            raise self._down or ShardDown(self.shard)
-        return reply
+        return waiter.reply
 
     def call(
         self,
@@ -127,21 +164,27 @@ class ShardLink:
         return self._down is None
 
     # ------------------------------------------------------------------
-    # Receiver
+    # Reading (by whichever waiter holds the receive lock)
     # ------------------------------------------------------------------
-    def _receive_loop(self) -> None:
+    def _read_batch(self, deadline: Optional[float]) -> bool:
+        """One pipe message in, its replies out; true if none came by
+        *deadline*."""
         conn = self.conn
-        while True:
-            try:
-                data = conn.recv_bytes()
-            except (EOFError, OSError, ValueError):
-                self._mark_down("pipe closed")
-                return
-            try:
-                message = proto.decode_frame(data)
-            except proto.ProtocolError:
-                self._mark_down("bad frame from worker")
-                return
+        try:
+            if deadline is not None and not conn.poll(
+                max(0.0, deadline - time.monotonic())
+            ):
+                return True
+            data = conn.recv_bytes()
+        except (EOFError, OSError, ValueError):
+            self._mark_down("pipe closed")
+            return False
+        try:
+            messages = decode_batch(data)
+        except proto.ProtocolError:
+            self._mark_down("bad frame from worker")
+            return False
+        for message in messages:
             waiter = None
             request_id = message.get("id")
             if request_id is not None:
@@ -154,7 +197,7 @@ class ShardLink:
                     self._mark_down(
                         str(error.get("message", "worker boot failed"))
                     )
-                    return
+                    return False
                 continue
             if message.get("ok") and waiter.on_ok is not None:
                 try:
@@ -162,16 +205,13 @@ class ShardLink:
                 except Exception:  # noqa: BLE001 - hooks must not kill I/O
                     pass
             waiter.reply = message
-            waiter.event.set()
+        return False
 
     def _mark_down(self, detail: str) -> None:
         if self._down is None:
             self._down = ShardDown(self.shard, detail)
         with self._pending_lock:
-            pending = list(self._pending.values())
             self._pending.clear()
-        for waiter in pending:
-            waiter.event.set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -182,4 +222,3 @@ class ShardLink:
         except OSError:
             pass
         self._mark_down("closed")
-        self._receiver.join(timeout=1.0)

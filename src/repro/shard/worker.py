@@ -3,8 +3,11 @@
 ``worker_main`` is the spawn-safe process target.  It builds the
 engine named by its :class:`WorkerConfig` over the shard's spec slice,
 optionally attaches a per-shard file WAL, and then serves framed-JSON
-requests (:mod:`repro.serve.protocol` framing, one frame per pipe
-message) until the coordinator pipe closes.
+requests until the coordinator pipe closes.  A pipe message is a
+*batch* of :mod:`repro.serve.protocol` frames: the worker handles them
+in order and answers with one pipe message of the response frames, in
+the same order -- so requests the coordinator held back (``begin``,
+subtransaction ``commit``) cost no context switch of their own.
 
 Name mirroring is lazy and worker-local: requests carry *global*
 transaction names (the coordinator's numbering); the worker maps each
@@ -51,6 +54,7 @@ from repro.errors import EngineError, LockDenied, RetryLater
 from repro.kernel.registry import get_scheme
 from repro.kernel.store import default_sharding
 from repro.serve import protocol as proto
+from repro.shard.link import decode_batch
 
 
 @dataclass
@@ -161,6 +165,25 @@ class ShardWorker:
             return self._denial(request_id, exc, proto.ERR_LOCK_DENIED)
         except Exception as exc:  # noqa: BLE001 - typed on the wire
             return proto.exception_to_error(request_id, exc)
+
+    def handle_batch(self, data: bytes) -> Tuple[bytes, bool]:
+        """One pipe message in, one out: the frames of *data* handled
+        in order, their response frames concatenated.  The flag turns
+        false at ``shutdown``, which ends the batch and the serving."""
+        serving = True
+        try:
+            responses = []
+            for message in decode_batch(data):
+                if message.get("op") == "shutdown":
+                    responses.append(proto.ok_response(message.get("id")))
+                    serving = False
+                    break
+                responses.append(self.handle(message))
+        except proto.ProtocolError as exc:
+            responses = [
+                proto.error_response(None, proto.ERR_BAD_FRAME, str(exc))
+            ]
+        return b"".join(map(proto.encode_frame, responses)), serving
 
     def _denial(self, request_id, exc, code) -> Dict[str, Any]:
         """A lock denial with blockers translated to global top names."""
@@ -373,32 +396,16 @@ def worker_main(conn, config: WorkerConfig) -> None:
         conn.close()
         return
     try:
-        while True:
+        serving = True
+        while serving:
             try:
                 data = conn.recv_bytes()
             except (EOFError, OSError):
                 break
+            reply, serving = worker.handle_batch(data)
             try:
-                message = proto.decode_frame(data)
-            except proto.ProtocolError as exc:
-                conn.send_bytes(
-                    proto.encode_frame(
-                        proto.error_response(
-                            None, proto.ERR_BAD_FRAME, str(exc)
-                        )
-                    )
-                )
-                continue
-            shutdown = message.get("op") == "shutdown"
-            if shutdown:
-                response = proto.ok_response(message.get("id"))
-            else:
-                response = worker.handle(message)
-            try:
-                conn.send_bytes(proto.encode_frame(response))
+                conn.send_bytes(reply)
             except (OSError, ValueError, BrokenPipeError):
-                break
-            if shutdown:
                 break
     finally:
         worker.close()
