@@ -619,9 +619,9 @@ def _serve_specs(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
     import json
     import signal
+    import threading
 
     from repro.errors import EngineError
     from repro.serve import (
@@ -633,8 +633,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
-        max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         max_inflight_per_conn=args.max_inflight_per_conn,
         rate=args.rate,
@@ -696,55 +694,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             facade.close()
             return 2
 
-    async def main() -> int:
-        try:
-            host, port = await server.start()
-        except OSError as exc:
-            print("repro serve: %s" % exc, file=sys.stderr)
-            return 2
-        # One parseable line, flushed before load arrives: wrappers
-        # (tests, the serve-smoke CI job) read the bound port here.
-        line = "serving on %s:%d scheme=%s objects=%d protocol=%d" % (
-            host,
-            port,
-            server.facade.scheme.name,
-            len(server.object_names),
-            PROTOCOL_VERSION,
-        )
-        if facade is not None:
-            line += " shards=%d" % facade.shards
-        print(line, flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        try:
-            if args.duration is not None:
-                try:
-                    await asyncio.wait_for(
-                        stop.wait(), timeout=args.duration
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await stop.wait()
-        except KeyboardInterrupt:  # pragma: no cover - no handler
-            pass
-        await server.stop()
-        return 0
-
     try:
-        code = asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - teardown race
-        code = 0
-    finally:
+        host, port = server.start()
+    except OSError as exc:
+        print("repro serve: %s" % exc, file=sys.stderr)
         if facade is not None:
             facade.close()
-    if code:
-        return code
+        return 2
+    # One parseable line, flushed before load arrives: wrappers
+    # (tests, the serve-smoke CI job) read the bound port here.
+    line = "serving on %s:%d scheme=%s objects=%d protocol=%d" % (
+        host,
+        port,
+        server.facade.scheme.name,
+        len(server.object_names),
+        PROTOCOL_VERSION,
+    )
+    if facade is not None:
+        line += " shards=%d" % facade.shards
+    print(line, flush=True)
+    stop = threading.Event()
+    previous = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous[signum] = signal.signal(
+                signum, lambda *_: stop.set()
+            )
+        except ValueError:  # not the main thread
+            pass
+    try:
+        stop.wait(args.duration)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        server.stop()
+        if facade is not None:
+            facade.close()
     stats = server.stats()
     print(
         "served %d connections, shed %d, engine %s"
@@ -1259,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help=(
-            "run the async transaction service front-end until "
+            "run the transaction service front-end until "
             "interrupted (SIGINT/SIGTERM) or --duration elapses"
         ),
     )
@@ -1292,14 +1277,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--stripes", type=int, default=None,
         help="facade stripe count (default: auto)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=8,
-        help="engine worker threads (bounds concurrent lock waiters)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="per-connection batch ceiling (1 = no coalescing)",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=256,

@@ -1,4 +1,4 @@
-"""The network front-end: an async transaction service (ROADMAP 1).
+"""The network front-end: a transaction service (ROADMAP 1).
 
 The engine core is fast, scheme-pluggable, observable, audited, and
 durable; this package gives it a network face.  Modules:
@@ -10,9 +10,9 @@ durable; this package gives it a network face.  Modules:
   and op dispatch, with orphan abort on disconnect;
 * :mod:`repro.serve.admission` -- in-flight caps, token-bucket
   arrival limiting, and shed backoff hints;
-* :mod:`repro.serve.server` -- the asyncio TCP server: a lone
-  request runs on the event loop, whatever would block (and every
-  pipelined batch) on a bounded worker pool;
+* :mod:`repro.serve.server` -- the TCP server: one thread per
+  connection reads a burst, admits it, runs it in order (a lock wait
+  blocks only that connection) and answers it with one write;
 * :mod:`repro.serve.client` -- sync and async (pipelining) clients;
 * :mod:`repro.serve.loadgen` -- open-loop Poisson and closed-loop
   load generators reporting :mod:`repro.obs` latency percentiles.

@@ -5,14 +5,16 @@ papers in PAPERS.md motivate surfacing denial as first-class
 backpressure): instead of queueing without bound and letting latency
 diverge, the server *sheds* work it cannot start soon, answering
 ``overloaded`` with a ``retry_after_ms`` hint.  Three independent
-gates, all enforced on the event-loop thread (no locks needed):
+gates, checked for a whole decoded burst before any of it runs:
 
 * **per-connection in-flight cap** -- bounds how far one pipelined
   client can run ahead of its own responses;
-* **global in-flight cap** -- bounds total admitted-but-unanswered
-  requests, which (together with the bounded worker pool) bounds the
-  executor queue;
+* **global in-flight cap** -- bounds total decoded-but-unanswered
+  requests across every connection thread;
 * **token bucket** -- optional arrival-rate limit smoothing bursts.
+
+The controller itself takes no lock: the server calls it under the one
+lock it also holds for its metrics registry.
 
 The backoff hint grows linearly with how overloaded the gate is, so a
 herd of shed clients spreads its retries instead of returning in
@@ -67,11 +69,10 @@ class TokenBucket:
 class AdmissionController:
     """Decides, per request, admit vs shed-with-hint.
 
-    Single-threaded by design: every method runs on the server's
-    event-loop thread.  ``admit`` returns ``(True, None)`` or
+    Not thread-safe by itself: the server serialises every call
+    under its one lock.  ``admit`` returns ``(True, None)`` or
     ``(False, retry_after_ms)``; an admitted request must be balanced
-    by exactly one ``release`` when its response is written (or its
-    connection dies).
+    by exactly one ``release`` once its response is built.
     """
 
     def __init__(

@@ -4,9 +4,7 @@
 (with an explicit :meth:`SyncClient.pipeline` escape hatch) -- the
 closed-loop load generator and the tests use it.  :class:`AsyncClient`
 multiplexes any number of concurrent requests over one connection by
-``id`` -- the open-loop generator and the batching benchmark use it,
-because pipelined requests are what the server's batching layer
-coalesces.
+``id`` -- the open-loop generator uses it.
 
 Typed failures raise :class:`ServeError`, which carries the protocol
 error ``code``, the server's ``retry_after_ms`` hint, and any reported

@@ -458,8 +458,8 @@ async def _run_open_loop(config: LoadgenConfig) -> LoadReport:
     )
     report = LoadReport("open")
     rng = random.Random(config.seed)
-    # A checkout pool, NOT shared multiplexing: the server batches each
-    # connection's requests into one serially-executed stream, so two
+    # A checkout pool, NOT shared multiplexing: the server runs each
+    # connection's requests as one serially-executed stream, so two
     # in-flight transactions sharing a connection would head-of-line
     # block on each other's locks.  Each arrival owns one connection
     # for the life of its transaction; ``clients`` caps concurrency,

@@ -1,74 +1,43 @@
-"""The asyncio transaction service front-end.
+"""The transaction service front-end: one thread per connection.
 
 One :class:`TransactionServer` owns a
-:class:`~repro.engine.threadsafe.ThreadSafeEngine` and serves the
-framed-JSON protocol of :mod:`repro.serve.protocol` over TCP.  The
-rule is **inline first, pool when it would block**: Moss' locking
-makes an uncontended access a few microseconds of lock-table work, so
-only a real conflict should pay for the machinery that waits.  The
-layering, bottom up:
+:class:`~repro.engine.threadsafe.ThreadSafeEngine` (or anything with
+its surface, such as ``repro.shard.ShardedEngine``) and serves the
+framed-JSON protocol of :mod:`repro.serve.protocol` over TCP.  In the
+paper's R/W Locking system a conflicting access simply waits: ``M(X)``
+enables its ``REQUEST_COMMIT`` once the lock conditions hold, and
+Theorem 34 covers every such schedule.  Börger--Schewe model the
+transaction manager as one agent per client program.  The server has
+that shape: one accept thread, and one blocking thread per connection
+(``repro-serve-conn-N``) that loops
 
-* **Engine** -- any registered kernel scheme behind the blocking
-  facade; lock waits block *worker* threads, never the event loop.
-* **Inline attempt** -- a *lone* request (its connection has nothing
-  admitted-but-unanswered, and the socket read that delivered it
-  decoded exactly one frame) is tried on the event-loop thread through
-  :meth:`~repro.serve.session.Session.try_run`: the same dispatch with
-  a zero lock-wait budget.  If it completes it is answered at once; if
-  it *would block* (the facade tried the lock, ran its wound pass and
-  raised ``LockDenied``) nothing is answered and the message goes to
-  the worker pool below with the full ``op_timeout``, exactly as if
-  the attempt had not happened.  The loop must never wait on a lock
-  wait, a pipe or an fsync, so the attempt is made only when
+1. ``recv``, then ``FrameDecoder.feed``;
+2. admit the *whole* decoded burst before running any of it
+   (:mod:`repro.serve.admission`), so the per-connection cap, the
+   global cap and the token bucket all mean "decoded but unanswered";
+   a shed request is answered ``overloaded`` in its place;
+3. run the admitted requests in order through
+   :meth:`~repro.serve.session.Session.run`, so a lock wait, a shard
+   pipe or a WAL fsync blocks this connection and nothing else;
+4. answer with one ``sendall`` of the concatenated responses.
 
-  a. the facade is an in-process ``ThreadSafeEngine`` -- never a
-     ``ShardedEngine`` (``repro serve --sharded``), whose every op
-     blocks on a worker pipe; and
-  b. no WAL is attached.  Every op appends to the log, under the
-     log's own lock, and some appender holds that lock across an
-     fsync: a plain ``FileWalSink`` flushes inside the commit's
-     structural lock set, and even a group-commit sink (which defers
-     the commit flush outside the facade's locks) is flushed
-     synchronously by whichever append crosses ``segment_bytes``.
-     The loop must neither make that append nor queue behind it, and
-     a top-level ``commit``/``abort`` waits for its flush on the
-     calling thread besides.  So ``repro serve --wal-dir`` keeps every
-     op on the pool.
+Responses therefore keep request order, a pipelining client pays one
+read and one write per burst, and a WAL-backed or sharded server runs
+exactly the path a plain one does.  Accepted sockets get
+``TCP_NODELAY``.  ``idle_timeout`` is the socket timeout of the
+``recv``, which is the only place a connection idles with nothing in
+flight.  Whatever ends a connection, its thread aborts the trees the
+session still owns (:meth:`~repro.serve.session.Session.abort_orphans`)
+on the way out.  :meth:`TransactionServer.stop` closes the listener,
+shuts every connection socket down, joins every thread, then closes an
+attached WAL.
 
-  Eligibility is read off that state per request; there is no switch.
-* **Worker pool** -- a bounded ``ThreadPoolExecutor`` for everything
-  the loop did not answer: pipelined bursts, requests behind an
-  in-flight batch, ops that would block, and every op of an ineligible
-  deployment.  ``workers`` bounds concurrent lock-waiters, the
-  admission controller bounds the queue feeding it.
-* **Batching** -- requests bound for the pool go through a
-  per-connection queue; the pump coalesces everything currently
-  queued (up to ``max_batch``) into **one** executor hop that runs the
-  ops in order and encodes the responses off the event loop.  A
-  pipelining client therefore pays one thread handoff per batch, not
-  per op.  A connection is driven from one thread at a time: the
-  inline attempt requires that nothing of the connection is in flight,
-  and a request that arrives while a batch is in flight queues behind
-  it, so responses keep request order.
-* **Admission control** (:mod:`repro.serve.admission`) -- per-conn and
-  global in-flight caps plus an optional token bucket; shed requests
-  are answered immediately with ``overloaded`` + ``retry_after_ms``
-  instead of queueing.  Inline requests are admitted and released like
-  any other.
-* **Sessions** (:mod:`repro.serve.session`) -- transaction ownership;
-  a dead connection's trees are aborted (``abort_top``, on the worker
-  pool: it takes the facade's locks and a WAL's fsync) once its pump
-  drains, and an idle reaper closes connections with no traffic and
-  no in-flight work for ``idle_timeout`` seconds.
-
-Observability: ``serve.requests`` / ``serve.shed`` / ``serve.inline`` /
-``serve.would_block`` / ``serve.batch_size`` / ``serve.reaped`` and the
-in-flight gauge live in a server-owned
-:class:`~repro.obs.metrics.MetricsRegistry` touched only from the
-event-loop thread (so counters stay exact without locks).
-``serve.batch_size`` / ``serve.batch_seconds`` describe only what went
-through the pool; ``serve.inline`` counts the ops that did not.  An
-optional :class:`repro.obs.Observer` passed at construction
+Observability: ``serve.requests`` / ``serve.shed`` / ``serve.reaped`` /
+``serve.orphan_aborts`` / ``serve.bad_frames`` and the
+``serve.connections`` / ``serve.inflight`` gauges live in a
+server-owned :class:`~repro.obs.metrics.MetricsRegistry`; it, the
+admission controller and the connection table share one server lock.
+An optional :class:`repro.obs.Observer` passed at construction
 instruments the engine side exactly as it would off-network.
 ``attach_wal`` / ``attach_auditor`` mirror the facade's seams, so a
 served engine can be durable and self-auditing.
@@ -76,25 +45,18 @@ served engine can be durable and self-auditing.
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.threadsafe import ThreadSafeEngine
-from repro.obs.metrics import MetricsRegistry, exponential_buckets
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol as proto
 from repro.serve.admission import AdmissionController
 from repro.serve.session import Session
 
-#: Buckets sized for batch sizes (1..max_batch).
-_BATCH_BUCKETS = tuple(float(1 << i) for i in range(9))
-#: Buckets sized for op service times in seconds.
-_LATENCY_BUCKETS = exponential_buckets(0.0001, 2.0, 18)
-
-#: Ops answered on the event loop without touching the engine.
+#: Ops the server answers itself: never admitted, never the engine's.
 _FAST_OPS = frozenset(("hello", "ping", "stats"))
 
 
@@ -104,10 +66,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Worker threads for engine ops (bounds concurrent lock waiters).
-    workers: int = 8
-    #: Per-connection batch ceiling; 1 disables coalescing.
-    max_batch: int = 32
     #: Global admitted-but-unanswered request cap.
     max_inflight: int = 256
     #: Per-connection pipelining cap.
@@ -124,12 +82,6 @@ class ServeConfig:
     #: Frame size ceiling per connection.
     max_frame_bytes: int = proto.MAX_FRAME_BYTES
 
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-
 
 def _encode_response(response: Dict[str, Any]) -> bytes:
     """Frame *response*; an unencodable one becomes ``internal``."""
@@ -145,23 +97,21 @@ def _encode_response(response: Dict[str, Any]) -> bytes:
         )
 
 
-class _Connection:
-    """Event-loop-side state of one client connection."""
+def _send(sock: socket.socket, payload: bytes) -> bool:
+    """``sendall``; false when the peer (or ``stop``) closed it."""
+    try:
+        sock.sendall(payload)
+    except OSError:
+        return False
+    return True
 
-    __slots__ = (
-        "session", "reader", "writer", "queue", "pump", "inflight",
-        "decoder", "dead",
-    )
 
-    def __init__(self, session, reader, writer, max_frame_bytes):
-        self.session = session
-        self.reader = reader
-        self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.pump: Optional[asyncio.Task] = None
-        self.inflight = 0
-        self.decoder = proto.FrameDecoder(max_frame_bytes)
-        self.dead = False
+def _shut(sock: socket.socket) -> None:
+    """Wake whatever thread is blocked on *sock*."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already disconnected
+        pass
 
 
 class TransactionServer:
@@ -181,7 +131,6 @@ class TransactionServer:
         # ``repro.shard.ShardedEngine`` (``repro serve --sharded``).
         # A passed-in facade's lifecycle stays with the caller; the
         # server never closes it.
-        self._owns_facade = facade is None
         self.facade = facade or ThreadSafeEngine(
             specs,
             policy=scheme,
@@ -193,7 +142,7 @@ class TransactionServer:
             name: type(spec).__name__
             for name, spec in self.facade.engine.specs.items()
         }
-        #: serve.* metrics; event-loop thread only, hence lock-free.
+        #: serve.* metrics; touched only under ``_lock``.
         self.metrics = MetricsRegistry()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
@@ -202,14 +151,13 @@ class TransactionServer:
             burst=self.config.burst,
             shed_backoff_ms=self.config.shed_backoff_ms,
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-serve",
-        )
-        self._connections: Dict[int, _Connection] = {}
+        #: Guards ``metrics``, ``admission`` and ``_connections``.
+        self._lock = threading.Lock()
+        #: Live connections: id -> (socket, thread).
+        self._connections: Dict[int, Tuple[Any, threading.Thread]] = {}
         self._next_conn = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._reaper: Optional[asyncio.Task] = None
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
         self._stopping = False
         self.wal = None
         self.auditor = None
@@ -220,9 +168,8 @@ class TransactionServer:
     def attach_wal(self, wal=None, sink=None, segment_bytes=None):
         """Attach a write-ahead log before starting; returns it.
 
-        Attach through this seam, not the facade's own: ``self.wal`` is
-        how the inline path knows an op can wait on a flush (module
-        docstring, rule b).
+        Attached through this seam, the log is reported by ``stats``
+        and closed by :meth:`stop`.
         """
         self.wal = self.facade.attach_wal(
             wal=wal, sink=sink, segment_bytes=segment_bytes
@@ -242,168 +189,189 @@ class TransactionServer:
     @property
     def address(self) -> Tuple[str, int]:
         """The bound (host, port); valid after :meth:`start`."""
-        if self._server is None or not self._server.sockets:
+        if self._listener is None:
             raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[:2]
+        return self._listener.getsockname()[:2]
 
-    async def start(self) -> Tuple[str, int]:
+    def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound address."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
+        self._listener = socket.create_server(
+            (self.config.host, self.config.port), backlog=128
         )
-        if self.config.idle_timeout is not None:
-            self._reaper = asyncio.ensure_future(self._reap_idle())
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="repro-serve-accept", daemon=True
+        )
+        self._acceptor.start()
         return self.address
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - shutdown
-            pass
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Stop accepting, end every connection, join, close the WAL.
 
-    async def stop(self) -> None:
-        """Stop accepting, drain connections, abort leftovers."""
-        self._stopping = True
-        if self._reaper is not None:
-            self._reaper.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for conn in list(self._connections.values()):
-            self._close_transport(conn)
-        deadline = time.monotonic() + 5.0
-        while self._connections and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        self._executor.shutdown(wait=True)
+        Each connection thread finishes the request it is running (a
+        lock wait ends within ``op_timeout``), finds its socket shut,
+        and aborts its session's orphans; *timeout* bounds each join.
+        """
+        with self._lock:
+            if self._listener is None or self._stopping:
+                return
+            self._stopping = True
+        _shut(self._listener)  # wakes the blocked ``accept``
+        self._listener.close()
+        self._acceptor.join(timeout)
+        with self._lock:
+            # A socket leaves the table before its thread closes it,
+            # so every one shut here is still open.
+            connections = list(self._connections.values())
+            for sock, _ in connections:
+                _shut(sock)
+        for _, thread in connections:
+            thread.join(timeout)
         if self.wal is not None:
             self.wal.close()
 
-    def start_in_thread(self, timeout: float = 10.0) -> "ServerThread":
-        """Run this server on a dedicated thread; returns its handle."""
-        handle = ServerThread(self)
-        handle.start(timeout=timeout)
-        return handle
+    def start_in_thread(self) -> "ServerThread":
+        """Start serving from background threads; returns the handle."""
+        return ServerThread(self)
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Threads
     # ------------------------------------------------------------------
-    async def _on_connection(self, reader, writer) -> None:
-        conn_id = self._next_conn
-        self._next_conn += 1
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return  # ``stop`` shut the listener down
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.config.idle_timeout)
+            with self._lock:
+                if self._stopping:
+                    sock.close()
+                    return
+                conn_id = self._next_conn
+                self._next_conn += 1
+                thread = threading.Thread(
+                    target=self._serve,
+                    args=(conn_id, sock),
+                    name="repro-serve-conn-%d" % conn_id,
+                    daemon=True,
+                )
+                self._connections[conn_id] = (sock, thread)
+                self.metrics.gauge("serve.connections").add(1)
+            thread.start()
+
+    def _serve(self, conn_id: int, sock: socket.socket) -> None:
+        """One connection: read a burst, answer it, until it ends."""
         session = Session(
             self.facade,
             conn_id,
             op_timeout=self.config.op_timeout,
             retry_hint_ms=self.config.shed_backoff_ms,
         )
-        conn = _Connection(
-            session, reader, writer, self.config.max_frame_bytes
-        )
-        self._connections[conn_id] = conn
-        self.metrics.gauge("serve.connections").add(1)
-        conn.pump = asyncio.ensure_future(self._pump(conn))
+        decoder = proto.FrameDecoder(self.config.max_frame_bytes)
         try:
-            await self._read_loop(conn)
+            while True:
+                try:
+                    data = sock.recv(1 << 16)
+                except socket.timeout:
+                    self._count("serve.reaped")
+                    return
+                except OSError:
+                    return
+                if not data:
+                    return
+                try:
+                    messages = decoder.feed(data)
+                except proto.ProtocolError as exc:
+                    self._count("serve.bad_frames")
+                    _send(
+                        sock,
+                        _encode_response(
+                            proto.error_response(
+                                None, proto.ERR_BAD_FRAME, str(exc)
+                            )
+                        ),
+                    )
+                    return
+                if messages and not _send(
+                    sock, self._answer(session, messages)
+                ):
+                    return
         finally:
-            try:
-                await self._cleanup(conn_id, conn)
-            except asyncio.CancelledError:
-                # Loop teardown cancelled the drain mid-await; free
-                # what we can synchronously so the task ends quietly.
-                self._abandon(conn_id, conn)
+            aborted = session.abort_orphans()
+            with self._lock:
+                if aborted:
+                    self.metrics.counter("serve.orphan_aborts").inc(aborted)
+                del self._connections[conn_id]
+                self.metrics.gauge("serve.connections").add(-1)
+            sock.close()
 
-    async def _read_loop(self, conn: _Connection) -> None:
-        while not conn.dead:
-            try:
-                data = await conn.reader.read(1 << 16)
-            except (ConnectionError, OSError):
-                return
-            if not data:
-                return
-            conn.session.last_active = time.monotonic()
-            try:
-                messages = conn.decoder.feed(data)
-            except proto.ProtocolError as exc:
-                self.metrics.counter("serve.bad_frames").inc()
-                self._send(
-                    conn,
-                    proto.error_response(
-                        None, proto.ERR_BAD_FRAME, str(exc)
-                    ),
-                )
-                return
-            lone = len(messages) == 1
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self.metrics.counter(name).inc()
+
+    def _answer(self, session: Session, messages: List[Dict]) -> bytes:
+        """Admit a whole burst, then run it in order; the responses."""
+        answers: List[Optional[Dict[str, Any]]] = []
+        admitted = 0
+        with self._lock:
             for message in messages:
-                self._ingest(conn, message, lone)
-            try:
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                return
+                op = message.get("op")
+                self.metrics.counter(
+                    "serve.requests", op=op if op in proto.OPS else "invalid"
+                ).inc()
+                if op not in proto.OPS:
+                    answers.append(
+                        proto.error_response(
+                            message.get("id"),
+                            proto.ERR_BAD_REQUEST,
+                            "unknown op %r" % (op,),
+                        )
+                    )
+                elif op in _FAST_OPS:
+                    answers.append(None)
+                else:
+                    ok, hint = self.admission.admit(admitted)
+                    if ok:
+                        admitted += 1
+                        answers.append(None)
+                    else:
+                        self.metrics.counter("serve.shed").inc()
+                        answers.append(
+                            proto.error_response(
+                                message.get("id"),
+                                proto.ERR_OVERLOADED,
+                                "server overloaded; retry after the hint",
+                                retry_after_ms=hint,
+                            )
+                        )
+            if admitted:
+                self.metrics.gauge("serve.inflight").set(
+                    self.admission.inflight
+                )
+        try:
+            return b"".join(
+                _encode_response(
+                    answer
+                    if answer is not None
+                    else self._run(session, message)
+                )
+                for message, answer in zip(messages, answers)
+            )
+        finally:
+            if admitted:
+                with self._lock:
+                    self.admission.release(admitted)
+                    self.metrics.gauge("serve.inflight").set(
+                        self.admission.inflight
+                    )
 
-    def _ingest(
-        self, conn: _Connection, message: Dict[str, Any], lone: bool
-    ) -> None:
-        """Answer, shed, try inline or queue one decoded request.
-
-        *lone*: the read that delivered *message* decoded no other
-        frame (a pipelined burst keeps the batching pump).
-        """
+    def _run(self, session: Session, message: Dict[str, Any]):
         op = message.get("op")
+        if op not in _FAST_OPS:
+            return session.run(message)
         request_id = message.get("id")
-        self.metrics.counter(
-            "serve.requests", op=op if op in proto.OPS else "invalid"
-        ).inc()
-        if op in _FAST_OPS:
-            self._send(conn, self._fast_op(op, request_id, message))
-            return
-        if op not in proto.OPS:
-            self._send(
-                conn,
-                proto.error_response(
-                    request_id,
-                    proto.ERR_BAD_REQUEST,
-                    "unknown op %r" % (op,),
-                ),
-            )
-            return
-        admitted, hint = self.admission.admit(conn.inflight)
-        if not admitted:
-            self.metrics.counter("serve.shed").inc()
-            self._send(
-                conn,
-                proto.error_response(
-                    request_id,
-                    proto.ERR_OVERLOADED,
-                    "server overloaded; retry after the hint",
-                    retry_after_ms=hint,
-                ),
-            )
-            return
-        if lone and conn.inflight == 0 and self._loop_may_run():
-            response = conn.session.try_run(message)
-            if response is not None:
-                self.admission.release(1)
-                self.metrics.counter("serve.inline").inc()
-                self._send(conn, response)
-                return
-            self.metrics.counter("serve.would_block").inc()
-        conn.inflight += 1
-        self.metrics.gauge("serve.inflight").set(self.admission.inflight)
-        conn.queue.put_nowait(message)
-
-    def _loop_may_run(self) -> bool:
-        """May an op be attempted on the event-loop thread?
-
-        The module docstring's rules a and b: only an in-process
-        facade, and never behind a WAL (any append can wait on a
-        flush).
-        """
-        return self.wal is None and isinstance(
-            self.facade, ThreadSafeEngine
-        )
-
-    def _fast_op(self, op, request_id, message) -> Dict[str, Any]:
         if op == "ping":
             return proto.ok_response(
                 request_id, payload=message.get("payload")
@@ -429,205 +397,37 @@ class TransactionServer:
 
     def stats(self) -> Dict[str, Any]:
         """A JSON-ready server + engine counter snapshot."""
-        engine_stats = dict(
-            self.facade.engine.stats  # best-effort under striping
-        )
         payload: Dict[str, Any] = {
             "scheme": self.facade.scheme.name,
-            "connections": len(self._connections),
-            "inflight": self.admission.inflight,
-            "inflight_high_water": self.admission.inflight_high_water,
-            "shed": self.admission.shed_total,
-            "engine": engine_stats,
-            "metrics": self.metrics.snapshot(),
+            # Best-effort under striping.
+            "engine": dict(self.facade.engine.stats),
         }
+        with self._lock:
+            payload.update(
+                connections=len(self._connections),
+                inflight=self.admission.inflight,
+                inflight_high_water=self.admission.inflight_high_water,
+                shed=self.admission.shed_total,
+                metrics=self.metrics.snapshot(),
+            )
         if self.auditor is not None:
             payload["audit_verdict"] = self.auditor.verdict
         if self.wal is not None:
             payload["wal"] = dict(self.wal.stats)
         return payload
 
-    def _send(self, conn: _Connection, response: Dict[str, Any]) -> None:
-        if conn.dead:
-            return
-        try:
-            conn.writer.write(_encode_response(response))
-        except (ConnectionError, OSError):
-            conn.dead = True
-
-    # ------------------------------------------------------------------
-    # Batching pump: session queue -> one executor hop per batch
-    # (everything the inline attempt did not answer)
-    # ------------------------------------------------------------------
-    async def _pump(self, conn: _Connection) -> None:
-        loop = asyncio.get_running_loop()
-        queue = conn.queue
-        max_batch = self.config.max_batch
-        while True:
-            message = await queue.get()
-            if message is None:
-                return
-            batch = [message]
-            finish_after = False
-            while len(batch) < max_batch:
-                try:
-                    extra = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is None:
-                    finish_after = True
-                    break
-                batch.append(extra)
-            self.metrics.histogram(
-                "serve.batch_size", bounds=_BATCH_BUCKETS
-            ).observe(float(len(batch)))
-            started = time.perf_counter()
-            payload = await loop.run_in_executor(
-                self._executor, self._run_batch, conn.session, batch
-            )
-            self.metrics.histogram(
-                "serve.batch_seconds", bounds=_LATENCY_BUCKETS
-            ).observe(time.perf_counter() - started)
-            conn.inflight -= len(batch)
-            self.admission.release(len(batch))
-            self.metrics.gauge("serve.inflight").set(
-                self.admission.inflight
-            )
-            if not conn.dead:
-                try:
-                    conn.writer.write(payload)
-                    await conn.writer.drain()
-                except (ConnectionError, OSError):
-                    conn.dead = True
-            if finish_after:
-                return
-
-    def _run_batch(self, session: Session, batch) -> bytes:
-        """Worker-thread half: run the ops in order, encode responses."""
-        return b"".join(
-            _encode_response(session.run(message)) for message in batch
-        )
-
-    # ------------------------------------------------------------------
-    # Cleanup and reaping
-    # ------------------------------------------------------------------
-    def _close_transport(self, conn: _Connection) -> None:
-        conn.dead = True
-        try:
-            conn.writer.close()
-        except Exception:  # pragma: no cover - transport races
-            pass
-
-    def _abandon(self, conn_id: int, conn: _Connection) -> None:
-        """Last-resort synchronous teardown (cancelled cleanup)."""
-        self._close_transport(conn)
-        if conn.pump is not None:
-            conn.pump.cancel()
-        conn.session.abort_orphans()
-        if self._connections.pop(conn_id, None) is not None:
-            self.metrics.gauge("serve.connections").add(-1)
-
-    async def _cleanup(self, conn_id: int, conn: _Connection) -> None:
-        # Stop feeding the pump, let it drain what was admitted, then
-        # (with no worker driving the session any more) abort orphans.
-        conn.queue.put_nowait(None)
-        if conn.pump is not None:
-            try:
-                await conn.pump
-            except Exception:  # pragma: no cover - pump crash
-                pass
-        released = 0
-        while True:
-            try:
-                item = conn.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not None:
-                released += 1
-        if released:
-            self.admission.release(released)
-        # On the pool, never the loop: ``abort_top`` takes the facade's
-        # locks and, behind a WAL, waits on the abort record's fsync.
-        try:
-            aborted = await asyncio.get_running_loop().run_in_executor(
-                self._executor, conn.session.abort_orphans
-            )
-        except RuntimeError:
-            # ``stop`` gave up on this drain and shut the pool down.
-            aborted = conn.session.abort_orphans()
-        if aborted:
-            self.metrics.counter("serve.orphan_aborts").inc(aborted)
-        self._close_transport(conn)
-        self._connections.pop(conn_id, None)
-        self.metrics.gauge("serve.connections").add(-1)
-
-    async def _reap_idle(self) -> None:
-        timeout = self.config.idle_timeout
-        interval = max(0.05, min(1.0, timeout / 4.0))
-        while True:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            for conn in list(self._connections.values()):
-                idle = now - conn.session.last_active
-                if idle > timeout and conn.inflight == 0:
-                    self.metrics.counter("serve.reaped").inc()
-                    self._close_transport(conn)
-
 
 class ServerThread:
-    """Run a :class:`TransactionServer` on its own thread + loop.
+    """The handle :meth:`TransactionServer.start_in_thread` returns.
 
-    The in-process deployment shape used by tests and bench E23 (the
-    CLI runs the loop on the main thread instead).  ``start`` returns
-    once the server is bound; ``stop`` shuts it down and joins.
+    Tests and the perf ladder's serve rung hold one: ``address`` is
+    the bound (host, port), ``server`` the server, and ``stop`` shuts
+    it down and joins its threads.
     """
 
     def __init__(self, server: TransactionServer):
         self.server = server
-        self.address: Optional[Tuple[str, int]] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._error: Optional[BaseException] = None
+        self.address: Tuple[str, int] = server.start()
 
-    def start(self, timeout: float = 10.0) -> Tuple[str, int]:
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("server thread failed to start in time")
-        if self._error is not None:
-            raise RuntimeError(
-                "server failed to start: %s" % self._error
-            )
-        assert self.address is not None
-        return self.address
-
-    def _main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        self._stop_event = asyncio.Event()
-        try:
-            self.address = loop.run_until_complete(self.server.start())
-        except BaseException as exc:
-            self._error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_until_complete(self._stop_event.wait())
-            loop.run_until_complete(self.server.stop())
-        finally:
-            loop.close()
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._loop is None or self._stop_event is None:
-            return
-        if self._thread is None or not self._thread.is_alive():
-            return
-        self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout)
+    def stop(self, timeout: Optional[float] = None) -> None:
+        self.server.stop(timeout)

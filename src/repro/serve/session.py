@@ -3,24 +3,21 @@
 Börger--Schewe model the transaction manager as an agent mediating
 concurrent client programs; a :class:`Session` is that agent's
 per-client half.  It owns every transaction a connection begins, runs
-the connection's requests strictly in order (the server drives a
-session from one thread at a time -- the event loop for a lone
-request, else one executor thread per batch -- so handles are never
-driven concurrently: the facade's documented handle contract), and is
-the unit of orphan cleanup: when the connection dies, every top-level
-tree it still owns is aborted through
+the connection's requests strictly in order (only the connection's own
+thread drives it, so handles are never driven concurrently: the
+facade's documented handle contract), and is the unit of orphan
+cleanup: when the connection dies, every top-level tree it still owns
+is aborted through
 :meth:`repro.engine.threadsafe.ThreadSafeEngine.abort_top`.
 
-Dispatch has two entry points over one handler table:
-:meth:`Session.run` may wait up to ``op_timeout`` for a lock and so
-belongs on a worker thread; :meth:`Session.try_run` never waits and
-returns ``None`` where ``run`` would have.  Everything either touches
-is session-private or engine-side thread-safe.
+:meth:`Session.run` is the one entry point.  An access waits up to
+``op_timeout`` for its lock, on the connection's thread, exactly as a
+local caller of the facade would.  Everything it touches is
+session-private or engine-side thread-safe.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.object_spec import Operation
@@ -32,7 +29,6 @@ from repro.engine.threadsafe import (
 from repro.errors import (
     EngineError,
     InvalidTransactionState,
-    LockDenied,
     TransactionAborted,
 )
 from repro.serve import protocol as proto
@@ -60,13 +56,9 @@ class Session:
         self.retry_hint_ms = retry_hint_ms
         #: Live handles owned by this connection, by name tuple.
         self.handles: Dict[TxnName, ThreadSafeTransaction] = {}
-        #: Wall-clock of the last request (read by the idle reaper).
-        self.last_active = time.monotonic()
-        self.requests = 0
-        self.closed = False
 
     # ------------------------------------------------------------------
-    # Lifecycle (event-loop side)
+    # Lifecycle
     # ------------------------------------------------------------------
     def owned_tops(self):
         """Names of top-level trees this session still owns."""
@@ -75,9 +67,10 @@ class Session:
     def abort_orphans(self, cause: str = "disconnect") -> int:
         """Abort every live tree of a dead session; returns the count.
 
-        Called after the session's pump has drained (no worker thread
-        is driving its handles any more), so the only races left are
-        engine-side -- exactly what ``abort_top`` tolerates.
+        Called by the connection's thread once it has stopped running
+        requests (nothing drives the handles any more), so the only
+        races left are engine-side -- exactly what ``abort_top``
+        tolerates.
         """
         aborted = 0
         for top in self.owned_tops():
@@ -92,49 +85,21 @@ class Session:
     def run(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one request against the engine; never raises.
 
-        An access waits up to ``op_timeout`` for its lock, so this is
-        the worker-thread entry point.
+        An access waits up to ``op_timeout`` for its lock.
         """
-        self.requests += 1
-        try:
-            return self._call(message, self.op_timeout)
-        except Exception as exc:
-            return self._error_response(message, exc)
-
-    def try_run(
-        self, message: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        """:meth:`run` without the wait; ``None`` if it would block.
-
-        Same dispatch, but an access gets a zero wait budget: the
-        facade tries the lock, runs its wound pass and raises
-        :class:`~repro.errors.LockDenied` instead of parking.  That
-        denial is not answered -- the caller hands the message to
-        :meth:`run` on a thread that may wait -- and is not counted in
-        ``requests``, so a request that falls back counts once.
-        """
-        try:
-            response = self._call(message, 0)
-        except LockDenied:
-            return None
-        except Exception as exc:
-            response = self._error_response(message, exc)
-        self.requests += 1
-        return response
-
-    def _call(
-        self, message: Dict[str, Any], timeout: Optional[float]
-    ) -> Dict[str, Any]:
         request_id = message.get("id")
         op = message.get("op")
-        handler = _HANDLERS.get(op)
-        if handler is None:
-            return proto.error_response(
-                request_id,
-                proto.ERR_BAD_REQUEST,
-                "unknown op %r" % (op,),
-            )
-        return handler(self, request_id, message, timeout)
+        try:
+            handler = _HANDLERS.get(op)
+            if handler is None:
+                return proto.error_response(
+                    request_id,
+                    proto.ERR_BAD_REQUEST,
+                    "unknown op %r" % (op,),
+                )
+            return handler(self, request_id, message)
+        except Exception as exc:
+            return self._error_response(message, exc)
 
     def _error_response(
         self, message: Dict[str, Any], exc: Exception
@@ -204,13 +169,13 @@ class Session:
             del self.handles[name]
 
     # -- ops -----------------------------------------------------------
-    def _op_begin(self, request_id, message, timeout):
+    def _op_begin(self, request_id, message):
         handle = self.facade.begin_top()
         name = handle.name
         self.handles[name] = handle
         return proto.ok_response(request_id, txn=list(name))
 
-    def _op_child(self, request_id, message, timeout):
+    def _op_child(self, request_id, message):
         parent = self._handle(message)
         child = parent.begin_child()
         self.handles[child.name] = child
@@ -234,7 +199,7 @@ class Session:
             raise ValueError("write needs a value (or kind/args)")
         return Operation(kind or "write", args, is_read=False)
 
-    def _op_read(self, request_id, message, timeout):
+    def _op_read(self, request_id, message):
         handle = self._handle(message)
         object_name = message.get("object")
         if not isinstance(object_name, str):
@@ -242,11 +207,11 @@ class Session:
         result = handle.perform(
             object_name,
             self._operation(message, is_read=True),
-            timeout=timeout,
+            timeout=self.op_timeout,
         )
         return proto.ok_response(request_id, result=result)
 
-    def _op_write(self, request_id, message, timeout):
+    def _op_write(self, request_id, message):
         handle = self._handle(message)
         object_name = message.get("object")
         if not isinstance(object_name, str):
@@ -254,11 +219,11 @@ class Session:
         result = handle.perform(
             object_name,
             self._operation(message, is_read=False),
-            timeout=timeout,
+            timeout=self.op_timeout,
         )
         return proto.ok_response(request_id, result=result)
 
-    def _op_commit(self, request_id, message, timeout):
+    def _op_commit(self, request_id, message):
         handle = self._handle(message)
         name = handle.name
         handle.commit(message.get("value"))
@@ -268,7 +233,7 @@ class Session:
             del self.handles[name]
         return proto.ok_response(request_id)
 
-    def _op_abort(self, request_id, message, timeout):
+    def _op_abort(self, request_id, message):
         name = proto.txn_name(message.get("txn"))
         handle = self.handles.get(name)
         if handle is None:
@@ -286,9 +251,8 @@ class Session:
         return proto.ok_response(request_id)
 
 
-#: One table for :meth:`Session.run` and :meth:`Session.try_run`:
-#: ``handler(session, request_id, message, timeout) -> response``,
-#: where only the accesses (``read``/``write``) can spend *timeout*.
+#: :meth:`Session.run`'s dispatch table:
+#: ``handler(session, request_id, message) -> response``.
 _HANDLERS = {
     "begin": Session._op_begin,
     "child": Session._op_child,

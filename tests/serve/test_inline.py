@@ -1,10 +1,12 @@
-"""The inline path: a lone request runs on the event loop, and only there.
+"""A request runs, and waits, on the thread that read it.
 
-``TransactionServer`` tries a lone request on the loop thread through
-``Session.try_run`` and hands it to the worker pool only when it would
-block.  These tests pin what that must never change: the loop never
-parks, per-connection order, wound translation, request counts, and
-that a facade or WAL that could block keeps every op on the pool.
+``TransactionServer`` gives each connection one thread, which reads a
+burst, runs it in order through ``Session.run`` and answers it.  These
+tests pin what that must keep: a lock wait blocks only its own
+connection, a connection's responses keep request order behind a
+waiting op, a wound still reads as ``txn_aborted``, a foreign facade
+and a WAL-backed server run on the same connection threads, and the
+accept thread never runs an op.
 """
 
 import socket
@@ -18,10 +20,10 @@ from repro.engine.threadsafe import ThreadSafeEngine
 from repro.serve import protocol as proto
 from repro.serve.client import ServeError, SyncClient
 from repro.serve.server import ServeConfig, TransactionServer
-from repro.serve.session import Session
 from repro.wal.log import FileWalSink, GroupCommitSink
 
-LOOP_THREAD = "repro-serve-loop"
+ACCEPT_THREAD = "repro-serve-accept"
+CONN_THREAD = "repro-serve-conn-"
 
 
 def _registers():
@@ -78,39 +80,33 @@ class _Blocked:
 
 
 class TestLoopNeverParks:
-    def test_conflicting_read_waits_in_the_pool(self, server):
+    def test_conflicting_read_waits_on_its_own_connection(self, server):
         with connect(server) as a, connect(server) as b, connect(
             server
         ) as c:
             holder = a.begin()  # older: B must wait for it, not wound it
             a.write(holder, "r0", 7)
             waiter = b.begin()
-            before = counters(c)
-            assert before.get("serve.would_block", 0) == 0
-            assert before["serve.inline"] == 3
             blocked = _Blocked(b, "read", txn=list(waiter), object="r0")
             wait_for(
-                lambda: counters(c).get("serve.would_block", 0) == 1,
-                "B's read to fall back to the pool",
+                lambda: c.stats()["inflight"] == 1,
+                "B's read to be admitted",
             )
-            # B is parked on a worker thread; the loop still answers a
-            # ping and runs an uncontended transaction inline.
+            # B is parked on its own connection's thread; every other
+            # connection still gets answers, uncontended work included.
             assert c.ping("alive")["payload"] == "alive"
             other = c.begin()
             assert c.read(other, "r1") == 0
             c.commit(other)
             assert not blocked.answered
-            stats = c.stats()
-            assert stats["inflight"] == 1
+            assert c.stats()["inflight"] == 1
             a.commit(holder)
             assert blocked.join()["result"] == 7
             b.commit(waiter)
-            after = c.stats()["metrics"]
-            assert after["counters"]["serve.would_block"] == 1
-            # Only the blocked read went through the pool.
-            assert after["histograms"]["serve.batch_size"]["count"] == 1
-            # A would-block op is counted once, not once per attempt.
-            assert after["counters"]["serve.requests{op=read}"] == 2
+            after = c.stats()
+            assert after["inflight"] == 0
+            # The waiting read was counted once.
+            assert after["metrics"]["counters"]["serve.requests{op=read}"] == 2
 
     def test_request_behind_inflight_batch_keeps_order(self, server):
         host, port = server.address
@@ -137,22 +133,16 @@ class TestLoopNeverParks:
                 (begun,) = receive(1)
                 send("read", 2, txn=begun["txn"], object="r0")
                 wait_for(
-                    lambda: counters(c).get("serve.would_block", 0) == 1,
-                    "the read to fall back to the pool",
+                    lambda: c.stats()["inflight"] == 1,
+                    "the read to start waiting",
                 )
-                inline_before = counters(c)["serve.inline"]
-                # Lone, uncontended, and its connection has a batch in
-                # flight: it must queue behind the read, not overtake.
+                # Uncontended, but its connection's thread is waiting:
+                # it must queue behind the read, not overtake it.
                 send("read", 3, txn=begun["txn"], object="r1")
-                wait_for(
-                    lambda: c.stats()["inflight"] == 2,
-                    "the second read to be queued",
-                )
                 raw.settimeout(0.2)
                 with pytest.raises(socket.timeout):
                     raw.recv(1 << 16)
                 raw.settimeout(10)
-                assert counters(c)["serve.inline"] == inline_before
                 a.commit(holder)
                 first, second = receive(2)
                 assert (first["id"], second["id"]) == (2, 3)
@@ -167,51 +157,15 @@ class TestWoundThroughInlineAttempt:
             older = b.begin()
             younger = a.begin()
             a.write(younger, "r0", 1)
-            # The zero-budget attempt still runs the wound pass, so the
-            # older transaction wins the lock without leaving the loop.
+            # The older transaction's access runs the wound pass and
+            # takes the lock; the victim learns it on its next request.
             b.write(older, "r0", 2)
             with pytest.raises(ServeError) as excinfo:
                 a.read(younger, "r0")
             assert excinfo.value.code == proto.ERR_TXN_ABORTED
             assert excinfo.value.retryable
             b.commit(older)
-            metrics = b.stats()["metrics"]
-            assert metrics["counters"].get("serve.would_block", 0) == 0
-            assert "serve.batch_size" not in metrics["histograms"]
         assert server.facade.object_value("r0") == 2
-
-
-class TestSessionTryRun:
-    def test_would_block_is_not_answered_and_counts_once(self):
-        facade = ThreadSafeEngine(_registers())
-        holder = Session(facade, conn_id=0, op_timeout=0.2)
-        waiter = Session(facade, conn_id=1, op_timeout=0.2)
-        held = holder.run(proto.request("begin", 1))["txn"]
-        assert holder.run(
-            proto.request("write", 2, txn=held, object="r0", value=5)
-        )["ok"]
-        begun = waiter.try_run(proto.request("begin", 1))
-        assert begun["ok"] and waiter.requests == 1
-        read = proto.request("read", 2, txn=begun["txn"], object="r0")
-        assert waiter.try_run(read) is None
-        assert waiter.requests == 1
-        # The fallback runs the same message with the real budget.
-        denied = waiter.run(read)
-        assert denied["error"]["code"] == proto.ERR_LOCK_DENIED
-        assert waiter.requests == 2
-        assert holder.run(proto.request("commit", 3, txn=held))["ok"]
-        assert waiter.try_run(read)["result"] == 5
-        assert waiter.requests == 3
-
-    def test_errors_are_answered_like_run(self):
-        session = Session(ThreadSafeEngine(_registers()), conn_id=0)
-        unknown = session.try_run(
-            proto.request("read", 1, txn=[9], object="r0")
-        )
-        assert unknown["error"]["code"] == proto.ERR_UNKNOWN_TXN
-        bad = session.try_run(proto.request("write", 2, txn=[9, "x"]))
-        assert bad["error"]["code"] == proto.ERR_BAD_REQUEST
-        assert session.requests == 2
 
 
 class _RecordingHandle:
@@ -287,17 +241,12 @@ class TestIneligibleFacade:
                 client.commit(top)
                 doomed = client.begin()
                 client.abort(doomed)
-                metrics = client.stats()["metrics"]
         finally:
             handle.stop()
+        # Every op ran on the one thread that read it.
         assert len(facade.threads) == 8
-        assert LOOP_THREAD not in facade.threads
-        assert all(
-            name.startswith("repro-serve_") for name in facade.threads
-        )
-        assert "serve.inline" not in metrics["counters"]
-        assert "serve.would_block" not in metrics["counters"]
-        assert metrics["histograms"]["serve.batch_size"]["count"] == 8
+        assert len(set(facade.threads)) == 1
+        assert facade.threads[0].startswith(CONN_THREAD)
 
 
 def _recording(sink_class):
@@ -324,9 +273,9 @@ def _recording(sink_class):
 
 
 class TestNoFlushOnTheLoop:
-    """Behind a WAL nothing runs inline: any append can wait on an
-    fsync (a commit's flush under the facade's locks, or the segment
-    roll's under the log's own), so the pool keeps every op."""
+    """Behind a WAL every op, and every fsync it waits on (a commit's
+    flush, a segment roll's, an orphan's abort record), runs on its
+    own connection's thread -- never on the accept thread."""
 
     @pytest.mark.parametrize(
         "sink_class",
@@ -355,7 +304,7 @@ class TestNoFlushOnTheLoop:
                 client.abort(aborted)
                 stats = client.stats()
                 # Before shutdown: stopping closes the WAL from the
-                # loop thread, with a final flush of its own.
+                # stopping thread, with a final flush of its own.
                 flush_threads = list(sink.flush_threads)
         finally:
             handle.stop()
@@ -363,8 +312,8 @@ class TestNoFlushOnTheLoop:
         assert rolls >= 3
         # 5 top-level commits + 1 top-level abort + the rolls.
         assert len(flush_threads) >= 6 + rolls
-        assert LOOP_THREAD not in flush_threads
-        assert "serve.inline" not in stats["metrics"]["counters"]
+        assert ACCEPT_THREAD not in flush_threads
+        assert all(name.startswith(CONN_THREAD) for name in flush_threads)
         assert server.facade.object_value("r0") == 4
 
     @pytest.mark.parametrize(
@@ -376,7 +325,8 @@ class TestNoFlushOnTheLoop:
         self, tmp_path, sink_class
     ):
         # A client that vanishes with a live tree: the server aborts
-        # the orphan (an ABORT record plus its flush) from the pool.
+        # the orphan (an ABORT record plus its flush) on the vanished
+        # connection's own thread.
         sink = _recording(sink_class)(str(tmp_path))
         server = TransactionServer(_registers(), config=ServeConfig(port=0))
         server.attach_wal(sink=sink)
@@ -396,5 +346,6 @@ class TestNoFlushOnTheLoop:
         finally:
             handle.stop()
         assert flush_threads, "the orphan's abort must be flushed"
-        assert LOOP_THREAD not in flush_threads
+        assert ACCEPT_THREAD not in flush_threads
+        assert all(name.startswith(CONN_THREAD) for name in flush_threads)
         assert server.facade.object_value("r0") == 0

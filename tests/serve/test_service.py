@@ -1,7 +1,7 @@
 """End-to-end service tests: real sockets, real threads, real engine.
 
-Every test spins a :class:`~repro.serve.server.ServerThread` on an
-ephemeral port and drives it with the real clients.  The headline
+Every test starts a :class:`~repro.serve.server.TransactionServer` on
+an ephemeral port and drives it with the real clients.  The headline
 check is the serial oracle: N concurrent remote clients racing
 ``Counter`` increments must leave the counter equal to the number of
 *acknowledged* commits -- per scheme, with the online auditor attached
@@ -237,7 +237,6 @@ class TestOverload:
             audit=False,
             max_inflight=4,
             max_inflight_per_conn=4,
-            max_batch=2,
         )
         try:
             with connect(server) as client:
@@ -297,7 +296,6 @@ class TestBatching:
     def test_pipelined_ops_coalesce(self):
         server, handle = start_server(
             audit=False,
-            max_batch=32,
             max_inflight=128,
             max_inflight_per_conn=128,
         )
@@ -319,37 +317,17 @@ class TestBatching:
                     * 48
                 )
                 assert all(r.get("ok") for r in responses)
-                client.commit(txn)
-            histograms = server.metrics.snapshot()["histograms"]
-            batches = histograms["serve.batch_size"]
-            assert batches["count"] >= 1
-            # Coalescing happened: fewer executor hops than ops.
-            assert batches["count"] < 48
-            assert batches["max"] > 1
-        finally:
-            handle.stop()
-
-    def test_max_batch_one_disables_coalescing(self):
-        server, handle = start_server(audit=False, max_batch=1)
-        try:
-            with connect(server) as client:
-                txn = client.begin()
-                responses = client.pipeline(
-                    [
-                        (
-                            "read",
-                            {
-                                "txn": list(txn),
-                                "object": "c0",
-                                "kind": "value",
-                            },
-                        )
-                    ]
-                    * 16
+                assert [r["result"] for r in responses] == list(
+                    range(1, 49)
                 )
-                assert all(r.get("ok") for r in responses)
-            histograms = server.metrics.snapshot()["histograms"]
-            assert histograms["serve.batch_size"]["max"] == 1.0
+                client.commit(txn)
+            stats = server.stats()
+            assert stats["metrics"]["counters"][
+                "serve.requests{op=write}"
+            ] == 48
+            # Coalescing happened: a burst was admitted, run and
+            # answered as one, not op by op.
+            assert stats["inflight_high_water"] > 1
         finally:
             handle.stop()
 
