@@ -63,7 +63,7 @@ def analyze_engine(engine):
     from repro.errors import EngineError
 
     recorder = engine.recorder
-    if not hasattr(recorder, "schedule"):
+    if recorder is None:
         raise EngineError("engine was not constructed with trace=True")
     events = recorder.schedule()
     system_type = recorder.system_type(engine.specs)

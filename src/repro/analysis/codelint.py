@@ -25,6 +25,12 @@ CD005    lock-holder tables / version stacks mutated (even through
 CD006    ``zlib.crc32`` (or ``crc32`` imported by name) outside
          ``repro/core/framing.py`` -- a checksum anywhere else is
          another copy of the frame codec
+CD007    a second emission seam: a listener hook (``.obs``,
+         ``.observer``, ``.recorder``, ``._wal``) assigned onto
+         another object, or onto ``self`` in ``repro.engine`` /
+         ``repro.mvto``; or a model-alphabet event
+         (:mod:`repro.core.events`) built in those packages outside
+         the spine and its recorder
 =======  =========================================================
 
 A line may opt out with ``# repro-lint: ignore`` or
@@ -108,7 +114,19 @@ CD006 = register_rule(
     "that the golden-frame tests do not cover.",
 )
 
-CODE_RULES = (CD001, CD002, CD003, CD004, CD005, CD006)
+CD007 = register_rule(
+    "CD007",
+    "a second emission seam",
+    "repo invariant; docs/OBSERVABILITY.md (the event spine)",
+    "Engines announce their transitions only through the event spine "
+    "(repro.engine.spine), and every listener subscribes to it.  A "
+    "listener hook assigned onto an engine or lock manager, or "
+    "model-alphabet events built inside the engine packages, is a "
+    "second seam that the spine's golden pins and zero-cost tests do "
+    "not cover.",
+)
+
+CODE_RULES = (CD001, CD002, CD003, CD004, CD005, CD006, CD007)
 
 #: Attributes forming the lock-table / version-map state (CD001).
 LOCK_STATE_ATTRS = frozenset(
@@ -148,6 +166,24 @@ CRC_MODULES = (
     os.path.join("repro", "kernel", "store.py"),
 )
 
+#: Listener-hook attribute names (CD007).
+HOOK_ATTRS = frozenset({"obs", "observer", "recorder", "_wal"})
+
+#: Packages whose classes are engines or lock managers (CD007).
+ENGINE_PACKAGES = (
+    os.path.join("repro", "engine") + os.sep,
+    os.path.join("repro", "mvto") + os.sep,
+)
+
+#: The spine itself, and the recorder that speaks the model alphabet.
+SPINE_MODULES = (
+    os.path.join("repro", "engine", "spine.py"),
+    os.path.join("repro", "engine", "trace.py"),
+)
+
+#: The model-alphabet event module (CD007).
+EVENTS_MODULE = "repro.core.events"
+
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*ignore(?:\[(?P<codes>[A-Z0-9, ]+)\])?"
 )
@@ -186,7 +222,7 @@ def _receiver_of_attribute(node: ast.expr) -> Optional[ast.expr]:
 
 
 class _ModuleLinter(ast.NodeVisitor):
-    """One file's worth of CD001-CD006 checks."""
+    """One file's worth of CD001-CD007 checks."""
 
     def __init__(self, path: str, tree: ast.Module, source: str):
         self.path = path
@@ -202,6 +238,15 @@ class _ModuleLinter(ast.NodeVisitor):
         self.is_crc_module = any(
             path.endswith(suffix) for suffix in CRC_MODULES
         )
+        normalized = os.path.normpath(path)
+        self.is_engine_module = any(
+            package in normalized for package in ENGINE_PACKAGES
+        ) and not any(
+            normalized.endswith(suffix) for suffix in SPINE_MODULES
+        )
+        # Names bound to repro.core.events classes / the module (CD007).
+        self._event_names: Set[str] = set()
+        self._event_modules: Set[str] = set()
         # Stack of (class node, is_guarded) for CD002.
         self._class_stack: List[Tuple[ast.ClassDef, bool]] = []
         self._function_stack: List[ast.AST] = []
@@ -309,6 +354,15 @@ class _ModuleLinter(ast.NodeVisitor):
                         "assignment to %r outside the lock-owner "
                         "modules" % target.attr,
                     )
+            if target.attr in HOOK_ATTRS and (
+                not _is_self(receiver) or self.is_engine_module
+            ):
+                self._emit(
+                    CD007,
+                    node,
+                    "listener hook %r assigned; subscribe to the "
+                    "engine's event spine instead" % target.attr,
+                )
             if target.attr == "status" and not _is_self(receiver):
                 if not self.is_transition_module:
                     self._emit(
@@ -351,6 +405,13 @@ class _ModuleLinter(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         function = node.func
+        if self.is_engine_module and self._builds_model_event(function):
+            self._emit(
+                CD007,
+                node,
+                "model-alphabet event built in an engine package; emit "
+                "a spine event and let the recorder expand it",
+            )
         if (
             isinstance(function, ast.Attribute)
             and function.attr in MUTATING_METHODS
@@ -389,14 +450,35 @@ class _ModuleLinter(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
+    def _builds_model_event(self, function: ast.expr) -> bool:
+        if isinstance(function, ast.Name):
+            return function.id in self._event_names
+        return (
+            isinstance(function, ast.Attribute)
+            and isinstance(function.value, ast.Name)
+            and function.value.id in self._event_modules
+        )
+
     # ------------------------------------------------------------------
-    # CD002: guarded internals; CD006: crc32
+    # CD002: guarded internals; CD006: crc32; CD007: event imports
     # ------------------------------------------------------------------
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name == EVENTS_MODULE and alias.asname:
+                self._event_modules.add(alias.asname)
+        self.generic_visit(node)
+
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "zlib" and not self.is_crc_module:
             for alias in node.names:
                 if alias.name == "crc32":
                     self._emit(CD006, node, _CD006_MESSAGE)
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if node.module == EVENTS_MODULE:
+                self._event_names.add(bound)
+            elif node.module == "repro.core" and alias.name == "events":
+                self._event_modules.add(bound)
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:

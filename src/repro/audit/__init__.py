@@ -1,8 +1,9 @@
 """repro.audit -- the online serializability auditor.
 
 A production-shaped safety net for schedules the test suite never saw:
-an :class:`OnlineAuditor` attaches to the :mod:`repro.obs` observer of
-any engine, facade, or runner and incrementally maintains the direct
+an :class:`OnlineAuditor` subscribes to the event spine
+(:mod:`repro.engine.spine`) of any engine, facade, or runner and
+incrementally maintains the direct
 serialization graph over committed top-level transactions (WR, WW, and
 RW dependencies per object).  A cycle is flagged immediately with a
 **minimal witness** -- the transactions and the object accesses forcing

@@ -60,6 +60,7 @@ from repro.audit.graph import (
     edge_kind,
 )
 from repro.core.names import TransactionName, pretty_name
+from repro.engine.spine import Granted
 
 SER001 = register_rule(
     "SER001",
@@ -227,14 +228,16 @@ class AuditReport:
 
 
 class OnlineAuditor:
-    """Streaming serialization-graph checker over observer events.
+    """Streaming serialization-graph checker over engine events.
 
-    Feed it the observer vocabulary (it is also directly attachable via
-    :meth:`repro.obs.Observer.attach_auditor`): ``txn_begin`` /
-    ``txn_commit`` / ``txn_abort`` for every tree node, ``access`` for
-    every granted access (with the *performing* transaction, i.e. the
-    access leaf's parent).  Violations accumulate in
-    :attr:`violations`; :meth:`report` summarises.
+    It is an event-spine subscriber (:mod:`repro.engine.spine`;
+    ``engine.attach_auditor`` subscribes it) whose ``on_*`` handlers
+    bail early for trees it does not audit.  Offline replays feed it
+    the same transitions by name: ``txn_begin`` / ``txn_commit`` /
+    ``txn_abort`` for every tree node, ``access`` for every granted
+    access (with the *performing* transaction, i.e. the access leaf's
+    parent).  Violations accumulate in :attr:`violations`;
+    :meth:`report` summarises.
 
     The auditor serialises its own state behind an internal lock, so a
     striped :class:`~repro.engine.threadsafe.ThreadSafeEngine` can feed
@@ -244,6 +247,10 @@ class OnlineAuditor:
     a membership probe of ``_pending`` (atomic under the GIL) decides
     "not sampled" without taking the lock.
     """
+
+    #: Serialises itself, so a threaded spine calls it without the
+    #: dispatch lock.
+    THREAD_SAFE = True
 
     def __init__(self, config: Optional[AuditConfig] = None):
         self.config = config or AuditConfig()
@@ -274,7 +281,42 @@ class OnlineAuditor:
         }
 
     # ------------------------------------------------------------------
-    # Event sinks (observer vocabulary)
+    # Spine subscriber
+    # ------------------------------------------------------------------
+    def on_began(self, event) -> None:
+        if len(event.name) == 1:
+            self.txn_begin(event.name)
+
+    def on_granted(self, event) -> None:
+        txn = event.txn
+        top = txn[:1]
+        if top not in self._pending:
+            # Unaudited tree: its begin ran (on this thread) before any
+            # of its accesses, so absence here is authoritative.
+            return
+        with self._lock:
+            buffered = self._pending.get(top)
+            if buffered is None:
+                return
+            buffered.append(
+                (txn, event.object_name, "r" if event.is_read else "w",
+                 self._position)
+            )
+            self._position += 1
+            self.stats["accesses_buffered"] += 1
+
+    def on_committed(self, event) -> None:
+        name = event.name
+        if len(name) == 1 and name in self._pending:
+            self.txn_commit(name)
+
+    def on_aborted(self, event) -> None:
+        for name in event.doomed:
+            if name[:1] in self._pending:
+                self.txn_abort(name)
+
+    # ------------------------------------------------------------------
+    # The same transitions by name (offline replays)
     # ------------------------------------------------------------------
     def txn_begin(self, name: TransactionName) -> None:
         if len(name) != 1:
@@ -298,21 +340,9 @@ class OnlineAuditor:
         kind: str,
         is_read: bool,
     ) -> None:
-        top = txn[:1]
-        if top not in self._pending:
-            # Unaudited tree: its begin ran (on this thread) before any
-            # of its accesses, so absence here is authoritative.
-            return
-        with self._lock:
-            buffered = self._pending.get(top)
-            if buffered is None:
-                return
-            buffered.append(
-                (txn, object_name, "r" if is_read else "w",
-                 self._position)
-            )
-            self._position += 1
-            self.stats["accesses_buffered"] += 1
+        self.on_granted(
+            Granted(txn, None, object_name, None, is_read, None, None)
+        )
 
     def txn_abort(
         self, name: TransactionName, cause: str = "explicit"
@@ -352,6 +382,13 @@ class OnlineAuditor:
                 return
             del self._began_at[name]
             if buffered:
+                if not self._began_at and not self._commit_order:
+                    # Nothing retained and no audited tree live: the
+                    # graph is empty, so this tree closes no cycle, and
+                    # the collection after a fold would drop it again.
+                    self._commit_seq += 1
+                    self.stats["vertices_collected"] += 1
+                    return
                 self._fold(name, buffered)
             self._collect()
 
@@ -360,10 +397,6 @@ class OnlineAuditor:
         if count > 0:
             with self._lock:
                 self._dropped += count
-
-    # Lifecycle no-op: present so the observer can forward blindly.
-    def finish(self) -> None:
-        pass
 
     # ------------------------------------------------------------------
     # Folding and cycle detection

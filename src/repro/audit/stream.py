@@ -74,7 +74,7 @@ def audit_engine(
     surviving suffix proves anything.
     """
     recorder = engine.recorder
-    if not hasattr(recorder, "system_type"):
+    if recorder is None:
         raise ReproError(
             "audit_engine needs a traced engine "
             "(construct it with trace=True)"

@@ -166,7 +166,7 @@ def check_engine_trace(engine: Engine) -> ConformanceReport:
             "scheme %r does not refine the Moss model" % engine.scheme_name
         )
     recorder = engine.recorder
-    if not hasattr(recorder, "system_type"):
+    if recorder is None:
         raise EngineError("engine was not constructed with trace=True")
     alpha = recorder.schedule()
     system_type = recorder.system_type(engine.specs)
@@ -191,7 +191,7 @@ def check_engine_trace(engine: Engine) -> ConformanceReport:
 
     lockstep_ok = True
     lockstep_error: Optional[str] = None
-    if refinement_ok and not getattr(recorder, "dropped_events", 0):
+    if refinement_ok and not recorder.dropped_events:
         # With the complete trace replayed, the engine's live lock
         # tables and the replayed M(X) automata describe the same
         # moment; they must agree holder-for-holder.  This pins the

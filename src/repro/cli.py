@@ -465,9 +465,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from repro.audit import AuditConfig, OnlineAuditor
 
         auditor = OnlineAuditor(AuditConfig(sample_every=1))
-        observer.attach_auditor(auditor)
     try:
-        summary = run_workload(args.workload, observer, seed=args.seed)
+        summary = run_workload(
+            args.workload, observer, seed=args.seed, auditor=auditor
+        )
     except ValueError as exc:
         print("repro trace: %s" % exc, file=sys.stderr)
         return 2

@@ -11,8 +11,10 @@ runtime the paper's algorithm shipped in: a single-process engine with
 * waits-for-graph deadlock detection (:mod:`~repro.engine.deadlock`);
 * pluggable locking policies (:mod:`~repro.engine.policies`): ``moss-rw``,
   ``exclusive`` (the all-writes degeneration), ``flat-2pl``;
-* model-alphabet trace emission (:mod:`~repro.engine.trace`) so engine runs
-  can be replayed against the formal model (``repro.checking``).
+* one event spine (:mod:`~repro.engine.spine`) through which every
+  transition is announced; its model-alphabet trace recorder
+  (:mod:`~repro.engine.trace`) lets engine runs be replayed against the
+  formal model (``repro.checking``).
 
 The engine is non-blocking: a conflicting access raises
 :class:`~repro.errors.LockDenied` carrying the blockers, and the caller

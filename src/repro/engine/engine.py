@@ -12,31 +12,33 @@ or application code) interleave calls on different transaction handles; a
 conflicting access raises :class:`~repro.errors.LockDenied` and the caller
 retries after the blocker returns.  Blocked/unblocked notifications feed a
 waits-for graph for deadlock detection.
+
+Each transition announces itself once, through the event spine
+(:mod:`repro.engine.spine`); the trace recorder, observer, auditor and
+write-ahead log subscribe to it.  The engine calls the log directly only
+to flush at top-level commit and abort: durability is a protocol step.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, Iterable, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.core.events import (
-    Abort,
-    Commit,
-    Create,
-    InformAbortAt,
-    InformCommitAt,
-    ReportAbort,
-    ReportCommit,
-    RequestCommit,
-    RequestCreate,
-)
-from repro.core.names import ROOT, TransactionName, intern_name, pretty_name
+from repro.core.names import TransactionName, intern_name, pretty_name
 from repro.core.object_spec import ObjectSpec, Operation
 from repro.engine.deadlock import WaitsForGraph, choose_victim, top_level
 from repro.engine.lockmanager import LockManager
 from repro.engine.locks import LockMode
 from repro.engine.policies import LockingPolicy, make_policy
-from repro.engine.trace import NullRecorder, TraceRecorder
+from repro.engine.spine import (
+    Aborted,
+    Began,
+    Committed,
+    Deadlocked,
+    Denied,
+    Granted,
+    Spine,
+)
+from repro.engine.trace import TraceRecorder
 from repro.engine.transaction import Transaction, TransactionStatus
 from repro.errors import (
     EngineError,
@@ -47,7 +49,7 @@ from repro.errors import (
 from repro.kernel.scheme import SchemeCapabilities
 
 
-class Engine:
+class Engine(Spine):
     """A nested-transaction database engine.
 
     Lock-based engines can deadlock; the runner resolves via wound-wait
@@ -61,16 +63,16 @@ class Engine:
         A :class:`~repro.engine.policies.LockingPolicy` or its name
         (``"moss-rw"``, ``"exclusive"``, ``"flat-2pl"``).
     trace:
-        When True, record a model-alphabet trace of the run
-        (:attr:`recorder`); only meaningful for lock-moving policies.
+        When True, subscribe a model-alphabet
+        :class:`~repro.engine.trace.TraceRecorder` (:attr:`recorder`);
+        only meaningful for lock-moving policies.
     trace_limit:
         Optional bound on the recorded trace: keep only the newest
-        *trace_limit* events (ring-buffer mode; see
-        :class:`~repro.engine.trace.TraceRecorder`).
+        *trace_limit* events (ring-buffer mode).
     observer:
-        Optional :class:`repro.obs.Observer` receiving lifecycle,
-        access, and lock events.  ``None`` (the default) costs one
-        attribute lookup per instrumented transition.
+        Optional :class:`repro.obs.Observer`, subscribed to the event
+        spine.  ``None`` (the default) leaves every transition one
+        truthiness test away from building nothing.
     shards:
         Number of object-store shards (see
         :class:`~repro.kernel.store.ObjectStore`); the thread-safe
@@ -97,24 +99,15 @@ class Engine:
             spec.name: spec for spec in specs
         }
         self.policy = policy
-        self.obs = observer
-        self.locks.obs = observer
-        self.recorder = (
-            TraceRecorder(max_events=trace_limit)
-            if trace
-            else NullRecorder()
-        )
-        # The model's environment transaction T0 is created by the
-        # scheduler before anything else; mirror that in the trace.
-        self.recorder.record(Create(ROOT))
         self.waits = WaitsForGraph()
         self.started_at: Dict[TransactionName, float] = {}
         self.transactions: Dict[TransactionName, Transaction] = {}
         self._next_top = 0
         self._clock = 0.0
-        # Optional write-ahead log (attach_wal); one attribute lookup
-        # per transition when absent, like `obs`.
-        self._wal = None
+        # The attached write-ahead log (attach_wal).  Its records come
+        # through the spine; the engine holds it only to flush at the
+        # top-level durability points.
+        self.wal = None
         # Group-commit seam: a concurrency facade that holds coarse
         # locks around commit/abort sets `wal_defers` so the top-level
         # flush is only *ticketed* here (``pending_flush`` holds the
@@ -133,6 +126,10 @@ class Engine:
             "aborts": 0,
             "deadlocks": 0,
         }
+        if trace:
+            self.subscribe(TraceRecorder.for_policy(policy, trace_limit))
+        if observer is not None:
+            self.subscribe(observer)
 
     # ------------------------------------------------------------------
     # Public API
@@ -154,40 +151,12 @@ class Engine:
         """The scheme/policy name, for reporting and error messages."""
         return self.policy.name
 
-    def attach_auditor(self, auditor=None, config=None):
-        """Attach an online serializability auditor; returns it.
-
-        With no *auditor* given one is built from *config*, defaulting
-        to the capability-gated trust dial
-        (:meth:`repro.audit.AuditConfig.for_capabilities`): a
-        model-conformant policy gets sampled auditing, anything
-        experimental a full audit.  When the engine was built without
-        an observer, a lightweight audit-only one
-        (:class:`repro.obs.AuditObserver`) is created on demand, so
-        auditing does not drag the metrics pipeline in.  Attach before
-        driving transactions.
-        """
-        from repro.audit import AuditConfig, OnlineAuditor
-
-        if auditor is None:
-            if config is None:
-                config = AuditConfig.for_capabilities(self.capabilities)
-            auditor = OnlineAuditor(config)
-        obs = self.obs
-        if obs is None:
-            from repro.obs import AuditObserver
-
-            obs = AuditObserver()
-            self.obs = obs
-            self.locks.obs = obs
-        obs.attach_auditor(auditor)
-        return auditor
-
     def attach_wal(self, wal=None, sink=None, segment_bytes=None):
-        """Attach a write-ahead log (:mod:`repro.wal`); returns it.
+        """Subscribe a write-ahead log (:mod:`repro.wal`); returns it.
 
         With no *wal* given one is built around *sink* (default: an
-        in-memory :class:`~repro.wal.log.MemoryWalSink`).  The log's
+        in-memory :class:`~repro.wal.log.MemoryWalSink`), reporting its
+        ``wal.*`` metrics to the subscribed observer, if any.  The log's
         first segment header records the scheme and object specs, so
         :func:`repro.wal.recover` can rebuild the engine from the log
         alone.  Capability-gated on ``capabilities.durable``, and must
@@ -204,6 +173,7 @@ class Engine:
                 "attach_wal must run before any transaction begins"
             )
         if wal is None:
+            from repro.obs.observer import Observer
             from repro.wal.log import (
                 DEFAULT_SEGMENT_BYTES,
                 WriteAheadLog,
@@ -216,11 +186,11 @@ class Engine:
                     if segment_bytes is None
                     else segment_bytes
                 ),
-                observer=self.obs,
+                observer=self.subscriber(Observer),
             )
         wal.open(self.scheme_name, self.specs.values())
-        self._wal = wal
-        return wal
+        self.wal = wal
+        return self.subscribe(wal)
 
     @property
     def store(self):
@@ -282,9 +252,7 @@ class Engine:
             return None
         self.stats["deadlocks"] += 1
         victim = choose_victim(cycle, self.started_at)
-        obs = self.obs
-        if obs is not None:
-            obs.deadlock(victim)
+        self.note(Deadlocked, victim)
         return victim
 
     def note_unblocked(self, txn: Transaction) -> None:
@@ -298,9 +266,7 @@ class Engine:
         watchdogs) report them here instead of mutating ``stats``.
         """
         self.stats["deadlocks"] += 1
-        obs = self.obs
-        if obs is not None:
-            obs.deadlock()
+        self.note(Deadlocked, None)
 
     # ------------------------------------------------------------------
     # Internal transitions (called through Transaction handles)
@@ -322,15 +288,11 @@ class Engine:
         self._clock += 1.0
         if len(name) == 1:
             self.started_at[name] = at if at is not None else self._clock
-        self.recorder.record_internal(name)
-        self.recorder.record(RequestCreate(name))
-        self.recorder.record(Create(name))
-        obs = self.obs
-        if obs is not None:
-            obs.txn_begin(name)
-        wal = self._wal
-        if wal is not None:
-            wal.log_begin(name)
+        on = self._on_began
+        if on:
+            event = Began(name)
+            for handler in on:
+                handler(event)
         return txn
 
     def _begin_child(self, parent: Transaction) -> Transaction:
@@ -367,9 +329,11 @@ class Engine:
         blockers = managed.blockers(access, mode, operation=operation)
         if blockers:
             self.stats["denials"] += 1
-            obs = self.obs
-            if obs is not None:
-                obs.lock_denied(txn.name, object_name, blockers)
+            on = self._on_denied
+            if on:
+                event = Denied(txn.name, object_name, blockers)
+                for handler in on:
+                    handler(event)
             raise LockDenied(
                 "%s on %s blocked by %s"
                 % (
@@ -383,41 +347,28 @@ class Engine:
         access = txn._claim_child_slot()
         owner = self.policy.owner_for(access)
         self.stats["accesses"] += 1
-        # Record the access with the classification the policy actually
-        # used: under "exclusive" every access is designated a write, so
-        # the replayed M(X) takes write locks exactly like the engine did.
-        recorded = operation
-        if operation.is_read and mode is not LockMode.READ:
-            recorded = replace(operation, is_read=False)
-        obs = self.obs
-        if obs is not None:
-            obs.access(
-                txn.name, object_name, recorded.kind, recorded.is_read
-            )
-        self.recorder.record_access(access, object_name, recorded)
-        self.recorder.record(RequestCreate(access))
-        self.recorder.record(Create(access))
         result = managed.acquire(access, operation, mode)
-        self.locks.notify("acquire", access, (object_name,))
-        self.recorder.record(RequestCommit(access, result))
-        self.recorder.record(Commit(access))
-        self.recorder.record(ReportCommit(access, result))
         if self.policy.moves_locks:
             managed.on_commit(access)
-            self.recorder.record(InformCommitAt(object_name, access))
         elif owner != access:
             # Flat policy: the leaf never held the lock; re-home it.
             managed.rehome(access, owner, mode)
-        wal = self._wal
-        if wal is not None:
-            # After the full transition, so the logged generation is the
-            # post-movement value recovery cross-checks on replay.  The
-            # *original* operation is logged (not the policy's write
-            # reclassification): replay re-derives the mode the same way
-            # this perform did.
-            wal.log_acquire(
-                access, object_name, operation, managed.generation
+        on = self._on_granted
+        if on:
+            # After the lock moved: recovery cross-checks the
+            # post-movement generation.  The log replays the requested
+            # operation, the trace records the policy's classification.
+            event = Granted(
+                txn.name,
+                access,
+                object_name,
+                operation,
+                mode is LockMode.READ,
+                result,
+                managed.generation,
             )
+            for handler in on:
+                handler(event)
         return result
 
     def _commit(self, txn: Transaction, value: Any) -> None:
@@ -434,28 +385,29 @@ class Engine:
         txn.status = TransactionStatus.COMMITTED
         txn.value = value
         self.stats["commits"] += 1
-        obs = self.obs
-        if obs is not None:
-            obs.txn_commit(txn.name)
         self.waits.remove_waiter(txn.name)
-        self.recorder.record_commit_value(txn.name, value)
-        self.recorder.record(RequestCommit(txn.name, value))
-        self.recorder.record(Commit(txn.name))
-        self.recorder.record(ReportCommit(txn.name, value))
+        moved = None
         if self.policy.moves_locks or txn.is_top_level:
-            touched = self.locks.on_commit(txn.name)
-            for object_name in touched:
-                self.recorder.record(InformCommitAt(object_name, txn.name))
-        wal = self._wal
+            moved = self.locks.on_commit(txn.name)
+        on = self._on_committed
+        if on:
+            event = Committed(
+                txn.name, value, None if moved is None else tuple(moved)
+            )
+            for handler in on:
+                handler(event)
+        if txn.is_top_level:
+            # Top-level commits are the durability points: a crash
+            # after the flush returns must preserve this commit.
+            self._flush()
+
+    def _flush(self) -> None:
+        wal = self.wal
         if wal is not None:
-            wal.log_commit(txn.name)
-            if txn.is_top_level:
-                # Top-level commits are the durability points: a crash
-                # after the flush returns must preserve this commit.
-                if self.wal_defers:
-                    self.pending_flush = wal.flush_async()
-                else:
-                    wal.flush()
+            if self.wal_defers:
+                self.pending_flush = wal.flush_async()
+            else:
+                wal.flush()
 
     def _abort(self, txn: Transaction) -> None:
         if self.policy.escalates_aborts and not txn.is_top_level:
@@ -464,37 +416,19 @@ class Engine:
                 self._abort(top)
                 return
         self._abort_epoch += 1
-        self._mark_aborted_subtree(txn)
+        on = self._on_aborted
+        doomed: Optional[List[TransactionName]] = [] if on else None
+        txn._abort_subtree(doomed)
         self.stats["aborts"] += 1
         self.waits.remove_subtree(txn.name)
-        self.recorder.record(Abort(txn.name))
-        self.recorder.record(ReportAbort(txn.name))
-        touched = self.locks.on_abort(txn.name)
-        for object_name in touched:
-            self.recorder.record(InformAbortAt(object_name, txn.name))
-        wal = self._wal
-        if wal is not None:
-            # Logged after any escalation redirect, so the record names
-            # the subtree root that actually aborted.  Presumed-abort
-            # makes abort records advisory (a missing one recovers the
-            # same way), but logging them keeps replay exact.
-            wal.log_abort(txn.name)
-            if txn.is_top_level:
-                if self.wal_defers:
-                    self.pending_flush = wal.flush_async()
-                else:
-                    wal.flush()
-
-    def _mark_aborted_subtree(
-        self, txn: Transaction, root: bool = True
-    ) -> None:
-        txn.status = TransactionStatus.ABORTED
-        obs = self.obs
-        if obs is not None:
-            obs.txn_abort(
-                txn.name,
-                cause="explicit" if root else "ancestor-abort",
+        moved = self.locks.on_abort(txn.name)
+        if on:
+            # Emitted after any escalation redirect, so the event names
+            # the subtree root that actually aborted.
+            event = Aborted(
+                txn.name, tuple(doomed), tuple(moved), "explicit"
             )
-        for child in txn.children:
-            if child.is_active:
-                self._mark_aborted_subtree(child, root=False)
+            for handler in on:
+                handler(event)
+        if txn.is_top_level:
+            self._flush()

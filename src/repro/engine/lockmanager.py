@@ -464,15 +464,6 @@ class LockManager:
         )
         #: The name-to-ManagedObject mapping (the store's own dict).
         self.objects: Dict[str, ManagedObject] = self.store.objects
-        #: Optional callable ``(kind, name, objects)`` invoked after every
-        #: lock-table transition (``"acquire"``/``"commit"``/``"abort"``).
-        #: The deterministic fuzzer uses it to digest lock movement for
-        #: byte-for-byte replay checking; ``None`` costs one attribute
-        #: test per transition.
-        self.observer = None
-        #: Optional :class:`repro.obs.Observer` fed the same transitions
-        #: (lock inheritance/release metrics).  Installed by the engine.
-        self.obs = None
         # Held-objects index: top-level name -> object names where that
         # tree holds any lock.  A superset (pruned on tree completion),
         # so commit/abort may use it to skip untouched objects.
@@ -525,17 +516,6 @@ class LockManager:
         if not held:
             self._held_by_top.pop(top, None)
 
-    def notify(
-        self, kind: str, name: TransactionName, objects: Iterable[str]
-    ) -> None:
-        """Report one lock-table transition to the observers, if any."""
-        if self.observer is not None or self.obs is not None:
-            objects = tuple(objects)
-            if self.observer is not None:
-                self.observer(kind, name, objects)
-            if self.obs is not None:
-                self.obs.lock_transition(kind, name, objects)
-
     def object(self, name: str) -> ManagedObject:
         return self.store.object(name)
 
@@ -551,7 +531,6 @@ class LockManager:
             # A committing top-level passes its locks to the root; its
             # tree no longer holds anything anywhere.
             self._prune(name)
-        self.notify("commit", name, touched)
         return touched
 
     def on_abort(self, name: TransactionName) -> List[str]:
@@ -564,5 +543,4 @@ class LockManager:
                 touched.append(object_name)
         if self._indexed and name:
             self._prune(name[:1])
-        self.notify("abort", name, touched)
         return touched

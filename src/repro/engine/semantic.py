@@ -67,6 +67,9 @@ class SemanticManagedObject:
     #: LockManager's held-objects index works for this class too.
     HOLDER_INDEXED = True
 
+    #: The grant event's lock-movement counter: no versions move here.
+    generation = 0
+
     def __init__(self, spec: ObjectSpec):
         self.spec = spec
         self.value: Any = spec.initial_value()

@@ -35,7 +35,9 @@ The facade has two internal regimes, chosen at construction:
   driven by one thread at a time (handles are not internally locked),
   and the engine's own ``stats`` counters for accesses/denials are
   best-effort under striping (increments from different stripes may
-  race); object values and commit counts are exact.
+  race); object values and commit counts are exact.  The engine's
+  event spine serialises its dispatch with one lock, taken once per
+  event and only for a subscriber written for one thread.
 * **Global mutex**: every transition under one lock, one condition
   signalled by every commit/abort.  Used when scheduler hooks are
   installed (the fuzzer owns the interleaving), when ``trace=True``
@@ -64,16 +66,21 @@ it must provide::
 
 With no hooks installed (the default) behaviour is unchanged and the
 hot path pays a single attribute check.
+
+Lock waits (timed with :func:`time.perf_counter`), wounds and abort
+causes are facade knowledge, reported with the spine's ``note``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from time import perf_counter
 from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.core.names import TransactionName, pretty_name
 from repro.core.object_spec import ObjectSpec, Operation
+from repro.engine.spine import Tagged, Waited, Wounded
 from repro.engine.transaction import Transaction, TransactionStatus
 from repro.errors import (
     EngineError,
@@ -106,36 +113,6 @@ def _timeout_denial(object_name: str, denial: LockDenied) -> LockDenied:
         "timed out waiting for %r" % object_name,
         blockers=denial.blockers,
     )
-
-
-class _LockedObserver:
-    """Serialise every call into an Observer shared across stripes.
-
-    The obs layer is written for one driving thread; under striped
-    locking two performs on different stripes can instrument
-    concurrently, so the facade hands the engine this wrapper instead.
-    Metrics stay exact (each counter increment runs under the wrapper's
-    lock); the cost is one uncontended lock per instrumented event,
-    paid only when an observer is attached *and* striping is on.
-    """
-
-    def __init__(self, inner):
-        self._locked_inner = inner
-        self._locked_lock = threading.Lock()
-
-    def __getattr__(self, name):
-        attr = getattr(self._locked_inner, name)
-        if not callable(attr):
-            return attr
-        lock = self._locked_lock
-
-        def call(*args, **kwargs):
-            with lock:
-                return attr(*args, **kwargs)
-
-        # Cache so __getattr__ runs once per method name.
-        setattr(self, name, call)
-        return call
 
 
 class ThreadSafeTransaction:
@@ -241,9 +218,9 @@ class ThreadSafeEngine:
         Passed to the scheme factory; tracing forces the global-mutex
         regime (conformance replay needs a linearised trace).
     observer:
-        Optional :class:`repro.obs.Observer`; under striping it is
-        wrapped in a :class:`_LockedObserver` so its counters stay
-        exact.
+        Optional :class:`repro.obs.Observer`, subscribed to the
+        engine's event spine; under striping the spine serialises its
+        dispatch so the observer's counters stay exact.
     stripes:
         ``None`` (default) -- auto: stripe when the scheme allows it,
         with up to :data:`DEFAULT_STRIPES` stripes.  ``0`` -- force the
@@ -268,18 +245,15 @@ class ThreadSafeEngine:
             and not trace
             and self.scheme.capabilities.object_local_performs
         )
-        self._obs = (
-            _LockedObserver(observer)
-            if observer is not None and self._striped
-            else observer
-        )
         self._engine = self.scheme.build(
             specs,
-            observer=self._obs,
+            observer=observer,
             trace=trace,
             trace_limit=trace_limit,
             shards=requested if self._striped else 1,
         )
+        if self._striped:
+            self._engine.serialise_dispatch(threading.Lock())
         # In the striped regime `_mutex` is the tree-state lock:
         # structural operations hold it *plus* every stripe; in the
         # global regime it is the one engine mutex.  `_released` is the
@@ -322,36 +296,17 @@ class ThreadSafeEngine:
         return self._striped
 
     def attach_auditor(self, auditor=None, config=None):
-        """Attach an online serializability auditor; returns it.
+        """Subscribe an online serializability auditor; returns it.
 
-        Mirrors :meth:`repro.engine.engine.Engine.attach_auditor`; the
-        default config comes from the scheme's capability flags (the
-        trust dial).  When the facade has no observer yet, a
-        lightweight audit-only one (:class:`repro.obs.AuditObserver`)
-        is created -- *without* the :class:`_LockedObserver` wrap even
-        under striping, because :class:`~repro.audit.OnlineAuditor`
-        serialises its own state and the audit-only observer carries
-        none.  Attach before starting worker threads.
+        Delegates to the engine's
+        :meth:`~repro.engine.spine.Spine.attach_auditor`; the default
+        config comes from the scheme's capability flags (the trust
+        dial).  The auditor serialises its own state, so even
+        under striping the spine calls it without the dispatch lock.
+        Attach before starting worker threads.
         """
-        from repro.audit import AuditConfig, OnlineAuditor
-
-        if auditor is None:
-            if config is None:
-                config = AuditConfig.for_capabilities(self.capabilities)
-            auditor = OnlineAuditor(config)
         with self._mutex:
-            obs = self._obs
-            if obs is None:
-                from repro.obs import AuditObserver
-
-                obs = AuditObserver()
-                self._obs = obs
-                self._engine.obs = obs
-                locks = getattr(self._engine, "locks", None)
-                if locks is not None:
-                    locks.obs = obs
-            obs.attach_auditor(auditor)
-        return auditor
+            return self._engine.attach_auditor(auditor, config)
 
     def attach_wal(self, wal=None, sink=None, segment_bytes=None):
         """Attach a write-ahead log to the wrapped engine; returns it.
@@ -428,28 +383,25 @@ class ThreadSafeEngine:
         if not top:
             return False
         pending = []
+
+        def try_abort():
+            # Under the mutex (plus every stripe, when striped).
+            engine = self._engine  # repro-lint: ignore[CD002]
+            victim = engine.transactions.get(top)
+            if victim is None or not victim.is_active:
+                return False
+            if cause is not None:
+                engine.note(Tagged, top, cause)
+            try:
+                victim.abort()
+            finally:
+                waiter = self._pop_pending_flush()
+                if waiter is not None:
+                    pending.append(waiter)
+            return True
+
         try:
             if self._striped and self._hooks is None:
-
-                def try_abort():
-                    # Under the mutex plus every stripe (structural
-                    # op).
-                    table = (
-                        self._engine.transactions  # repro-lint: ignore[CD002]
-                    )
-                    victim = table.get(top)
-                    if victim is None or not victim.is_active:
-                        return False
-                    obs = self._obs
-                    if obs is not None and cause is not None:
-                        obs.mark_abort_cause(top, cause)
-                    try:
-                        victim.abort()
-                    finally:
-                        waiter = self._pop_pending_flush()
-                        if waiter is not None:
-                            pending.append(waiter)
-                    return True
 
                 def released_stripes():
                     touched = self._touched.pop(top, None)
@@ -461,18 +413,8 @@ class ThreadSafeEngine:
                     try_abort, bump="if-true", stripes=released_stripes
                 )
             with self._mutex:
-                victim = self._engine.transactions.get(top)
-                if victim is None or not victim.is_active:
+                if not try_abort():
                     return False
-                obs = self._obs
-                if obs is not None and cause is not None:
-                    obs.mark_abort_cause(top, cause)
-                try:
-                    victim.abort()
-                finally:
-                    waiter = self._pop_pending_flush()
-                    if waiter is not None:
-                        pending.append(waiter)
                 self._touched.pop(top, None)
                 self._released.notify_all()
                 return True
@@ -702,10 +644,10 @@ class ThreadSafeEngine:
                 )
                 victim = table.get(target)
                 if victim is not None and victim.is_active:
-                    obs = self._obs
-                    if obs is not None:
-                        # Tag the cause before the abort transition.
-                        obs.wound(target, my_top)
+                    # Tag the cause before the abort transition.
+                    self._engine.note(  # repro-lint: ignore[CD002]
+                        Wounded, target, my_top
+                    )
                     victim.abort()
                     # The victim tree's locks are gone; retire its
                     # touched-stripe record (its own thread may never
@@ -713,6 +655,14 @@ class ThreadSafeEngine:
                     self._touched.pop(target, None)
                     wounded = True
         return wounded
+
+    def _waited(
+        self, txn: Transaction, object_name: str, started: float
+    ) -> None:
+        """Report one finished wait; the spine serialises its dispatch."""
+        self._engine.note(  # repro-lint: ignore[CD002]
+            Waited, txn.name, object_name, started, perf_counter()
+        )
 
     def _perform_blocking(
         self,
@@ -730,15 +680,14 @@ class ThreadSafeEngine:
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
-        obs = self._obs
         wait_started: Optional[float] = None
         with self._released:
             while True:
                 try:
                     result = txn.perform(object_name, operation)
                 except LockDenied as denial:
-                    if obs is not None and wait_started is None:
-                        wait_started = obs.now()
+                    if wait_started is None:
+                        wait_started = perf_counter()
                     if self._wound(txn, denial):
                         self._released.notify_all()
                         continue
@@ -746,11 +695,7 @@ class ThreadSafeEngine:
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
-                            if wait_started is not None:
-                                obs.lock_wait(
-                                    txn.name, object_name,
-                                    wait_started, obs.now(),
-                                )
+                            self._waited(txn, object_name, wait_started)
                             raise _timeout_denial(
                                 object_name, denial
                             ) from None
@@ -764,10 +709,7 @@ class ThreadSafeEngine:
                     if wait_started is not None:
                         # A wound arrived while we were parked; close
                         # the wait span before the abort propagates.
-                        obs.lock_wait(
-                            txn.name, object_name,
-                            wait_started, obs.now(),
-                        )
+                        self._waited(txn, object_name, wait_started)
                     if isinstance(
                         exc, TransactionAborted
                     ) and not self.capabilities.object_local_performs:
@@ -779,9 +721,7 @@ class ThreadSafeEngine:
                         self._released.notify_all()
                     raise
                 if wait_started is not None:
-                    obs.lock_wait(
-                        txn.name, object_name, wait_started, obs.now()
-                    )
+                    self._waited(txn, object_name, wait_started)
                 self._released.notify_all()
                 return result
 
@@ -804,7 +744,6 @@ class ThreadSafeEngine:
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
-        obs = self._obs
         index = self._stripe_index(object_name)
         cond = self._stripe_conds[index]
         # Names are immutable after construction.
@@ -831,23 +770,18 @@ class ThreadSafeEngine:
                     if wait_started is not None:
                         # Wounded while parked; close the wait span
                         # before the abort propagates.
-                        obs.lock_wait(
-                            txn.name, object_name,
-                            wait_started, obs.now(),
-                        )
+                        self._waited(txn, object_name, wait_started)
                     raise
                 else:
                     if wait_started is not None:
-                        obs.lock_wait(
-                            txn.name, object_name, wait_started, obs.now()
-                        )
+                        self._waited(txn, object_name, wait_started)
                     return result
             # Denied: wound (a structural op) outside the stripe lock.
             # The unlocked age pre-filter keeps the common case (we are
             # the youngest and must wait) from serializing on the full
             # structural lock set just to learn it cannot wound anyone.
-            if obs is not None and wait_started is None:
-                wait_started = obs.now()
+            if wait_started is None:
+                wait_started = perf_counter()
             if self._wound_candidate(txn, denial) and self._run_structural(
                 lambda: self._wound(txn, denial), bump="if-true"
             ):
@@ -856,11 +790,7 @@ class ThreadSafeEngine:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    if wait_started is not None:
-                        obs.lock_wait(
-                            txn.name, object_name,
-                            wait_started, obs.now(),
-                        )
+                    self._waited(txn, object_name, wait_started)
                     raise _timeout_denial(
                         object_name, denial
                     ) from None
@@ -910,12 +840,6 @@ class ThreadSafeEngine:
             if wounded:
                 hooks.on_release(txn.name)
                 continue
-            obs = self._obs
-            if obs is None:
-                hooks.park_blocked(txn.name, blockers, object_name)
-            else:
-                parked_at = obs.now()
-                hooks.park_blocked(txn.name, blockers, object_name)
-                obs.lock_wait(
-                    txn.name, object_name, parked_at, obs.now()
-                )
+            parked_at = perf_counter()
+            hooks.park_blocked(txn.name, blockers, object_name)
+            self._waited(txn, object_name, parked_at)

@@ -1,9 +1,11 @@
 """Model-alphabet trace recording for engine runs.
 
-When tracing is enabled the engine emits exactly the operation alphabet of
-the formal model (:mod:`repro.core.events`) in the order its atomic steps
-happen.  The recorder also keeps enough structure (tree shape, access
-classification, commit values) to rebuild a
+With ``trace=True`` an engine subscribes a :class:`TraceRecorder` to its
+event spine (:mod:`repro.engine.spine`).  The recorder is the one place
+in :mod:`repro.engine` that builds the formal model's operation alphabet
+(:mod:`repro.core.events`): it expands each engine event into that
+transition's model actions, in the model's order.  It also keeps enough
+structure (tree shape, access classification, commit values) to rebuild a
 :class:`~repro.core.names.SystemType` after the fact, so a finished run can
 be replayed against the R/W Locking system automata and checked for serial
 correctness -- the engine-conformance pipeline of
@@ -13,16 +15,28 @@ correctness -- the engine-conformance pipeline of
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.events import Event
+from repro.core.events import (
+    Abort,
+    Commit,
+    Create,
+    Event,
+    InformAbortAt,
+    InformCommitAt,
+    ReportAbort,
+    ReportCommit,
+    RequestCommit,
+    RequestCreate,
+)
 from repro.core.names import (
     ROOT,
     AccessSpec,
     SystemType,
     TransactionName,
 )
-from repro.core.object_spec import ObjectSpec, Operation
+from repro.core.object_spec import ObjectSpec
 
 
 class TraceRecorder:
@@ -35,14 +49,21 @@ class TraceRecorder:
     truncated trace still supports tail inspection and debugging, but
     not conformance replay -- the replay needs the events from the
     very first CREATE, so leave ``max_events`` unset for checking runs.
+
+    *moves_locks* says whether the engine's policy passes an access
+    leaf's lock to its parent (Moss' policies do; flat 2PL re-homes
+    it), which decides whether an access ends in INFORM_COMMIT_AT.
     """
 
-    def __init__(self, max_events: Optional[int] = None):
+    def __init__(
+        self, max_events: Optional[int] = None, moves_locks: bool = True
+    ):
         if max_events is not None and max_events < 1:
             raise ValueError(
                 "max_events must be positive, got %r" % (max_events,)
             )
         self.max_events = max_events
+        self.moves_locks = moves_locks
         self.events: "deque[Event]" = deque(maxlen=max_events)
         self.dropped_events = 0
         self._children: Dict[TransactionName, List[TransactionName]] = {
@@ -50,6 +71,19 @@ class TraceRecorder:
         }
         self._accesses: Dict[TransactionName, AccessSpec] = {}
         self.commit_values: Dict[TransactionName, Any] = {}
+
+    @classmethod
+    def for_policy(
+        cls, policy, max_events: Optional[int] = None
+    ) -> "TraceRecorder":
+        """A recorder for an engine running *policy*, from its start.
+
+        The model's environment transaction T0 is created by the
+        scheduler before anything else; the trace opens with it.
+        """
+        recorder = cls(max_events=max_events, moves_locks=policy.moves_locks)
+        recorder.record(Create(ROOT))
+        return recorder
 
     @property
     def bounded(self) -> bool:
@@ -64,28 +98,56 @@ class TraceRecorder:
             self.dropped_events += 1
         self.events.append(event)
 
-    def record_internal(self, name: TransactionName) -> None:
-        """Register *name* as an internal transaction node."""
-        mother = name[:-1]
-        self._children.setdefault(mother, []).append(name)
+    # ------------------------------------------------------------------
+    # Spine subscriber: engine events -> model actions
+    # ------------------------------------------------------------------
+    def on_began(self, event) -> None:
+        name = event.name
+        self._children.setdefault(name[:-1], []).append(name)
         self._children.setdefault(name, [])
+        self.record(RequestCreate(name))
+        self.record(Create(name))
 
-    def record_access(
-        self,
-        name: TransactionName,
-        object_name: str,
-        operation: Operation,
-    ) -> None:
-        """Register *name* as an access leaf."""
-        mother = name[:-1]
-        self._children.setdefault(mother, []).append(name)
-        self._accesses[name] = AccessSpec(object_name, operation)
+    def on_granted(self, event) -> None:
+        access = event.access
+        object_name = event.object_name
+        result = event.result
+        # Record the classification the policy actually used: under
+        # "exclusive" every access is designated a write, so the
+        # replayed M(X) takes write locks exactly like the engine did.
+        operation = event.operation
+        if operation.is_read and not event.is_read:
+            operation = replace(operation, is_read=False)
+        self._children.setdefault(access[:-1], []).append(access)
+        self._accesses[access] = AccessSpec(object_name, operation)
+        self.record(RequestCreate(access))
+        self.record(Create(access))
+        self.record(RequestCommit(access, result))
+        self.record(Commit(access))
+        self.record(ReportCommit(access, result))
+        if self.moves_locks:
+            self.record(InformCommitAt(object_name, access))
 
-    def record_commit_value(
-        self, name: TransactionName, value: Any
-    ) -> None:
+    def on_committed(self, event) -> None:
+        name = event.name
+        value = event.value
         self.commit_values[name] = value
+        self.record(RequestCommit(name, value))
+        self.record(Commit(name))
+        self.record(ReportCommit(name, value))
+        for object_name in event.moved or ():
+            self.record(InformCommitAt(object_name, name))
 
+    def on_aborted(self, event) -> None:
+        name = event.name
+        self.record(Abort(name))
+        self.record(ReportAbort(name))
+        for object_name in event.moved or ():
+            self.record(InformAbortAt(object_name, name))
+
+    # ------------------------------------------------------------------
+    # Reading the trace
+    # ------------------------------------------------------------------
     def schedule(self) -> Tuple[Event, ...]:
         """The recorded events as an immutable schedule."""
         return tuple(self.events)
@@ -104,29 +166,3 @@ class TraceRecorder:
         from repro.analysis import analyze_trace
 
         return analyze_trace(self.schedule(), self.system_type(specs))
-
-
-class NullRecorder:
-    """A recorder that drops everything (tracing disabled).
-
-    It deliberately has no :meth:`~TraceRecorder.system_type`: the
-    conformance checker uses that method's absence to reject engines
-    that were not constructed with ``trace=True``.  It *does* expose an
-    empty :meth:`schedule` so digest/replay code can hash "the trace"
-    uniformly across traced and untraced engines.
-    """
-
-    def record(self, event: Event) -> None:
-        pass
-
-    def schedule(self) -> Tuple[Event, ...]:
-        return ()
-
-    def record_internal(self, name: TransactionName) -> None:
-        pass
-
-    def record_access(self, name, object_name, operation) -> None:
-        pass
-
-    def record_commit_value(self, name, value) -> None:
-        pass

@@ -75,6 +75,16 @@ class Transaction:
         self._next_child += 1
         return slot
 
+    def _abort_subtree(self, doomed: Optional[List[TransactionName]]) -> None:
+        """Mark this node and its active descendants aborted (for the
+        engines), appending their names to *doomed* in preorder."""
+        self.status = TransactionStatus.ABORTED
+        if doomed is not None:
+            doomed.append(self.name)
+        for child in self.children:
+            if child.is_active:
+                child._abort_subtree(doomed)
+
     def _require_active(self) -> None:
         if not self.is_active:
             raise InvalidTransactionState(

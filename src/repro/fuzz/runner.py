@@ -218,6 +218,35 @@ def _run_program(facade, injector, worker_id, top, program, log):
             top.abort()
 
 
+class _LockLog:
+    """Spine subscriber: every lock-table move as ``(kind, name, objects)``.
+
+    The digest's lock-movement input: an access moves its object's
+    table (``"acquire"``), and a commit or abort moves the tables it
+    lists (an engine that visited none -- a flat policy's child commit
+    -- logs nothing).
+    """
+
+    def __init__(self):
+        self.entries: List[Tuple] = []
+
+    def on_granted(self, event) -> None:
+        self.entries.append(("acquire", event.access, (event.object_name,)))
+
+    def on_committed(self, event) -> None:
+        if event.moved is not None:
+            self.entries.append(("commit", event.name, event.moved))
+
+    def on_aborted(self, event) -> None:
+        if event.moved is not None:
+            self.entries.append(("abort", event.name, event.moved))
+
+
+def _schedule(engine) -> Tuple:
+    recorder = engine.recorder
+    return () if recorder is None else recorder.schedule()
+
+
 def _digest(controller, lock_log, engine) -> str:
     hasher = hashlib.sha256()
     for decision in controller.decisions:
@@ -226,7 +255,7 @@ def _digest(controller, lock_log, engine) -> str:
         hasher.update(repr(event).encode())
     for entry in lock_log:
         hasher.update(repr(entry).encode())
-    for event in engine.recorder.schedule():
+    for event in _schedule(engine):
         hasher.update(repr(event).encode())
     return hasher.hexdigest()
 
@@ -270,15 +299,6 @@ def run_case(
     workload = config.workload()
     plan = config.plan()
     scheme = get_scheme(plan.scheme_for(config.scheme))
-    auditor = None
-    if audit:
-        from repro.audit import AuditConfig, OnlineAuditor
-        from repro.obs import AuditObserver
-
-        auditor = OnlineAuditor(AuditConfig(sample_every=1))
-        if observer is None:
-            observer = AuditObserver()
-        observer.attach_auditor(auditor)
     facade = ThreadSafeEngine(
         workload.store(),
         policy=scheme,
@@ -286,20 +306,20 @@ def run_case(
         trace_limit=trace_limit,
         observer=observer,
     )
+    auditor = None
+    if audit:
+        from repro.audit import AuditConfig
+
+        auditor = facade.attach_auditor(config=AuditConfig(sample_every=1))
     wal_log = None
     if wal and facade.capabilities.durable:
         wal_log = facade.attach_wal()
     injector = FaultInjector(config.seed, plan, config.workers)
     controller = InterleavingController(strategy, injector=injector)
     facade.install_hooks(controller)
-    lock_log: List[Tuple] = []
-    locks = getattr(facade.engine, "locks", None)
-    if locks is not None:
-        locks.observer = (
-            lambda kind, name, objects: lock_log.append(
-                (kind, name, objects)
-            )
-        )
+    lock_log = _LockLog()
+    if hasattr(facade.engine, "locks"):
+        facade.engine.subscribe(lock_log)
     logs = [WorkerLog() for _ in range(config.workers)]
     for worker_id in range(config.workers):
         programs = make_worker_programs(
@@ -313,7 +333,7 @@ def run_case(
         )
     controller.run()
 
-    digest = _digest(controller, lock_log, facade.engine)
+    digest = _digest(controller, lock_log.entries, facade.engine)
     errors = {
         worker_id: exc
         for worker_id, exc in controller.worker_errors().items()
@@ -349,9 +369,9 @@ def run_case(
         # if its ring buffer dropped events, the shipped evidence no
         # longer covers the whole run -- report inconclusive rather
         # than a clean audit over unverifiable history.
-        auditor.note_dropped_events(
-            getattr(facade.engine.recorder, "dropped_events", 0)
-        )
+        recorder = facade.engine.recorder
+        if recorder is not None:
+            auditor.note_dropped_events(recorder.dropped_events)
         audit_report = auditor.report()
         if kind == "ok" and audit_report.verdict == "violation":
             kind = "audit"
@@ -373,7 +393,7 @@ def run_case(
         kind=kind,
         rule_codes=rule_codes,
         digest=digest,
-        trace_length=len(facade.engine.recorder.schedule()),
+        trace_length=len(_schedule(facade.engine)),
         decision_count=len(controller.decisions),
         stall_reason=controller.stall_reason,
         worker_errors=tuple(

@@ -151,8 +151,7 @@ def _load_mvto() -> Scheme:
     def factory(specs, observer=None, trace=False, trace_limit=None,
                 shards=1):
         # MVTO keeps no model-alphabet trace; ``trace`` is accepted for
-        # factory parity and ignored (the engine carries a
-        # NullRecorder so digests stay uniform).
+        # factory parity and ignored (``engine.recorder`` is None).
         return MVTOEngine(specs, observer=observer, shards=shards)
 
     return Scheme(

@@ -23,16 +23,27 @@ The engine is registered as scheme ``"mvto"`` in
 movement, traces do not refine M(X), and ``perform`` is *not*
 object-local (a timestamp conflict discards the tree's buffers on every
 object), which is why the thread-safe facade runs MVTO under its global
-mutex rather than striped locking.
+mutex rather than striped locking.  Transitions are announced through
+the event spine (:mod:`repro.engine.spine`), as the locking engine's are.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.core.names import TransactionName, pretty_name
 from repro.core.object_spec import ObjectSpec, Operation
-from repro.engine.trace import NullRecorder
+from repro.engine.spine import (
+    Aborted,
+    Began,
+    Committed,
+    Deadlocked,
+    Denied,
+    Granted,
+    Spine,
+    Tagged,
+    emit,
+)
 from repro.engine.transaction import Transaction, TransactionStatus
 from repro.errors import (
     EngineError,
@@ -45,7 +56,7 @@ from repro.kernel.store import ObjectStore
 from repro.mvto.mv_object import MVObject
 
 
-class MVTOEngine:
+class MVTOEngine(Spine):
     """A nested-transaction engine using multiversion timestamp ordering."""
 
     #: Waits always point from larger to smaller timestamps, so
@@ -85,10 +96,6 @@ class MVTOEngine:
         #: The name-to-MVObject mapping (the store's own dict).
         self.objects: Dict[str, MVObject] = self.store.objects
         self.specs: Dict[str, ObjectSpec] = self.store.specs
-        self.obs = observer
-        #: MVTO keeps no model-alphabet trace (its runs do not refine
-        #: M(X)); the NullRecorder keeps digests/replay code uniform.
-        self.recorder = NullRecorder()
         self.transactions: Dict[TransactionName, Transaction] = {}
         self.started_at: Dict[TransactionName, float] = {}
         self._next_top = 0
@@ -104,6 +111,8 @@ class MVTOEngine:
             "deadlocks": 0,
             "ts_aborts": 0,
         }
+        if observer is not None:
+            self.subscribe(observer)
 
     # ------------------------------------------------------------------
     # Handles (same protocol as repro.engine.Engine)
@@ -138,9 +147,9 @@ class MVTOEngine:
             self._next_ts += 1
         self._tree_ts[name] = ts
         self._ts_owner[ts] = name
-        obs = self.obs
-        if obs is not None:
-            obs.txn_begin(name)
+        on = self._on_began
+        if on:
+            emit(on, Began(name))
         return txn
 
     def _begin_child(self, parent: Transaction) -> Transaction:
@@ -148,17 +157,15 @@ class MVTOEngine:
         txn = Transaction(self, name, parent=parent)
         self.transactions[name] = txn
         parent.children.append(txn)
-        obs = self.obs
-        if obs is not None:
-            obs.txn_begin(name)
+        on = self._on_began
+        if on:
+            emit(on, Began(name))
         return txn
 
     def count_deadlock(self) -> None:
         """Record one externally resolved deadlock in the stats."""
         self.stats["deadlocks"] += 1
-        obs = self.obs
-        if obs is not None:
-            obs.deadlock()
+        self.note(Deadlocked, None)
 
     def transaction(self, name: TransactionName) -> Transaction:
         try:
@@ -216,15 +223,15 @@ class MVTOEngine:
         top = self._top_of(txn)
         buffer = mv_object.buffers.get(ts)
         own_dirty = buffer is not None and buffer.dirty()
-        obs = self.obs
         if not own_dirty:
             # Wait for pending earlier writers before touching committed
             # state (both reads and writes keep timestamp order this way).
             blockers = self.fresh_blockers(txn, object_name, operation)
             if blockers:
                 self.stats["denials"] += 1
-                if obs is not None:
-                    obs.lock_denied(txn.name, object_name, blockers)
+                on = self._on_denied
+                if on:
+                    emit(on, Denied(txn.name, object_name, blockers))
                 raise RetryLater(
                     "mvto: ts=%d waits on %s at %s"
                     % (ts, sorted(blockers), object_name),
@@ -238,29 +245,30 @@ class MVTOEngine:
         version = mv_object.version_before(ts)
         if operation.is_read:
             self.stats["accesses"] += 1
-            if obs is not None:
-                obs.access(txn.name, object_name, operation.kind, True)
             if own_dirty:
                 base = buffer.current()
                 result, _ = mv_object.spec.apply(base, operation)
-                return result
-            version.rts = max(version.rts, ts)
-            result, _ = mv_object.spec.apply(version.value, operation)
+            else:
+                version.rts = max(version.rts, ts)
+                result, _ = mv_object.spec.apply(version.value, operation)
+            on = self._on_granted
+            if on:  # a read materialises no leaf; there is no lock table
+                emit(on, Granted(
+                    txn.name, None, object_name, operation, True, result,
+                    None,
+                ))
             return result
         # Write path: timestamp-order checks against the committed chain.
         if not own_dirty and (
             mv_object.later_committed_write(ts) or version.rts > ts
         ):
             self.stats["ts_aborts"] += 1
-            if obs is not None:
-                obs.mark_abort_cause(top, "ts-conflict")
+            self.note(Tagged, top, "ts-conflict")
             self._abort_tree(top)
             raise TransactionAborted(
                 txn.name, "timestamp conflict at %s" % object_name
             )
         self.stats["accesses"] += 1
-        if obs is not None:
-            obs.access(txn.name, object_name, operation.kind, False)
         # A write is a read-modify-write of the base version (the spec
         # applies the operation to its value), so it must leave a read
         # footprint: an earlier-timestamp writer arriving afterwards
@@ -279,6 +287,11 @@ class MVTOEngine:
         # once, as in the locking engine).
         live_buffer.promote(node)
         mv_object.pending_writers.add(ts)
+        on = self._on_granted
+        if on:
+            emit(on, Granted(
+                txn.name, node, object_name, operation, False, result, None
+            ))
         return result
 
     def _commit(self, txn: Transaction, value: Any) -> None:
@@ -291,9 +304,9 @@ class MVTOEngine:
         txn.status = TransactionStatus.COMMITTED
         txn.value = value
         self.stats["commits"] += 1
-        obs = self.obs
-        if obs is not None:
-            obs.txn_commit(txn.name)
+        on = self._on_committed
+        if on:
+            emit(on, Committed(txn.name, value, None))
         ts = self._ts_of(txn)
         if txn.is_top_level:
             for mv_object in self.store.values():
@@ -310,7 +323,7 @@ class MVTOEngine:
             self._abort_tree(txn.name)
             return
         ts = self._ts_of(txn)
-        self._mark_aborted_subtree(txn)
+        self._mark_aborted(txn)
         self.stats["aborts"] += 1
         for mv_object in self.store.values():
             live_buffer = mv_object.buffers.get(ts)
@@ -320,26 +333,20 @@ class MVTOEngine:
     def _abort_tree(self, top: TransactionName) -> None:
         txn = self.transactions[top]
         if txn.is_active:
-            self._mark_aborted_subtree(txn)
+            self._mark_aborted(txn)
         self.stats["aborts"] += 1
         ts = self._tree_ts[top]
         for mv_object in self.store.values():
             mv_object.abort_tree(ts)
         self._ts_owner.pop(ts, None)
 
-    def _mark_aborted_subtree(
-        self, txn: Transaction, root: bool = True
-    ) -> None:
-        txn.status = TransactionStatus.ABORTED
-        obs = self.obs
-        if obs is not None:
-            obs.txn_abort(
-                txn.name,
-                cause="explicit" if root else "ancestor-abort",
-            )
-        for child in txn.children:
-            if child.is_active:
-                self._mark_aborted_subtree(child, root=False)
+    def _mark_aborted(self, txn: Transaction) -> None:
+        """Abort *txn*'s active subtree and announce it."""
+        on = self._on_aborted
+        doomed: Optional[List[TransactionName]] = [] if on else None
+        txn._abort_subtree(doomed)
+        if on:
+            emit(on, Aborted(txn.name, tuple(doomed), None, "explicit"))
 
     # ------------------------------------------------------------------
     # Introspection

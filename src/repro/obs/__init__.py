@@ -3,8 +3,10 @@
 The observability layer for every execution surface of the repo: the
 cooperative engine, the thread-safe facade, the discrete-event and
 distributed runners, and the concurrency fuzzer all accept an optional
-:class:`Observer` whose span tree mirrors the transaction tree and whose
-metrics registry records where the time (and the aborts) went.
+:class:`Observer` -- a subscriber of the engine's event spine
+(:mod:`repro.engine.spine`) -- whose span tree mirrors the transaction
+tree and whose metrics registry records where the time (and the
+aborts) went.
 
 Quick use::
 
@@ -38,7 +40,7 @@ from repro.obs.metrics import (
     exponential_buckets,
     percentile,
 )
-from repro.obs.observer import AuditObserver, Observer
+from repro.obs.observer import Observer
 from repro.obs.tracer import Instant, NullTracer, Span, SpanTracer
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "ObjectContention",
-    "AuditObserver",
     "Observer",
     "Span",
     "SpanTracer",

@@ -1,13 +1,23 @@
-"""The injectable observation hook every execution layer reports to.
+"""The observer: the event spine's metrics, span and contention subscriber.
 
 An :class:`Observer` bundles the three collectors of :mod:`repro.obs`
 -- span tracer, metrics registry, lock-contention profiler -- behind the
-narrow vocabulary of engine events: transaction begin/commit/abort,
-access granted, lock denied, lock wait finished, lock-table transition,
-wound-wait victim, deadlock.  The engine, the thread-safe facade, the
-simulation runners, and the fuzzer all take an optional observer
-(default ``None``) and guard each call site with a single attribute
-lookup, so uninstrumented runs pay essentially nothing.
+engine event spine's vocabulary (:mod:`repro.engine.spine`): transaction
+begin/commit/abort, access granted, access denied, lock wait, wound,
+deadlock, abort cause.  It is a plain spine subscriber: pass it as
+``observer=`` to an engine, the thread-safe facade, a simulation runner
+or the sharded coordinator, and they subscribe it; nothing calls it any
+other way.  Components outside the spine (the write-ahead log, the
+distributed runner, recovery) feed its generic :meth:`~Observer.count`
+and :meth:`~Observer.observe` instruments.
+
+The observer is written for one thread at a time: threaded drivers
+serialise the spine's dispatch to it.  The generic instruments take a
+lock of their own, because their callers run beside that dispatch.
+
+The per-event instruments are bound once per closed label value
+(``scope`` top or child, ``mode`` read or write) when first touched, so
+snapshots still list exactly the instruments a run used.
 
 The observer owns the clock.  Wall-clock layers leave the default
 (:func:`time.perf_counter`); the discrete-event runners re-point it at
@@ -17,8 +27,9 @@ then measured in simulated time units instead of seconds.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.core.names import TransactionName
 from repro.obs.contention import ContentionProfiler
@@ -26,85 +37,31 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer, SpanTracer
 
 
-class AuditObserver:
-    """A minimal observer that only feeds an online auditor.
+class _Bound(dict):
+    """One metric's instruments by label value, each made on first use:
+    ``bound["top"]`` is ``make(name, scope="top")`` when *label* is
+    ``"scope"``; with no label, ``bound[None]`` is ``make(name)``."""
 
-    ``Engine.attach_auditor`` installs this when no full
-    :class:`Observer` is attached yet: the hot path then pays the
-    auditor's own bookkeeping per event and nothing else -- no span
-    tracer, no metrics counters, no clock reads.  It speaks the whole
-    observer vocabulary so every engine call site stays a plain method
-    call; everything except lifecycle and access events is dropped.
-    """
+    __slots__ = ("_make", "_name", "_label")
 
-    def __init__(self, auditor=None):
-        self.auditor = auditor
+    def __init__(self, make, name: str, label: Optional[str] = None):
+        super().__init__()
+        self._make = make
+        self._name = name
+        self._label = label
 
-    def attach_auditor(self, auditor) -> None:
-        self.auditor = auditor
+    def __missing__(self, value):
+        labels = {} if self._label is None else {self._label: value}
+        instrument = self[value] = self._make(self._name, **labels)
+        return instrument
 
-    def now(self) -> float:
-        return 0.0
 
-    def use_clock(self, clock: Callable[[], float]) -> None:
-        pass
-
-    def txn_begin(self, name: TransactionName) -> None:
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.txn_begin(name)
-
-    def txn_commit(self, name: TransactionName) -> None:
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.txn_commit(name)
-
-    def txn_abort(self, name: TransactionName, cause: str = "explicit") -> None:
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.txn_abort(name, cause)
-
-    def access(
-        self,
-        txn: TransactionName,
-        object_name: str,
-        kind: str,
-        is_read: bool,
-    ) -> None:
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.access(txn, object_name, kind, is_read)
-
-    def mark_abort_cause(self, name: TransactionName, cause: str) -> None:
-        pass
-
-    def lock_denied(self, txn, object_name, blockers) -> None:
-        pass
-
-    def lock_wait(self, txn, object_name, started, ended) -> None:
-        pass
-
-    def lock_transition(self, kind, name, objects) -> None:
-        pass
-
-    def wound(self, victim, by) -> None:
-        pass
-
-    def deadlock(self, victim=None) -> None:
-        pass
-
-    def count(self, name: str, amount: int = 1, **labels: Any) -> None:
-        pass
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        pass
-
-    def finish(self) -> None:
-        pass
+def _scope(name: TransactionName) -> str:
+    return "top" if len(name) == 1 else "child"
 
 
 class Observer:
-    """Receives structured events; fans out to tracer/metrics/profiler.
+    """Receives spine events; fans out to tracer/metrics/profiler.
 
     Parameters
     ----------
@@ -127,22 +84,19 @@ class Observer:
         )
         self.metrics = MetricsRegistry()
         self.contention = ContentionProfiler()
-        #: Optional online serializability auditor (repro.audit);
-        #: lifecycle and access events are forwarded when attached.
-        self.auditor = None
         self._clock = clock
         self._started: Dict[TransactionName, float] = {}
         self._abort_causes: Dict[TransactionName, str] = {}
-
-    def attach_auditor(self, auditor) -> None:
-        """Forward lifecycle/access events to *auditor* from now on.
-
-        The auditor sees exactly the vocabulary it needs --
-        ``txn_begin`` / ``txn_commit`` / ``txn_abort`` / ``access`` --
-        in the order this observer receives it.  Attach before driving
-        transactions: trees already in flight would fold incompletely.
-        """
-        self.auditor = auditor
+        self._generic_lock = threading.Lock()
+        # The per-event instruments, bound once per closed label value.
+        counter = self.metrics.counter
+        self._begins = _Bound(counter, "txn.begin", "scope")
+        self._commits = _Bound(counter, "txn.commit", "scope")
+        self._latencies = _Bound(
+            self.metrics.histogram, "txn.commit_latency", "scope"
+        )
+        self._active = _Bound(self.metrics.gauge, "txn.active")
+        self._accesses = _Bound(counter, "access", "mode")
 
     # ------------------------------------------------------------------
     # Time
@@ -155,162 +109,127 @@ class Observer:
         self._clock = clock
 
     # ------------------------------------------------------------------
-    # Transaction lifecycle
+    # Spine subscriber: transaction lifecycle
     # ------------------------------------------------------------------
-    def txn_begin(self, name: TransactionName) -> None:
-        now = self.now()
+    def on_began(self, event) -> None:
+        name = event.name
+        now = self._clock()
         self._started[name] = now
-        scope = "top" if len(name) == 1 else "child"
-        self.metrics.counter("txn.begin", scope=scope).inc()
-        self.metrics.gauge("txn.active").add(1)
+        self._begins[_scope(name)].inc()
+        self._active[None].add(1)
         self.tracer.begin_txn(name, now)
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.txn_begin(name)
 
-    def txn_commit(self, name: TransactionName) -> None:
-        now = self.now()
-        scope = "top" if len(name) == 1 else "child"
-        self.metrics.counter("txn.commit", scope=scope).inc()
-        self.metrics.gauge("txn.active").add(-1)
+    def on_committed(self, event) -> None:
+        name = event.name
+        now = self._clock()
+        scope = _scope(name)
+        self._commits[scope].inc()
+        self._active[None].add(-1)
         started = self._started.pop(name, None)
         if started is not None:
-            self.metrics.histogram(
-                "txn.commit_latency", scope=scope
-            ).observe(now - started)
+            self._latencies[scope].observe(now - started)
         self._abort_causes.pop(name, None)
         self.tracer.end_txn(name, now, "commit")
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.txn_commit(name)
+        if event.moved is not None and scope == "child":
+            # Moss lock *inheritance*: each moved object, counted.
+            self.metrics.counter("lock.inherited").inc(len(event.moved))
 
-    def txn_abort(self, name: TransactionName, cause: str = "explicit") -> None:
-        now = self.now()
-        scope = "top" if len(name) == 1 else "child"
-        cause = self._abort_causes.pop(name, cause)
-        self.metrics.counter("txn.abort", scope=scope, cause=cause).inc()
-        self.metrics.gauge("txn.active").add(-1)
-        self._started.pop(name, None)
-        self.tracer.end_txn(name, now, "abort", cause=cause)
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.txn_abort(name, cause)
+    def on_aborted(self, event) -> None:
+        cause = event.cause
+        for name in event.doomed:
+            now = self._clock()
+            cause = self._abort_causes.pop(name, cause)
+            self.metrics.counter(
+                "txn.abort", scope=_scope(name), cause=cause
+            ).inc()
+            self._active[None].add(-1)
+            self._started.pop(name, None)
+            self.tracer.end_txn(name, now, "abort", cause=cause)
+            cause = "ancestor-abort"
+        if event.moved is not None:
+            self.metrics.counter("lock.released_abort").inc(len(event.moved))
 
-    def mark_abort_cause(self, name: TransactionName, cause: str) -> None:
+    def on_tagged(self, event) -> None:
         """Pre-tag the cause of an abort about to be driven by a runner.
 
         The engine's abort transition does not know *why* it was asked
         to abort; layers that do (wound-wait, deadlock detection, fault
-        injection) tag the victim first, and :meth:`txn_abort` picks the
-        tag up.  The first tag wins: a wound-wait tag placed by the
+        injection) tag the victim first, and the abort picks the tag
+        up.  The first tag wins: a wound-wait tag placed by the
         conflict path is not overwritten by the generic victim-abort
         path that follows it.
         """
-        self._abort_causes.setdefault(name, cause)
+        self._abort_causes.setdefault(event.name, event.cause)
 
     # ------------------------------------------------------------------
-    # Accesses and locks
+    # Spine subscriber: accesses and locks
     # ------------------------------------------------------------------
-    def access(
-        self,
-        txn: TransactionName,
-        object_name: str,
-        kind: str,
-        is_read: bool,
-    ) -> None:
+    def on_granted(self, event) -> None:
         """One granted (and immediately committed) access leaf."""
-        mode = "read" if is_read else "write"
-        self.metrics.counter("access", mode=mode).inc()
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.access(txn, object_name, kind, is_read)
+        is_read = event.is_read
+        self._accesses["read" if is_read else "write"].inc()
         if self.tracer.enabled:
+            object_name = event.object_name
             self.tracer.instant(
                 "%s %s" % ("r" if is_read else "w", object_name),
                 "access",
-                self.now(),
-                txn=txn,
+                self._clock(),
+                txn=event.txn,
                 object=object_name,
-                op=kind,
+                op=event.operation.kind,
             )
 
-    def lock_denied(
-        self,
-        txn: TransactionName,
-        object_name: str,
-        blockers: Iterable[TransactionName],
-    ) -> None:
-        blockers = tuple(blockers)
+    def on_denied(self, event) -> None:
         self.metrics.counter("lock.denials").inc()
-        self.contention.record_denial(object_name, txn, blockers)
+        self.contention.record_denial(
+            event.object_name, event.txn, tuple(event.blockers)
+        )
 
-    def lock_wait(
-        self,
-        txn: TransactionName,
-        object_name: str,
-        started: float,
-        ended: float,
-    ) -> None:
-        """One finished wait for *object_name* (granted or given up)."""
-        waited = max(0.0, ended - started)
+    def on_waited(self, event) -> None:
+        """One finished wait for an object (granted or given up)."""
+        started = event.started
+        waited = max(0.0, event.ended - started)
         self.metrics.counter("lock.waits").inc()
         self.metrics.histogram("lock.wait_time").observe(waited)
-        self.contention.record_wait(object_name, txn, waited)
+        self.contention.record_wait(event.object_name, event.txn, waited)
         if self.tracer.enabled:
             self.tracer.add_span(
-                "wait %s" % object_name,
+                "wait %s" % event.object_name,
                 "wait",
                 started,
-                ended,
-                txn=txn,
-                object=object_name,
+                event.ended,
+                txn=event.txn,
+                object=event.object_name,
             )
 
-    def lock_transition(
-        self,
-        kind: str,
-        name: TransactionName,
-        objects: Iterable[str],
-    ) -> None:
-        """A lock-table transition from the lock manager.
-
-        ``commit`` transitions move locks upward to the parent -- Moss
-        lock *inheritance*, counted per touched object; ``abort``
-        transitions release them.
-        """
-        touched = len(tuple(objects))
-        if kind == "commit" and len(name) > 1:
-            self.metrics.counter("lock.inherited").inc(touched)
-        elif kind == "abort":
-            self.metrics.counter("lock.released_abort").inc(touched)
-
     # ------------------------------------------------------------------
-    # Conflict resolution
+    # Spine subscriber: conflict resolution
     # ------------------------------------------------------------------
-    def wound(
-        self, victim: TransactionName, by: TransactionName
-    ) -> None:
-        """Wound-wait chose *victim* (younger) to die for *by* (older)."""
+    def on_wounded(self, event) -> None:
+        """Wound-wait chose a (younger) victim to die for an older tree."""
+        victim = event.victim
         self.metrics.counter("woundwait.victims").inc()
-        self.mark_abort_cause(victim[:1], "wound-wait")
+        self._abort_causes.setdefault(victim[:1], "wound-wait")
         if self.tracer.enabled:
             self.tracer.instant(
-                "wound", "conflict", self.now(), txn=victim[:1]
+                "wound", "conflict", self._clock(), txn=victim[:1]
             )
 
-    def deadlock(self, victim: Optional[TransactionName] = None) -> None:
+    def on_deadlocked(self, event) -> None:
         self.metrics.counter("deadlocks").inc()
-        if victim is not None:
-            self.mark_abort_cause(victim[:1], "deadlock")
+        if event.victim is not None:
+            self._abort_causes.setdefault(event.victim[:1], "deadlock")
 
     # ------------------------------------------------------------------
     # Generic instruments (distribution costs, driver-specific counts)
     # ------------------------------------------------------------------
     def count(self, name: str, amount: int = 1, **labels: Any) -> None:
-        self.metrics.counter(name, **labels).inc(amount)
+        with self._generic_lock:
+            self.metrics.counter(name, **labels).inc(amount)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
-        self.metrics.histogram(name, **labels).observe(value)
+        with self._generic_lock:
+            self.metrics.histogram(name, **labels).observe(value)
 
     # ------------------------------------------------------------------
     # Finishing

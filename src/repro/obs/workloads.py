@@ -1,8 +1,9 @@
 """Ready-made observed workloads for the ``trace`` and ``top`` commands.
 
 Each function drives one execution layer with an
-:class:`~repro.obs.observer.Observer` attached and returns a small
-result summary; the CLI then exports the observer's trace and report.
+:class:`~repro.obs.observer.Observer` (and an optional auditor) attached
+and returns a small result summary; the CLI then exports the
+observer's trace and report.
 Workloads are seeded and deterministic (the threaded one is
 deterministic in its *work*, though wall-clock span timings naturally
 vary run to run).
@@ -12,12 +13,15 @@ from __future__ import annotations
 
 import random
 import threading
+from functools import partial
 from typing import Dict, Optional
 
 from repro.obs.observer import Observer
 
 
-def run_quickstart(observer: Observer, seed: int = 0) -> Dict[str, int]:
+def run_quickstart(
+    observer: Observer, seed: int = 0, auditor=None
+) -> Dict[str, int]:
     """The quickstart scenario: nested transfers with abortable legs."""
     from repro.adt import BankAccount, IntRegister
     from repro.engine import Engine
@@ -30,6 +34,8 @@ def run_quickstart(observer: Observer, seed: int = 0) -> Dict[str, int]:
         ],
         observer=observer,
     )
+    if auditor is not None:
+        engine.attach_auditor(auditor)
     rng = random.Random(seed)
     transfers = 0
     failures = 0
@@ -56,7 +62,7 @@ def run_quickstart(observer: Observer, seed: int = 0) -> Dict[str, int]:
 
 
 def run_banking(
-    observer: Observer, seed: int = 0, transfers: int = 40
+    observer: Observer, seed: int = 0, transfers: int = 40, auditor=None
 ) -> Dict[str, int]:
     """The banking example's transfer batch (fallback-debit pattern)."""
     from repro.adt import BankAccount
@@ -68,6 +74,8 @@ def run_banking(
         [BankAccount(name, 100) for name in accounts],
         observer=observer,
     )
+    if auditor is not None:
+        engine.attach_auditor(auditor)
     rng = random.Random(seed)
     ok = 0
     aborted = 0
@@ -105,6 +113,7 @@ def run_threads(
     seed: int = 0,
     workers: int = 4,
     increments: int = 25,
+    auditor=None,
 ) -> Dict[str, int]:
     """Worker threads contending on shared counters (one track each)."""
     from repro.adt import Counter
@@ -117,6 +126,8 @@ def run_threads(
         [Counter("hot"), Counter("warm"), Counter("cold")],
         observer=observer,
     )
+    if auditor is not None:
+        facade.attach_auditor(auditor)
     wounded = [0] * workers
     # Zipf-ish skew: most increments hit the hot counter.  The cut
     # points reproduce the historical inline ladder
@@ -199,6 +210,7 @@ def run_scenario_workload(
     seed: int = 0,
     name: str = "bank",
     transactions: int = 30,
+    auditor=None,
 ) -> Dict[str, int]:
     """A library scenario on the DES simulator, observed.
 
@@ -214,7 +226,7 @@ def run_scenario_workload(
         spec, seed, transactions=min(transactions, spec.transactions)
     )
     result = get_driver("sim").run(
-        compiled, scheme="moss-rw", observer=observer
+        compiled, scheme="moss-rw", observer=observer, auditor=auditor
     )
     observer.finish()
     return {
@@ -224,18 +236,11 @@ def run_scenario_workload(
     }
 
 
-def _scenario_runner(name: str):
-    def runner(observer: Observer, seed: int = 0) -> Dict[str, int]:
-        return run_scenario_workload(observer, seed=seed, name=name)
-
-    return runner
-
-
 def _scenario_workloads() -> Dict[str, object]:
     from repro.scenario.library import library_names
 
     return {
-        "scenario:%s" % name: _scenario_runner(name)
+        "scenario:%s" % name: partial(run_scenario_workload, name=name)
         for name in library_names()
     }
 
@@ -249,7 +254,7 @@ WORKLOADS.update(_scenario_workloads())
 
 
 def run_workload(
-    name: str, observer: Observer, seed: int = 0
+    name: str, observer: Observer, seed: int = 0, auditor=None
 ) -> Optional[Dict[str, int]]:
     try:
         runner = WORKLOADS[name]
@@ -258,4 +263,4 @@ def run_workload(
             "unknown workload %r (choose from %s)"
             % (name, ", ".join(sorted(WORKLOADS)))
         ) from None
-    return runner(observer, seed=seed)
+    return runner(observer, seed=seed, auditor=auditor)

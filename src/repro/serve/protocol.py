@@ -140,15 +140,19 @@ def _jsonify(value: Any) -> Any:
     )
 
 
+#: Built once: ``json.dumps`` with non-default options builds a fresh
+#: encoder on every call.  The encoder keeps no state between calls.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    ensure_ascii=True,
+    default=_jsonify,
+)
+
+
 def canonical_json(message: Dict[str, Any]) -> bytes:
     """The one true byte encoding of a message body."""
-    return json.dumps(
-        message,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        default=_jsonify,
-    ).encode("ascii")
+    return _ENCODER.encode(message).encode("ascii")
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:

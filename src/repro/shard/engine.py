@@ -32,10 +32,12 @@ exactly one worker *process*; the coordinator:
   participant acknowledged phase 2, so an acked commit is durable in
   every per-shard WAL.
 
-Observer/auditor events are emitted coordinator-side: lifecycle events
-by the thread making the transition, access events by whichever
-thread is reading the link, in the shard's actual execution order --
-the merged stream an attached :class:`~repro.audit.OnlineAuditor`
+The coordinator is an event spine (:mod:`repro.engine.spine`) of its
+own, with its dispatch serialised; its events are emitted
+coordinator-side: lifecycle events by the thread making the
+transition, access events by whichever thread is reading the link, in
+the shard's actual execution order -- the merged stream a subscribed
+:class:`repro.obs.Observer` or :class:`~repro.audit.OnlineAuditor`
 consumes.
 """
 
@@ -48,6 +50,15 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.object_spec import ObjectSpec, Operation
+from repro.engine.spine import (
+    Aborted,
+    Began,
+    Committed,
+    Granted,
+    Spine,
+    Wounded,
+    emit,
+)
 from repro.engine.transaction import TransactionStatus
 from repro.errors import (
     EngineError,
@@ -238,7 +249,7 @@ class ShardedWal:
         """Worker logs close with their processes; nothing to do here."""
 
 
-class ShardedEngine:
+class ShardedEngine(Spine):
     """N worker processes, one coordinator, the facade API on top."""
 
     def __init__(
@@ -266,11 +277,11 @@ class ShardedEngine:
             sharding=sharding,
         )
         self.scheme = get_scheme(policy)
-        self.obs = observer
+        # Coordinator events come from every client thread and from
+        # link readers: one lock serialises each event's fan-out.
+        self.serialise_dispatch(threading.Lock())
         if observer is not None:
-            from repro.engine.threadsafe import _LockedObserver
-
-            self.obs = _LockedObserver(observer)
+            self.subscribe(observer)
         self._specs = specs
         self._retry_s = retry_s
         self._mutex = threading.RLock()
@@ -285,7 +296,6 @@ class ShardedEngine:
         self._wal_group_ms: Optional[float] = None
         self._wal_handle: Optional[ShardedWal] = None
         self._decisions: Optional[DecisionLog] = None
-        self.auditor = None
         self.stats = {
             "accesses": 0,
             "denials": 0,
@@ -356,32 +366,6 @@ class ShardedEngine:
         self._wal_group_ms = group_ms
         self._wal_handle = ShardedWal(self, wal_dir)
         return self._wal_handle
-
-    def attach_auditor(self, auditor=None, config=None):
-        """Attach an online serializability auditor; returns it.
-
-        The auditor consumes the coordinator's merged observer stream:
-        per-object access order is each shard's true execution order
-        (access events are emitted by whichever thread reads the
-        link, in reply order); lifecycle events come from the thread
-        making the transition, a subcommit's before its shards hear.
-        """
-        from repro.audit import AuditConfig, OnlineAuditor
-
-        if auditor is None:
-            if config is None:
-                config = AuditConfig.for_capabilities(self.capabilities)
-            auditor = OnlineAuditor(config)
-        obs = self.obs
-        if obs is None:
-            from repro.engine.threadsafe import _LockedObserver
-            from repro.obs import AuditObserver
-
-            obs = _LockedObserver(AuditObserver())
-            self.obs = obs
-        obs.attach_auditor(auditor)
-        self.auditor = auditor
-        return auditor
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -491,9 +475,9 @@ class ShardedEngine:
             self._next_top += 1
             top = _Top(ordinal)
             self._tops[ordinal] = top
-        obs = self.obs
-        if obs is not None:
-            obs.txn_begin(top.name)
+        on = self._on_began
+        if on:
+            emit(on, Began(top.name))
         return ShardedTransaction(self, top.root, top)
 
     def abort_top(self, name, cause: Optional[str] = None) -> bool:
@@ -543,9 +527,9 @@ class ShardedEngine:
             parent.next_child += 1
             node = _Node(name, parent)
             parent.children.append(node)
-        obs = self.obs
-        if obs is not None:
-            obs.txn_begin(name)
+        on = self._on_began
+        if on:
+            emit(on, Began(name))
         return ShardedTransaction(self, node, handle._top)
 
     def _check_node(self, node: _Node, top: _Top) -> None:
@@ -592,11 +576,11 @@ class ShardedEngine:
                     self._mirror_onto(node, top, shard)
                 # Counted when sent; taken back if the shard refuses.
                 stats["accesses"] += 1
-            obs = self.obs
+            on = self._on_granted
             on_ok = None
-            if obs is not None:
+            if on:
                 on_ok = self._access_hook(
-                    obs, node.name, object_name, operation
+                    on, node.name, object_name, operation
                 )
             try:
                 reply = link.call(
@@ -662,12 +646,16 @@ class ShardedEngine:
             node = node.parent
 
     @staticmethod
-    def _access_hook(obs, txn_name, object_name, operation):
-        kind = operation.kind
-        is_read = operation.is_read
-
-        def hook(message, _obs=obs):
-            _obs.access(txn_name, object_name, kind, is_read)
+    def _access_hook(on, txn_name, object_name, operation):
+        # The coordinator knows no leaf name and no lock table.
+        def hook(message):
+            emit(
+                on,
+                Granted(
+                    txn_name, None, object_name, operation,
+                    operation.is_read, message.get("value"), None,
+                ),
+            )
 
         return hook
 
@@ -711,9 +699,7 @@ class ShardedEngine:
                 ):
                     continue
                 self.stats["deadlocks"] += 1
-            obs = self.obs
-            if obs is not None:
-                obs.wound(victim.name, top.name)
+            self.note(Wounded, victim.name, top.name)
             self._abort_node(victim.root, victim, cause="wound-wait")
 
     # ------------------------------------------------------------------
@@ -737,9 +723,9 @@ class ShardedEngine:
                     "commit", txn=list(node.name)
                 )
                 top.held.append((shard, waiter))
-        obs = self.obs
-        if obs is not None:
-            obs.txn_commit(node.name)
+        on = self._on_committed
+        if on:
+            emit(on, Committed(node.name, value, None))
 
     def _commit_top(self, handle: ShardedTransaction, value: Any) -> None:
         node, top = handle._node, handle._top
@@ -747,7 +733,7 @@ class ShardedEngine:
             self._check_committable(node, top)
             participants = sorted(top.participants)
         if not participants:
-            self._finalize_commit(top)
+            self._finalize_commit(top, value)
             return
         if len(participants) == 1:
             # One-phase fast path: the only participant's commit+flush
@@ -767,10 +753,10 @@ class ShardedEngine:
             self._check_held(node, top)
             if not reply.get("ok"):
                 self._raise_error(reply.get("error") or {}, node, top)
-            self._finalize_commit(top)
+            self._finalize_commit(top, value)
             return
         self._two_phase_commit(node, top, participants)
-        self._finalize_commit(top)
+        self._finalize_commit(top, value)
 
     def _two_phase_commit(
         self, node: _Node, top: _Top, participants: List[int]
@@ -878,14 +864,14 @@ class ShardedEngine:
             self._abort_node(top.root, top, cause=cause)
             raise TransactionAborted(node.name, cause)
 
-    def _finalize_commit(self, top: _Top) -> None:
+    def _finalize_commit(self, top: _Top, value: Any) -> None:
         with self._mutex:
             top.root.status = TransactionStatus.COMMITTED  # repro-lint: ignore[CD003]
             self._tops.pop(top.ordinal, None)
             self.stats["commits"] += 1
-        obs = self.obs
-        if obs is not None:
-            obs.txn_commit(top.name)
+        on = self._on_committed
+        if on:
+            emit(on, Committed(top.name, value, None))
 
     def _abort_node(
         self, node: _Node, top: _Top, cause: str = "explicit"
@@ -901,14 +887,9 @@ class ShardedEngine:
                 self._tops.pop(top.ordinal, None)
             participants = sorted(node.mirrors)
             self.stats["aborts"] += 1
-        obs = self.obs
-        if obs is not None:
-            if cause not in ("explicit", "ancestor-abort"):
-                obs.mark_abort_cause(top.name, cause)
-            for index, name in enumerate(aborted):
-                obs.txn_abort(
-                    name, cause=cause if index == 0 else "ancestor-abort"
-                )
+        on = self._on_aborted
+        if on:
+            emit(on, Aborted(node.name, tuple(aborted), None, cause))
         # Never held: an abort frees locks other trees wait on.
         waiters = []
         for shard in participants:

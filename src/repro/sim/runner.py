@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 from repro.core.names import TransactionName
 from repro.core.object_spec import ObjectSpec
 from repro.engine.deadlock import choose_victim, top_level
+from repro.engine.spine import Tagged, Waited, Wounded
 from repro.engine.transaction import Transaction
 from repro.errors import LockDenied, TransactionAborted
 from repro.kernel import get_scheme
@@ -140,20 +141,15 @@ class _Runner:
         self.scheme = get_scheme(config.policy)
         self.mpl = 1 if self.scheme.force_serial else config.mpl
         self.sim = Simulator()
-        if auditor is not None and observer is None:
-            # The auditor rides on the observer event stream; build a
-            # lightweight audit-only one when the caller did not
-            # supply any.
-            from repro.obs import AuditObserver
-
-            observer = AuditObserver()
+        #: The observer, for driver-level counts (the engine's events
+        #: reach it through the spine).
         self.obs = observer
         if observer is not None:
             # Spans and waits are measured in simulated time units.
             observer.use_clock(lambda: self.sim.now)
-            if auditor is not None:
-                observer.attach_auditor(auditor)
         self.engine = self.scheme.build(store, observer=observer)
+        if auditor is not None:
+            self.engine.attach_auditor(auditor)
         self.rng = random.Random(config.seed)
         # Retry jitter draws from its own stream so enabling it never
         # perturbs the workload's failure-injection/backoff sequence.
@@ -361,8 +357,7 @@ class _Runner:
                 self.metrics.accesses_redone += (
                     run.attempt_accesses - started
                 )
-                if self.obs is not None:
-                    self.obs.mark_abort_cause(child.name, "injected")
+                self.engine.note(Tagged, child.name, "injected")
                 child.abort()
                 self._wake_blocked()
                 if run.txn is not None and not run.txn.is_active:
@@ -459,9 +454,9 @@ class _Runner:
             return
         waited = self.sim.now - requested_at
         self.metrics.wait_time += waited
-        if self.obs is not None and waited > 0:
-            self.obs.lock_wait(
-                txn.name, op.object_name, requested_at, self.sim.now
+        if waited > 0:
+            self.engine.note(
+                Waited, txn.name, op.object_name, requested_at, self.sim.now
             )
         self.metrics.accesses_done += 1
         run.attempt_accesses += 1
@@ -535,16 +530,16 @@ class _Runner:
             self.engine.count_deadlock()
             if self._intra_tree_blockers(entry):
                 run.self_deadlocks += 1
-            if self.obs is not None:
-                self.obs.lock_wait(
-                    entry.txn.name,
-                    entry.op.object_name,
-                    entry.requested_at,
-                    self.sim.now,
-                )
-                self.obs.mark_abort_cause(
-                    top_level(run.txn.name), "lock-timeout"
-                )
+            self.engine.note(
+                Waited,
+                entry.txn.name,
+                entry.op.object_name,
+                entry.requested_at,
+                self.sim.now,
+            )
+            self.engine.note(
+                Tagged, top_level(run.txn.name), "lock-timeout"
+            )
             run.txn.abort()
             self._restart_program(run)
 
@@ -611,10 +606,7 @@ class _Runner:
         if dfs(id(entry)) and run.txn is not None and run.txn.is_active:
             self.engine.count_deadlock()
             run.self_deadlocks += 1
-            if self.obs is not None:
-                self.obs.mark_abort_cause(
-                    top_level(run.txn.name), "deadlock"
-                )
+            self.engine.note(Tagged, top_level(run.txn.name), "deadlock")
             run.txn.abort()
             self._restart_program(run)
             return True
@@ -656,8 +648,7 @@ class _Runner:
                     and victim_run.txn.is_active
                 ):
                     self.engine.count_deadlock()
-                    if self.obs is not None:
-                        self.obs.wound(target, my_top)
+                    self.engine.note(Wounded, target, my_top)
                     self._abort_victim(target)
                     wounded = True
         if wounded:
@@ -700,10 +691,9 @@ class _Runner:
             return
         if run.txn is None or not run.txn.is_active:
             return
-        if self.obs is not None:
-            # First tag wins: the wound path has already tagged its
-            # victims, everything else here died to a detected deadlock.
-            self.obs.mark_abort_cause(victim, "deadlock")
+        # First tag wins: the wound path has already tagged its victims,
+        # everything else here died to a detected deadlock.
+        self.engine.note(Tagged, victim, "deadlock")
         run.txn.abort()
         self._restart_program(run)
 
@@ -741,11 +731,11 @@ def run_simulation(
     """Execute *programs* against a fresh engine; return the metrics.
 
     *observer* (a :class:`repro.obs.Observer`) is re-clocked to
-    simulated time and fed the run's lifecycle, lock-wait, and
-    conflict-resolution events.  *auditor* (a
-    :class:`repro.audit.OnlineAuditor`) is attached to the observer --
-    one is created on demand -- and audits the run's committed
-    schedule online; inspect ``auditor.report()`` afterwards.
+    simulated time and subscribed to the engine's event spine, which
+    also carries the runner's lock-wait and conflict-resolution notes.
+    *auditor* (a :class:`repro.audit.OnlineAuditor`) is subscribed
+    beside it and audits the run's committed schedule online; inspect
+    ``auditor.report()`` afterwards.
     """
     runner = _Runner(
         programs,

@@ -1,9 +1,12 @@
 """The write-ahead log: segmented append-only sinks plus the writer.
 
-A :class:`WriteAheadLog` is attached to an engine
-(:meth:`repro.engine.engine.Engine.attach_wal`) and receives one call
-per durable transition -- begin, granted access, commit boundary,
-abort boundary.  It frames each event as a CRC-checked record
+A :class:`WriteAheadLog` is a subscriber of an engine's event spine
+(:meth:`repro.engine.engine.Engine.attach_wal` subscribes it,
+:mod:`repro.engine.spine`) and receives one event per durable
+transition -- begin, granted access, commit boundary, abort boundary.
+The engine itself calls only :meth:`WriteAheadLog.flush` /
+:meth:`WriteAheadLog.flush_async`, at top-level commit and abort.  The
+log frames each event as a CRC-checked record
 (:mod:`repro.wal.records`), appends it to the active segment of its
 *sink*, and rolls to a new segment (with a fresh segment header) when
 the active one exceeds ``segment_bytes``.
@@ -335,6 +338,10 @@ class WriteAheadLog:
         counters and histograms through its generic instruments.
     """
 
+    #: Appends run under the writer's own lock, so a threaded spine
+    #: calls it without the dispatch lock.
+    THREAD_SAFE = True
+
     def __init__(
         self,
         sink=None,
@@ -349,21 +356,21 @@ class WriteAheadLog:
         self.segment_bytes = segment_bytes
         self.obs = observer
         self._lock = threading.Lock()
-        # Bound methods: the event API runs per engine transition and
-        # a ``with`` block (plus a layer of dispatch) costs a
+        # Bound methods: the event handlers run per engine transition
+        # and a ``with`` block (plus a layer of dispatch) costs a
         # surprising amount next to ~2us of encoding work.
         self._acquire_lock = self._lock.acquire
         self._release_lock = self._lock.release
         self._sink_append = self.sink.append
         # One body for the three transaction-boundary records, bound
         # per kind (a C-level partial, not a wrapper frame).
-        self.log_begin = partial(
+        self.on_began = partial(
             self._log_txn, rec.BEGIN, _TXN_TEMPLATES[rec.BEGIN]
         )
-        self.log_commit = partial(
+        self.on_committed = partial(
             self._log_txn, rec.COMMIT, _TXN_TEMPLATES[rec.COMMIT]
         )
-        self.log_abort = partial(
+        self.on_aborted = partial(
             self._log_txn, rec.ABORT, _TXN_TEMPLATES[rec.ABORT]
         )
         self._lsn = 0
@@ -439,10 +446,11 @@ class WriteAheadLog:
             self.sink.close()
 
     # ------------------------------------------------------------------
-    # Event API (called by the engine under its own locks)
+    # Spine subscriber (called by the engine under its own locks)
     #
-    # ``log_begin`` / ``log_commit`` / ``log_abort`` are ``_log_txn``
-    # bound per kind in ``__init__``.  The two bodies are deliberately
+    # ``on_began`` / ``on_committed`` / ``on_aborted`` are ``_log_txn``
+    # bound per kind in ``__init__``; an abort is logged once, for the
+    # subtree root the event names.  The two bodies are deliberately
     # flat: render, frame, append and count with one call
     # (``framing.frame``) and no wrapper frames.  The calls arrive
     # interleaved with ~60us of engine work per transaction, so every
@@ -454,7 +462,8 @@ class WriteAheadLog:
     # only once the frame is built, so a record that cannot be encoded
     # (``WalFormatError``) leaves no gap.
     # ------------------------------------------------------------------
-    def _log_txn(self, kind: int, templates: _Templates, name) -> None:
+    def _log_txn(self, kind: int, templates: _Templates, event) -> None:
+        name = event.name
         self._acquire_lock()
         try:
             if not self._writable:
@@ -483,9 +492,15 @@ class WriteAheadLog:
         finally:
             self._release_lock()
 
-    def log_acquire(
-        self, access, object_name: str, operation, generation: int
-    ) -> None:
+    def on_granted(self, event) -> None:
+        # The *requested* operation is logged, not the policy's write
+        # reclassification: replay re-derives the mode the same way
+        # the perform did.  The generation is the post-movement value
+        # recovery cross-checks.
+        access = event.access
+        object_name = event.object_name
+        operation = event.operation
+        generation = event.generation
         self._acquire_lock()
         try:
             if not self._writable:

@@ -69,11 +69,14 @@ class WalFormatError(ReproError):
     """A WAL record could not be encoded or decoded."""
 
 
+#: Built once: ``json.dumps`` with non-default options builds a fresh
+#: encoder on every call.  The encoder keeps no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical_json(payload: Dict[str, Any]) -> str:
     try:
-        return json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        )
+        return _ENCODER.encode(payload)
     except (TypeError, ValueError) as exc:
         raise WalFormatError(
             "payload is not JSON-serializable: %s" % exc

@@ -194,7 +194,8 @@ def recover(
         to compare against a mid-flight reference run.
     observer:
         Optional :class:`repro.obs.Observer` for ``recovery.*``
-        counters; also attached to the rebuilt engine.
+        counters; also subscribed to the rebuilt engine (after replay,
+        so it sees only what happens next).
     """
     from repro.engine.engine import Engine
 
@@ -275,8 +276,7 @@ def recover(
     report.committed = committed_values(engine)
     if observer is not None:
         observer.observe("recovery.records_applied", float(applied))
-        engine.obs = observer
-        engine.locks.obs = observer
+        engine.subscribe(observer)
     return RecoveredState(engine=engine, report=report)
 
 

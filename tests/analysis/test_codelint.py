@@ -1,4 +1,4 @@
-"""Tests for the AST code lint (rules CD000...CD006)."""
+"""Tests for the AST code lint (rules CD000...CD007)."""
 
 from pathlib import Path
 
@@ -150,3 +150,52 @@ class TestCD006:
         ] == ["CD006"]
         for suffix in CRC_MODULES:
             assert lint_source("src/" + suffix, source) == []
+
+
+class TestCD007:
+    """Engines announce transitions through the event spine only."""
+
+    FIXTURE = FIXTURE.parent / "bad_emission_seam.py"
+
+    def test_fixture_module_is_flagged(self):
+        report = lint_paths([str(self.FIXTURE)])
+        assert [f.rule.code for f in report.findings] == ["CD007"] * 4
+        assert [finding.line for finding in report.findings] == [
+            8, 9, 10, 11,
+        ]
+
+    def test_self_hooks_only_in_engine_packages(self):
+        source = (
+            "class Listener:\n"
+            "    def __init__(self, observer):\n"
+            "        self.obs = observer\n"
+        )
+        for path in ("src/repro/engine/engine.py", "src/repro/mvto/x.py"):
+            assert [
+                f.rule.code for f in lint_source(path, source)
+            ] == ["CD007"]
+        # A log or a runner keeping its own observer is not a hook.
+        assert lint_source("src/repro/wal/log.py", source) == []
+
+    def test_model_events_built_only_by_the_recorder(self):
+        by_name = (
+            "from repro.core.events import Create\n"
+            "def announce(name):\n"
+            "    return Create(name)\n"
+        )
+        by_module = (
+            "from repro.core import events\n"
+            "def announce(name):\n"
+            "    return events.Commit(name)\n"
+        )
+        for source in (by_name, by_module):
+            findings = lint_source("src/repro/engine/engine.py", source)
+            assert [(f.rule.code, f.line) for f in findings] == [
+                ("CD007", 3)
+            ]
+            for exempt in (
+                "src/repro/engine/trace.py",
+                "src/repro/engine/spine.py",
+                "src/repro/checking/conformance.py",
+            ):
+                assert lint_source(exempt, source) == []

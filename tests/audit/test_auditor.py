@@ -258,4 +258,4 @@ class TestRobustness:
 
         engine = Engine([IntRegister("x")], policy="moss-rw")
         auditor = attach_auditor(engine, config=AuditConfig())
-        assert engine.obs.auditor is auditor
+        assert auditor in engine.subscribers

@@ -6,7 +6,7 @@ from repro.adt import Counter, IntRegister
 from repro.core.events import Create, RequestCommit
 from repro.core.names import ROOT
 from repro.engine import Engine
-from repro.engine.trace import NullRecorder, TraceRecorder
+from repro.engine.trace import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -130,15 +130,8 @@ class TestRingBufferMode:
         assert len(list(system_type.all_accesses())) == 1
 
 
-class TestNullRecorder:
-    def test_everything_is_a_noop(self):
-        recorder = NullRecorder()
-        recorder.record(Create(ROOT))
-        recorder.record_internal((0,))
-        recorder.record_access((0, 0), "x", Counter.value())
-        recorder.record_commit_value((0,), 1)
-        assert not hasattr(recorder, "events")
-
-    def test_untraced_engine_uses_null_recorder(self):
+class TestUntraced:
+    def test_untraced_engine_has_no_recorder(self):
         engine = Engine([Counter("c")])
-        assert isinstance(engine.recorder, NullRecorder)
+        assert engine.recorder is None
+        assert engine.subscribers == ()

@@ -10,7 +10,32 @@ import pytest
 
 from repro.adt import BankAccount, Counter, IntRegister
 from repro.engine import Engine
+from repro.engine.spine import (
+    Aborted,
+    Began,
+    Committed,
+    Tagged,
+    Waited,
+    Wounded,
+)
 from repro.obs import Observer
+
+
+# The observer is a spine subscriber; these feed it single events.
+def begin(observer, name):
+    observer.on_began(Began(name))
+
+
+def commit(observer, name, moved=None):
+    observer.on_committed(Committed(name, None, moved))
+
+
+def abort(observer, name, cause="explicit", moved=None):
+    observer.on_aborted(Aborted(name, (name,), moved, cause))
+
+
+def wait(observer, txn, object_name, started, ended):
+    observer.on_waited(Waited(txn, object_name, started, ended))
 
 
 class FakeClock:
@@ -43,9 +68,9 @@ class TestObserverUnit:
         assert observer.now() == 123.0
 
     def test_commit_latency_measured_by_clock(self, observer, clock):
-        observer.txn_begin((0,))
+        begin(observer, (0,))
         clock.tick(2.5)
-        observer.txn_commit((0,))
+        commit(observer, (0,))
         snap = observer.metrics.snapshot()
         assert snap["counters"]["txn.begin{scope=top}"] == 1
         assert snap["counters"]["txn.commit{scope=top}"] == 1
@@ -54,18 +79,18 @@ class TestObserverUnit:
         assert histogram["sum"] == 2.5
 
     def test_active_gauge_tracks_concurrency(self, observer):
-        observer.txn_begin((0,))
-        observer.txn_begin((1,))
-        observer.txn_commit((0,))
+        begin(observer, (0,))
+        begin(observer, (1,))
+        commit(observer, (0,))
         gauge = observer.metrics.gauge("txn.active")
         assert gauge.value == 1
         assert gauge.high_water == 2
 
     def test_abort_cause_first_tag_wins(self, observer):
-        observer.txn_begin((3,))
-        observer.mark_abort_cause((3,), "wound-wait")
-        observer.mark_abort_cause((3,), "deadlock")
-        observer.txn_abort((3,))
+        begin(observer, (3,))
+        observer.on_tagged(Tagged((3,), "wound-wait"))
+        observer.on_tagged(Tagged((3,), "deadlock"))
+        abort(observer, (3,))
         snap = observer.metrics.snapshot()
         assert (
             snap["counters"]["txn.abort{cause=wound-wait,scope=top}"]
@@ -73,8 +98,8 @@ class TestObserverUnit:
         )
 
     def test_abort_without_tag_uses_given_cause(self, observer):
-        observer.txn_begin((0, 1))
-        observer.txn_abort((0, 1), cause="ancestor-abort")
+        begin(observer, (0, 1))
+        abort(observer, (0, 1), cause="ancestor-abort")
         snap = observer.metrics.snapshot()
         assert (
             snap["counters"][
@@ -84,9 +109,9 @@ class TestObserverUnit:
         )
 
     def test_wound_counts_and_tags_victim_top(self, observer):
-        observer.txn_begin((7,))
-        observer.wound((7, 0), by=(1,))
-        observer.txn_abort((7,))
+        begin(observer, (7,))
+        observer.on_wounded(Wounded((7, 0), (1,)))
+        abort(observer, (7,))
         snap = observer.metrics.snapshot()
         assert snap["counters"]["woundwait.victims"] == 1
         assert (
@@ -97,7 +122,7 @@ class TestObserverUnit:
     def test_lock_wait_feeds_metrics_contention_and_trace(
         self, observer
     ):
-        observer.lock_wait((1,), "x", 2.0, 5.0)
+        wait(observer, (1,), "x", 2.0, 5.0)
         snap = observer.metrics.snapshot()
         assert snap["counters"]["lock.waits"] == 1
         assert snap["histograms"]["lock.wait_time"]["sum"] == 3.0
@@ -107,9 +132,9 @@ class TestObserverUnit:
         assert span.duration == 3.0
 
     def test_lock_transition_counts_inheritance(self, observer):
-        observer.lock_transition("commit", (0, 1), ("x", "y"))
-        observer.lock_transition("commit", (0,), ("x",))  # to ROOT
-        observer.lock_transition("abort", (2,), ("z",))
+        commit(observer, (0, 1), moved=("x", "y"))
+        commit(observer, (0,), moved=("x",))  # to ROOT
+        abort(observer, (2,), moved=("z",))
         snap = observer.metrics.snapshot()
         assert snap["counters"]["lock.inherited"] == 2
         assert snap["counters"]["lock.released_abort"] == 1
@@ -117,9 +142,9 @@ class TestObserverUnit:
 
     def test_trace_disabled_observer_still_aggregates(self, clock):
         observer = Observer(trace=False, clock=clock)
-        observer.txn_begin((0,))
-        observer.txn_commit((0,))
-        observer.lock_wait((1,), "x", 0.0, 1.0)
+        begin(observer, (0,))
+        commit(observer, (0,))
+        wait(observer, (1,), "x", 0.0, 1.0)
         assert observer.tracer.completed() == []
         snap = observer.metrics.snapshot()
         assert snap["counters"]["txn.commit{scope=top}"] == 1
@@ -213,7 +238,7 @@ class TestEngineIntegration:
 
     def test_engine_without_observer_is_unobserved(self):
         engine = Engine([Counter("c")])
-        assert engine.obs is None
+        assert engine.subscribers == ()
         top = engine.begin_top()
         top.perform("c", Counter.increment(1))
         top.commit()

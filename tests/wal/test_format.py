@@ -13,8 +13,32 @@ from hypothesis import strategies as st
 
 from repro.core import framing
 from repro.core.object_spec import Operation
+from repro.engine.spine import Aborted, Began, Committed, Granted
 from repro.wal import records as rec
 from repro.wal import scan_records
+
+
+# The log is a spine subscriber; these feed it the events an engine
+# would emit for each record kind.
+def log_begin(wal, name):
+    wal.on_began(Began(name))
+
+
+def log_acquire(wal, access, object_name, operation, generation):
+    wal.on_granted(
+        Granted(
+            access[:-1], access, object_name, operation,
+            operation.is_read, None, generation,
+        )
+    )
+
+
+def log_commit(wal, name):
+    wal.on_committed(Committed(name, None, None))
+
+
+def log_abort(wal, name):
+    wal.on_aborted(Aborted(name, (name,), (), "explicit"))
 
 GOLDEN_FRAMES = {
     # encode_record(SEGMENT, segment_payload(1, 0, "moss-rw",
@@ -289,7 +313,7 @@ class TestWriterMatchesEncodeRecord:
         ]
         lsn = 1
         for name in self.NAMES:
-            wal.log_begin(name)
+            log_begin(wal, name)
             lsn += 1
             expected.append(
                 encode_record(
@@ -309,7 +333,7 @@ class TestWriterMatchesEncodeRecord:
             for obj in ("c", "héllo", "x" * 150):
                 for operation in operations:
                     for _ in range(2):  # second pass hits the caches
-                        wal.log_acquire(access, obj, operation, 7)
+                        log_acquire(wal, access, obj, operation, 7)
                         lsn += 1
                         expected.append(
                             encode_record(
@@ -320,14 +344,14 @@ class TestWriterMatchesEncodeRecord:
                             )
                         )
         for name in self.NAMES:
-            wal.log_commit(name)
+            log_commit(wal, name)
             lsn += 1
             expected.append(
                 encode_record(
                     rec.COMMIT, rec.commit_payload(lsn, name)
                 )
             )
-            wal.log_abort(name)
+            log_abort(wal, name)
             lsn += 1
             expected.append(
                 encode_record(
@@ -375,10 +399,10 @@ class TestWriterMatchesEncodeRecordProperty:
         header = wal.sink.getvalue()
         wal._lsn = before
         operation = Operation("increment", (1,), False)
-        wal.log_begin(name)
-        wal.log_acquire(name + (0,), "c", operation, generation)
-        wal.log_commit(name)
-        wal.log_abort(name)
+        log_begin(wal, name)
+        log_acquire(wal, name + (0,), "c", operation, generation)
+        log_commit(wal, name)
+        log_abort(wal, name)
         expected = [
             rec.encode_record(
                 rec.BEGIN, rec.begin_payload(before + 1, name)
@@ -416,8 +440,8 @@ class TestWriterErrorContract:
         wal.open("moss-rw", [Counter("c")])
         bad = Operation("write", (object(),), False)
         with pytest.raises(rec.WalFormatError):
-            wal.log_acquire(access, "c", bad, 0)
+            log_acquire(wal, access, "c", bad, 0)
         assert wal.lsn == 1
-        wal.log_commit(access[:1])
+        log_commit(wal, access[:1])
         scan = scan_records(wal.sink.getvalue())
         assert [r.payload["lsn"] for r in scan.records] == [1, 2]
