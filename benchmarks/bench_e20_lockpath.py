@@ -13,7 +13,7 @@ throughput across:
   per level under ``moss-rw``, so depth doubles as holder count);
 * read/write mix;
 * scheme (``moss-rw``, ``exclusive``, ``flat-2pl``); and
-* regime (raw engine, global-mutex facade, striped facade).
+* regime (raw engine, thread-safe facade).
 
 The scan baseline is the same code with ``ManagedObject.FAST_GRANTS``
 off, so the comparison isolates the grant decision itself.
@@ -139,22 +139,13 @@ def test_e20_lockpath(benchmark):
             DEPTHS,
             ops,
         )
-        # Facade regimes: the deep moss-rw case only (facade overhead
+        # The facade: the deep moss-rw case only (facade overhead
         # dilutes the grant cost; the row shows by how much).
-        rows += _sweep(
-            lambda scheme: ThreadSafeEngine(
-                [Counter("h")], policy=scheme, stripes=0
-            ),
-            "facade-global",
-            ("moss-rw",),
-            DEPTHS[-1:],
-            facade_ops,
-        )
         rows += _sweep(
             lambda scheme: ThreadSafeEngine(
                 [Counter("h")], policy=scheme
             ),
-            "facade-striped",
+            "facade",
             ("moss-rw",),
             DEPTHS[-1:],
             facade_ops,

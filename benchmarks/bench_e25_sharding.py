@@ -1,9 +1,9 @@
 """E25 (multiprocess sharding: does escaping the GIL buy throughput?).
 
-Extends E18's facade-scalability report with a multiprocess regime.
-E18 showed that on *pure-Python* operations the striped ThreadSafeEngine
-cannot beat a global mutex on CPython -- the GIL serialises the work
-whatever the locking regime.  The sharded engine (`repro.shard`) is the
+Extends E18's facade-depth report with a multiprocess regime.  E18
+shows that on *pure-Python* operations extra threads cannot speed up
+the in-process ThreadSafeEngine on CPython -- the GIL serialises the
+work whatever the facade's locking does.  The sharded engine (`repro.shard`) is the
 other answer: N spawn worker processes, each running the single-threaded
 Engine over its shard of the object store, with cross-shard trees
 committed by presumed-abort 2PC at the coordinator.
@@ -12,7 +12,7 @@ The workload is E18's pure-Python one (three random register reads over
 a 32-object pool, plus a per-thread counter increment every 10th
 transaction), driven by the same 4 client threads against:
 
-* ``striped-facade`` -- the in-process ThreadSafeEngine baseline;
+* ``facade``         -- the in-process ThreadSafeEngine baseline;
 * ``sharded-1w``     -- one worker process: everything takes the
   single-shard one-phase fast path, so this row prices the IPC seam
   (framed-JSON over a pipe per access) against the in-process facade;
@@ -125,7 +125,7 @@ def _row(regime, workers, threads, cpus, elapsed, committed):
 
 
 def test_e25_sharding_scalability(benchmark):
-    """Striped facade vs the multiprocess sharded engine."""
+    """The in-process facade vs the multiprocess sharded engine."""
     quick = bool(os.environ.get("E25_QUICK"))
     transactions = 40 if quick else 250
     cpus = os.cpu_count() or 1
@@ -144,9 +144,7 @@ def test_e25_sharding_scalability(benchmark):
             facade, THREADS, transactions, OBJECTS
         )
         rows.append(
-            _row(
-                "striped-facade", 0, THREADS, cpus, elapsed, committed
-            )
+            _row("facade", 0, THREADS, cpus, elapsed, committed)
         )
         for workers in (1, 2, 4):
             with ShardedEngine(
@@ -174,7 +172,7 @@ def test_e25_sharding_scalability(benchmark):
 
     rows = run_once(benchmark, experiment)
     by_regime = {row["regime"]: row for row in rows}
-    baseline = by_regime["striped-facade"]["txns_per_sec"]
+    baseline = by_regime["facade"]["txns_per_sec"]
     for row in rows:
         row["speedup_vs_facade"] = round(
             row["txns_per_sec"] / max(baseline, 1), 2
@@ -200,7 +198,7 @@ def test_e25_sharding_scalability(benchmark):
         assert (
             by_regime["sharded-4w"]["txns_per_sec"]
             >= 1.8 * baseline
-        ), "4-worker sharding must beat the striped facade 1.8x"
+        ), "4-worker sharding must beat the facade 1.8x"
         assert (
             by_regime["sharded-1w"]["txns_per_sec"]
             >= 0.75 * baseline

@@ -282,12 +282,9 @@ class _ModuleLinter(ast.NodeVisitor):
 
     @staticmethod
     def _class_is_guarded(node: ast.ClassDef) -> bool:
-        """A class is guarded when its code mentions a mutex/condition."""
+        """A class is guarded when its code mentions a mutex."""
         for child in ast.walk(node):
-            if isinstance(child, ast.Attribute) and child.attr in (
-                "_mutex",
-                "_released",
-            ):
+            if isinstance(child, ast.Attribute) and child.attr == "_mutex":
                 return True
         return False
 
@@ -317,7 +314,7 @@ class _ModuleLinter(ast.NodeVisitor):
     def _mentions_guard(expression: ast.expr) -> bool:
         return any(
             isinstance(child, ast.Attribute)
-            and child.attr in ("_mutex", "_released")
+            and child.attr == "_mutex"
             for child in ast.walk(expression)
         )
 

@@ -239,9 +239,9 @@ class OnlineAuditor:
     parent).  Violations accumulate in :attr:`violations`;
     :meth:`report` summarises.
 
-    The auditor serialises its own state behind an internal lock, so a
-    striped :class:`~repro.engine.threadsafe.ThreadSafeEngine` can feed
-    it from several worker threads without an external wrapper.  The
+    The auditor serialises its own state behind an internal lock, so
+    any multi-threaded driver can feed it without an external
+    wrapper.  The
     hot-path bail for *unaudited* trees stays lock-free: a tree's
     ``txn_begin`` happens-before its accesses on the driving thread, so
     a membership probe of ``_pending`` (atomic under the GIL) decides

@@ -674,7 +674,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         specs,
         args.scheme,
         config=config,
-        stripes=args.stripes,
         facade=facade,
     )
     if args.wal_dir and facade is None:
@@ -1276,10 +1275,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--stripes", type=int, default=None,
-        help="facade stripe count (default: auto)",
-    )
-    serve.add_argument(
         "--max-inflight", type=int, default=256,
         help="global admitted-but-unanswered request cap",
     )
@@ -1308,7 +1303,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "back the service with the multiprocess sharded engine "
             "(spawn workers + cross-shard 2PC) instead of the "
-            "striped in-process facade"
+            "in-process facade"
         ),
     )
     serve.add_argument(

@@ -75,8 +75,7 @@ class Engine(Spine):
         truthiness test away from building nothing.
     shards:
         Number of object-store shards (see
-        :class:`~repro.kernel.store.ObjectStore`); the thread-safe
-        facade maps shards to stripe locks.  Single-threaded callers
+        :class:`~repro.kernel.store.ObjectStore`).  In-process callers
         keep the default of 1.
     """
 

@@ -438,8 +438,7 @@ class LockManager:
     *make_managed* lets a locking policy substitute its own per-object
     structure (e.g. semantic locking's undo-log objects); the default is
     the Moss :class:`ManagedObject`.  *shards*/*sharding* configure the
-    kernel :class:`~repro.kernel.store.ObjectStore` so the thread-safe
-    facade can stripe its locking per shard.
+    kernel :class:`~repro.kernel.store.ObjectStore`.
 
     When every managed object supports it (``HOLDER_INDEXED``), the
     manager maintains a *held-objects index* -- for each top-level

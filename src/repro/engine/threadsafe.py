@@ -9,43 +9,23 @@ built for any scheme in the kernel registry
 transaction wins, younger restarts via
 :class:`~repro.errors.TransactionAborted`).
 
-Locking regimes
----------------
+Locking
+-------
 
-The facade has two internal regimes, chosen at construction:
-
-* **Striped** (the default for schemes whose ``perform`` is
-  object-local, e.g. every locking policy): the kernel
-  :class:`~repro.kernel.store.ObjectStore` assigns each object to a
-  shard, and each shard gets its own *stripe* lock and condition
-  variable.  ``perform`` takes only its object's stripe, so accesses to
-  objects on different stripes proceed concurrently; structural
-  operations (commit, abort, wound) take the tree-state mutex **plus
-  every stripe** (in index order -- the fixed order makes the hierarchy
-  acyclic), so they still see and mutate a quiescent engine.  Waiters
-  park on their stripe's condition with a generation counter (captured
-  under the stripe lock at denial time) so a release that lands between
-  the denial and the wait cannot be lost; commits and aborts bump and
-  signal only the stripes their tree actually performed on (tracked in
-  ``_touched``), so waiters on unrelated objects are not woken at all.
-  The GIL still serialises bytecode, but the striping removes the
-  single-mutex handoff on every access and wakes only plausible
-  waiters, which is what ``bench_e18_scalability`` measures.  Two caveats, both documented
-  invariants rather than bugs: a single transaction *handle* must be
-  driven by one thread at a time (handles are not internally locked),
-  and the engine's own ``stats`` counters for accesses/denials are
-  best-effort under striping (increments from different stripes may
-  race); object values and commit counts are exact.  The engine's
-  event spine serialises its dispatch with one lock, taken once per
-  event and only for a subscriber written for one thread.
-* **Global mutex**: every transition under one lock, one condition
-  signalled by every commit/abort.  Used when scheduler hooks are
-  installed (the fuzzer owns the interleaving), when ``trace=True``
-  (the recorder needs a linearised event order for conformance
-  replay), for schemes that are not object-local (MVTO's timestamp
-  conflicts discard buffers across every object from inside
-  ``perform``), or on request with ``stripes=0`` (the benchmark
-  baseline).
+One :class:`threading.Lock` is held for every engine transition: begin,
+access, commit, abort and wound.  A denied ``perform`` parks on a
+condition of the *object* it was denied (created the first time anyone
+waits there, sharing the one lock), and every access first records its
+object in its top-level tree's touched set.  A commit, abort or wound
+notifies only the conditions of the objects the finishing tree touched
+-- the only objects whose locks it can have released -- so a grant
+wakes nobody and a release wakes only plausible waiters.  Because the
+denial and the wait happen under the same lock, no release can slip
+between them.  Schemes whose ``perform`` is not object-local (MVTO
+aborts a whole tree from inside ``perform``) wake every waiter
+instead.  A single transaction *handle* must be driven by one thread at
+a time (handles are not internally locked); object values, commit
+counts and the engine's ``stats`` are exact.
 
 Scheduler hooks
 ---------------
@@ -54,10 +34,9 @@ The deterministic concurrency fuzzer (:mod:`repro.fuzz`) needs to own
 the interleaving of worker threads, so the facade exposes *yield-point
 hooks*: when :meth:`ThreadSafeEngine.install_hooks` has installed a
 controller, every lock acquire, blocking wait, commit and abort routes
-through it instead of the free-running condition-variable path.
-Installing hooks drops the facade to the global-mutex regime (install
-them before starting worker threads).  The hooks object is duck-typed;
-it must provide::
+through it instead of the free-running condition-variable path
+(install them before starting worker threads).  The hooks object is
+duck-typed; it must provide::
 
     yield_point(kind, txn_name, detail)   # "acquire"/"denied"/"commit"/"abort"
     park_blocked(txn_name, blockers, object_name)  # wait for a release
@@ -89,10 +68,6 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.kernel import get_scheme
-
-#: Default stripe count in auto mode (clamped to the object count by
-#: the store; more stripes than objects would only idle).
-DEFAULT_STRIPES = 16
 
 
 def _timeout_denial(object_name: str, denial: LockDenied) -> LockDenied:
@@ -133,8 +108,7 @@ class ThreadSafeTransaction:
 
     @property
     def is_active(self) -> bool:
-        # Status is written only under the mutex (striped structural
-        # ops additionally hold every stripe), so the mutex suffices.
+        # Status is written only under the mutex.
         with self._facade._mutex:
             return self._inner.is_active
 
@@ -215,17 +189,14 @@ class ThreadSafeEngine:
         :class:`~repro.engine.policies.LockingPolicy` instance, or a
         :class:`~repro.kernel.registry.Scheme`.
     trace / trace_limit:
-        Passed to the scheme factory; tracing forces the global-mutex
-        regime (conformance replay needs a linearised trace).
+        Passed to the scheme factory.
     observer:
         Optional :class:`repro.obs.Observer`, subscribed to the
-        engine's event spine; under striping the spine serialises its
-        dispatch so the observer's counters stay exact.
+        engine's event spine.
     stripes:
-        ``None`` (default) -- auto: stripe when the scheme allows it,
-        with up to :data:`DEFAULT_STRIPES` stripes.  ``0`` -- force the
-        single global mutex.  ``n > 0`` -- request exactly *n* stripes
-        (clamped to the object count).
+        Accepted for compatibility only: ``None`` or ``0``, both of
+        which mean the one mutex.  Anything else raises
+        :class:`ValueError`.
     """
 
     def __init__(
@@ -237,48 +208,28 @@ class ThreadSafeEngine:
         observer=None,
         stripes: Optional[int] = None,
     ):
-        specs = list(specs)
+        if stripes:
+            raise ValueError(
+                "the facade has one locking regime; stripes=%r is not "
+                "supported (pass None or 0)" % (stripes,)
+            )
         self.scheme = get_scheme(policy)
-        requested = DEFAULT_STRIPES if stripes is None else stripes
-        self._striped = bool(
-            requested > 0
-            and not trace
-            and self.scheme.capabilities.object_local_performs
-        )
         self._engine = self.scheme.build(
-            specs,
+            list(specs),
             observer=observer,
             trace=trace,
             trace_limit=trace_limit,
-            shards=requested if self._striped else 1,
         )
-        if self._striped:
-            self._engine.serialise_dispatch(threading.Lock())
-        # In the striped regime `_mutex` is the tree-state lock:
-        # structural operations hold it *plus* every stripe; in the
-        # global regime it is the one engine mutex.  `_released` is the
-        # global-regime condition signalled by every commit/abort.
         self._mutex = threading.Lock()
-        self._released = threading.Condition(self._mutex)
+        # Object name -> the condition its waiters park on, created on
+        # first denial; every one shares `_mutex`.
+        self._waiting: Dict[str, threading.Condition] = {}
         self._hooks = None
-        # Stripe structures (unused but tiny in the global regime).
-        count = self._engine.store.shards
-        self._stripe_index = self._engine.store.shard_of
-        self._stripe_locks = [threading.Lock() for _ in range(count)]
-        self._stripe_conds = [
-            threading.Condition(lock) for lock in self._stripe_locks
-        ]
-        # Per-stripe release generations: bumped (under all stripe
-        # locks) by every structural op, read (under one stripe lock)
-        # by waiters, so a release between a denial and the wait is
-        # never lost.
-        self._stripe_gens = [0] * count
-        # Stripes each live top-level tree has performed on, recorded
-        # under the object's stripe lock before the engine transition
-        # runs.  Commit/abort can only release locks on objects the
-        # tree touched, so _finish wakes just these stripes instead of
-        # broadcasting to every waiter in the system.
-        self._touched: Dict[TransactionName, Set[int]] = {}
+        # Objects each live top-level tree has performed on, recorded
+        # before the engine transition runs.  A tree can hold or
+        # release locks only on these, so its commits, aborts and
+        # wounds notify just their conditions.
+        self._touched: Dict[TransactionName, Set[str]] = {}
 
     @property
     def engine(self):
@@ -290,20 +241,13 @@ class ThreadSafeEngine:
         """The wrapped scheme's capability flags."""
         return self.scheme.capabilities
 
-    @property
-    def striped(self) -> bool:
-        """True when running the striped regime (not the global mutex)."""
-        return self._striped
-
     def attach_auditor(self, auditor=None, config=None):
         """Subscribe an online serializability auditor; returns it.
 
         Delegates to the engine's
         :meth:`~repro.engine.spine.Spine.attach_auditor`; the default
         config comes from the scheme's capability flags (the trust
-        dial).  The auditor serialises its own state, so even
-        under striping the spine calls it without the dispatch lock.
-        Attach before starting worker threads.
+        dial).  Attach before starting worker threads.
         """
         with self._mutex:
             return self._engine.attach_auditor(auditor, config)
@@ -312,11 +256,8 @@ class ThreadSafeEngine:
         """Attach a write-ahead log to the wrapped engine; returns it.
 
         Mirrors :meth:`repro.engine.engine.Engine.attach_wal`
-        (capability-gated on ``capabilities.durable``).  The log writer
-        carries its own lock, so striped performs may append
-        concurrently; the append order is then the log's serialization
-        of those (non-conflicting) transitions.  Attach before starting
-        worker threads.
+        (capability-gated on ``capabilities.durable``).  Attach before
+        starting worker threads.
         """
         if not self.capabilities.durable:
             raise EngineError(
@@ -348,13 +289,8 @@ class ThreadSafeEngine:
     def install_hooks(self, hooks) -> None:
         """Install (or clear, with ``None``) the scheduler hooks.
 
-        Installing a controller drops the facade to the global-mutex
-        regime for the rest of its life (the controller owns the
-        interleaving; stripes would hide schedule decisions from it).
         Install hooks before starting worker threads.
         """
-        if hooks is not None:
-            self._striped = False
         self._hooks = hooks
 
     def begin_top(self) -> ThreadSafeTransaction:
@@ -382,118 +318,56 @@ class ThreadSafeEngine:
         top = tuple(name)[:1]
         if not top:
             return False
-        pending = []
-
-        def try_abort():
-            # Under the mutex (plus every stripe, when striped).
-            engine = self._engine  # repro-lint: ignore[CD002]
-            victim = engine.transactions.get(top)
-            if victim is None or not victim.is_active:
-                return False
-            if cause is not None:
-                engine.note(Tagged, top, cause)
-            try:
-                victim.abort()
-            finally:
-                waiter = self._pop_pending_flush()
-                if waiter is not None:
-                    pending.append(waiter)
-            return True
-
+        waiter = None
         try:
-            if self._striped and self._hooks is None:
-
-                def released_stripes():
-                    touched = self._touched.pop(top, None)
-                    if not touched:
-                        return ()
-                    return sorted(touched)
-
-                return self._run_structural(
-                    try_abort, bump="if-true", stripes=released_stripes
-                )
             with self._mutex:
-                if not try_abort():
+                engine = self._engine  # repro-lint: ignore[CD002]
+                victim = engine.transactions.get(top)
+                if victim is None or not victim.is_active:
                     return False
-                self._touched.pop(top, None)
-                self._released.notify_all()
+                if cause is not None:
+                    engine.note(Tagged, top, cause)
+                try:
+                    victim.abort()
+                finally:
+                    waiter = self._pop_pending_flush()
+                    self._wake(top, retire=True)
                 return True
         finally:
-            for waiter in pending:
+            if waiter is not None:
                 waiter()
 
     def object_value(self, object_name: str) -> Any:
-        if self._striped:
-            # Striped schemes are object-local: performs on this object
-            # run under its stripe lock, and structural ops hold every
-            # stripe (including this one), so the object's single
-            # stripe already gives a quiescent read of its versions --
-            # no need to stall the whole facade for an inspection.
-            lock = self._stripe_locks[self._stripe_index(object_name)]
-            with lock:
-                return self._read_value(object_name)
         with self._mutex:
             return self._engine.object_value(object_name)
 
-    def _read_value(self, object_name: str) -> Any:
-        # Callers hold (at least) the object's stripe lock.
-        return self._engine.object_value(  # repro-lint: ignore[CD002]
-            object_name
-        )
-
     # ------------------------------------------------------------------
-    # Structural operations (striped regime)
+    # Commit, abort and wakeups
     # ------------------------------------------------------------------
-    def _run_structural(self, fn, bump: str = "always", stripes=None):
-        """Run *fn* holding the tree mutex plus every stripe, in order.
+    def _wake(self, top, retire: bool) -> None:
+        """Notify the waiters on every object tree *top* touched; locked.
 
-        ``bump`` controls the wakeup broadcast on exit: ``"always"``
-        for ops that release locks (commit/abort), ``"if-true"`` for
-        ops whose truthy result means state changed (the wound pass),
-        ``"never"`` for read-only ops (object_value).  Skipping the
-        broadcast for no-op passes matters: a denied perform probing
-        for wounds must not invalidate every waiter's generation
-        capture, or the striped regime degenerates into a busy-wait
-        herd of retrying waiters.
-
-        ``stripes`` narrows the broadcast further: a zero-argument
-        callable, evaluated under the full lock set after *fn*, that
-        returns the stripe indices whose waiters could have been
-        unblocked (``None`` means all of them).  Commit/abort pass the
-        finishing tree's touched-stripe set here, so waiters on
-        unrelated objects are not woken at all.
+        *retire* drops the tree's touched set (it has finished, so it
+        holds nothing more to release).  A live tree keeps it: a child
+        commit moves locks to the mother, which can unblock relatives
+        waiting on the same objects, and later releases need the set.
         """
-        with self._mutex:
-            for lock in self._stripe_locks:
-                lock.acquire()
-            changed = bump == "always"
-            try:
-                result = fn()
-                if bump == "if-true" and result:
-                    changed = True
-                return result
-            except BaseException:
-                # Conservative: a failed mutation may have partially
-                # changed lock state before raising.
-                changed = bump != "never"
-                raise
-            finally:
-                if changed:
-                    targets = (
-                        range(len(self._stripe_conds))
-                        if stripes is None
-                        else stripes()
-                    )
-                    for i in targets:
-                        self._stripe_gens[i] += 1
-                        self._stripe_conds[i].notify_all()
-                for lock in reversed(self._stripe_locks):
-                    lock.release()
+        touched = (
+            self._touched.pop(top, None)
+            if retire
+            else self._touched.get(top)
+        )
+        if touched:
+            waiting = self._waiting
+            for object_name in touched:
+                cond = waiting.get(object_name)
+                if cond is not None:
+                    cond.notify_all()
 
     def _apply_finish(
         self, inner: Transaction, action: str, value: Any
     ) -> bool:
-        """Commit/abort *inner*; runs under the active regime's locks.
+        """Commit/abort *inner*; runs under the mutex.
 
         A wound can abort *inner* while its driving thread is between
         calls (e.g. holding locks across I/O before commit), so the
@@ -519,10 +393,10 @@ class ThreadSafeEngine:
         return True
 
     def _pop_pending_flush(self):
-        """Pop the engine's deferred-flush waiter; locks held.
+        """Pop the engine's deferred-flush waiter; mutex held.
 
         Must run inside the same locked section as the finish that
-        ticketed it -- a pop after the locks release could steal a
+        ticketed it -- a pop after the lock releases could steal a
         *later* committer's waiter and leave that commit acknowledged
         before its fsync.  Waiters left un-popped (a wound-path abort
         whose slot a later finish overwrites) are harmless: the group
@@ -539,55 +413,31 @@ class ThreadSafeEngine:
         return waiter
 
     def _finish(self, inner: Transaction, action: str, value: Any) -> None:
-        """Commit or abort *inner* under the active regime's locks."""
-        pending = []
-
-        def apply():
-            try:
-                return self._apply_finish(inner, action, value)
-            finally:
-                waiter = self._pop_pending_flush()
-                if waiter is not None:
-                    pending.append(waiter)
-
+        """Commit or abort *inner*, waking the waiters it may release."""
+        # Names are immutable after construction.
+        name = inner.name  # repro-lint: ignore[CD002]
+        waiter = None
         try:
-            self._finish_locked(inner, apply)
+            with self._mutex:
+                changed = True
+                try:
+                    changed = self._apply_finish(inner, action, value)
+                finally:
+                    # A finish that raised may have moved locks before
+                    # it failed, so it wakes too.  Only a top that
+                    # really ended retires its touched set; a failed
+                    # one (live children, say) keeps its locks.
+                    waiter = self._pop_pending_flush()
+                    if changed:
+                        self._wake(
+                            name[:1],
+                            retire=len(name) == 1 and not inner.is_active,
+                        )
         finally:
-            # Await the group fsync *outside* the locks, so concurrent
+            # Await the group fsync *outside* the lock, so concurrent
             # committers' waits overlap and share one fsync.
-            for waiter in pending:
+            if waiter is not None:
                 waiter()
-
-    def _finish_locked(self, inner: Transaction, apply) -> None:
-        if self._striped and self._hooks is None:
-            # Names are immutable after construction.
-            name = inner.name  # repro-lint: ignore[CD002]
-            top = name[:1]
-
-            def released_stripes():
-                # Under the full lock set: every touch record (made
-                # under its object's stripe lock) is visible here.  A
-                # *top* that really finished retires its tree's entry
-                # (a failed finish -- live children, say -- keeps its
-                # locks, so the set must survive for the retry); a
-                # child commit moves locks to its mother, which can
-                # unblock relatives waiting on the same objects, so
-                # the set stays live until the tree ends.
-                if len(name) == 1 and not inner.is_active:
-                    touched = self._touched.pop(top, None)
-                else:
-                    touched = self._touched.get(top)
-                if not touched:
-                    return ()
-                return sorted(touched)
-
-            self._run_structural(
-                apply, bump="if-true", stripes=released_stripes
-            )
-            return
-        with self._mutex:
-            if apply():
-                self._released.notify_all()
 
     # ------------------------------------------------------------------
     # Blocking access with wound-wait
@@ -598,39 +448,13 @@ class ThreadSafeEngine:
             top, float("inf")
         )
 
-    def _wound_candidate(
-        self, txn: Transaction, denial: LockDenied
-    ) -> bool:
-        """Unlocked pre-filter for the structural wound pass.
-
-        Start times are written once (under the mutex, at begin) and
-        never change, so this lock-free read can only mis-judge
-        blockers that are concurrently *finishing* -- a spurious True
-        costs one structural pass whose authoritative re-check then
-        declines to wound; the age comparison itself never flips.
-        """
-        started = (
-            self._engine.started_at  # repro-lint: ignore[CD002]
-        )
-        my_top = txn.name[:1]
-        mine = started.get(my_top, float("inf"))
-        for blocker in denial.blockers:
-            target = blocker[:1]
-            if target == my_top:
-                continue
-            if started.get(target, float("inf")) > mine:
-                return True
-        return False
-
     def _wound(self, txn: Transaction, denial: LockDenied) -> bool:
-        """Abort every younger top-level blocking *txn*; locks held.
+        """Abort every younger top-level blocking *txn*; mutex held.
 
-        Callers hold the mutex (global regime) or the full structural
-        set (striped regime).  Returns True when at least one victim
-        was wounded (the caller should retry immediately rather than
-        wait).  Blockers sharing *txn*'s own top-level ancestor are
-        never wounded -- a transaction must wait for its own relatives,
-        not kill them.
+        Returns True when at least one victim was wounded (the caller
+        should retry immediately rather than wait).  Blockers sharing
+        *txn*'s own top-level ancestor are never wounded -- a
+        transaction must wait for its own relatives, not kill them.
         """
         my_top = txn.name[:1]
         wounded = False
@@ -649,20 +473,39 @@ class ThreadSafeEngine:
                         Wounded, target, my_top
                     )
                     victim.abort()
-                    # The victim tree's locks are gone; retire its
-                    # touched-stripe record (its own thread may never
-                    # reach _finish with an active handle again).
-                    self._touched.pop(target, None)
+                    # Wakes the victim's own thread too, if it is
+                    # parked: its object is in the victim's set.
+                    self._wake(target, retire=True)
                     wounded = True
         return wounded
 
     def _waited(
         self, txn: Transaction, object_name: str, started: float
     ) -> None:
-        """Report one finished wait; the spine serialises its dispatch."""
+        """Report one finished wait through the spine; mutex held."""
         self._engine.note(  # repro-lint: ignore[CD002]
             Waited, txn.name, object_name, started, perf_counter()
         )
+
+    def _perform_failed(self, top, exc: Exception) -> None:
+        """Clean up after ``perform`` raised *exc*; mutex held.
+
+        If the tree is dead (wounded, ``abort_top``-ed, or aborted by
+        ``perform`` itself) the touch just recorded must not outlive
+        it.  A non-object-local scheme (MVTO) that aborts a tree from
+        inside ``perform`` sheds pending writes on every object with
+        no commit or abort call to follow, so all its waiters re-check.
+        """
+        tree = self._engine.transactions.get(  # repro-lint: ignore[CD002]
+            top
+        )
+        if tree is None or not tree.is_active:
+            self._touched.pop(top, None)
+        if isinstance(
+            exc, TransactionAborted
+        ) and not self.capabilities.object_local_performs:
+            for cond in self._waiting.values():
+                cond.notify_all()
 
     def _perform_blocking(
         self,
@@ -673,23 +516,28 @@ class ThreadSafeEngine:
     ) -> Any:
         if self._hooks is not None:
             return self._perform_controlled(txn, object_name, operation)
-        if self._striped:
-            return self._perform_striped(
-                txn, object_name, operation, timeout
-            )
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
+        # Names are immutable after construction.
+        top = txn.name[:1]  # repro-lint: ignore[CD002]
+        deadline: Optional[float] = None
         wait_started: Optional[float] = None
-        with self._released:
+        with self._mutex:
+            # Record the touch before the attempt: once the tree can
+            # hold a lock here, its commits and aborts must wake this
+            # object's waiters -- including this thread, should its
+            # own tree be wounded while it is parked.
+            touched = self._touched.get(top)
+            if touched is None:
+                touched = self._touched[top] = set()
+            touched.add(object_name)
             while True:
                 try:
                     result = txn.perform(object_name, operation)
                 except LockDenied as denial:
                     if wait_started is None:
                         wait_started = perf_counter()
+                        if timeout is not None:
+                            deadline = time.monotonic() + timeout
                     if self._wound(txn, denial):
-                        self._released.notify_all()
                         continue
                     remaining: Optional[float] = None
                     if deadline is not None:
@@ -699,108 +547,26 @@ class ThreadSafeEngine:
                             raise _timeout_denial(
                                 object_name, denial
                             ) from None
-                    self._released.wait(timeout=remaining)
-                    # Loop: a timed-out wait is re-checked against the
+                    cond = self._waiting.get(object_name)
+                    if cond is None:
+                        cond = self._waiting[object_name] = (
+                            threading.Condition(self._mutex)
+                        )
+                    # A timed-out wait is re-checked against the
                     # deadline above, so total blocking never exceeds
-                    # the caller's timeout no matter how often other
-                    # transactions signal the condition.
+                    # the caller's timeout however often it is woken.
+                    cond.wait(timeout=remaining)
                     continue
                 except Exception as exc:
-                    if wait_started is not None:
-                        # A wound arrived while we were parked; close
-                        # the wait span before the abort propagates.
-                        self._waited(txn, object_name, wait_started)
-                    if isinstance(
-                        exc, TransactionAborted
-                    ) and not self.capabilities.object_local_performs:
-                        # A non-object-local scheme (MVTO) aborts the
-                        # whole tree from inside ``perform``, shedding
-                        # its pending writes with no commit/abort call
-                        # to signal the condition; wake waiters so
-                        # they re-check.
-                        self._released.notify_all()
-                    raise
-                if wait_started is not None:
-                    self._waited(txn, object_name, wait_started)
-                self._released.notify_all()
-                return result
-
-    def _perform_striped(
-        self,
-        txn: Transaction,
-        object_name: str,
-        operation: Operation,
-        timeout: Optional[float],
-    ) -> Any:
-        """The striped twin of the global blocking path.
-
-        The engine transition runs under only this object's stripe
-        lock; structural operations hold every stripe, so the tree
-        state read inside ``perform`` (orphan checks, child slots) is
-        stable for the duration.  On denial the stripe generation is
-        captured before the lock is dropped; the retry waits on the
-        stripe condition only if no structural op intervened.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        index = self._stripe_index(object_name)
-        cond = self._stripe_conds[index]
-        # Names are immutable after construction.
-        top = txn.name[:1]  # repro-lint: ignore[CD002]
-        wait_started: Optional[float] = None
-        while True:
-            denial: Optional[LockDenied] = None
-            with cond:
-                # Record the touch before the transition: once any
-                # lock on this object can be held, the record is
-                # visible to every structural op (they take all
-                # stripes).  Denied attempts over-approximate, which
-                # only costs a spurious wakeup on this stripe.
-                touched = self._touched.get(top)
-                if touched is None:
-                    touched = self._touched.setdefault(top, set())
-                touched.add(index)
-                try:
-                    result = txn.perform(object_name, operation)
-                except LockDenied as exc:
-                    denial = exc
-                    gen = self._stripe_gens[index]
-                except Exception:
                     if wait_started is not None:
                         # Wounded while parked; close the wait span
                         # before the abort propagates.
                         self._waited(txn, object_name, wait_started)
+                    self._perform_failed(top, exc)
                     raise
-                else:
-                    if wait_started is not None:
-                        self._waited(txn, object_name, wait_started)
-                    return result
-            # Denied: wound (a structural op) outside the stripe lock.
-            # The unlocked age pre-filter keeps the common case (we are
-            # the youngest and must wait) from serializing on the full
-            # structural lock set just to learn it cannot wound anyone.
-            if wait_started is None:
-                wait_started = perf_counter()
-            if self._wound_candidate(txn, denial) and self._run_structural(
-                lambda: self._wound(txn, denial), bump="if-true"
-            ):
-                continue
-            remaining: Optional[float] = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if wait_started is not None:
                     self._waited(txn, object_name, wait_started)
-                    raise _timeout_denial(
-                        object_name, denial
-                    ) from None
-            with cond:
-                if self._stripe_gens[index] == gen:
-                    # No release since the denial; park until one (or
-                    # the deadline slice) arrives.  A changed
-                    # generation means a structural op already ran --
-                    # skip the wait and re-attempt immediately.
-                    cond.wait(timeout=remaining)
+                return result
 
     def _perform_controlled(
         self,
@@ -820,7 +586,7 @@ class ThreadSafeEngine:
             if hooks.inject_deny(txn.name, object_name):
                 hooks.yield_point("denied", txn.name, object_name)
                 continue
-            with self._released:
+            with self._mutex:
                 try:
                     result = txn.perform(object_name, operation)
                 except LockDenied as denial:
@@ -835,11 +601,11 @@ class ThreadSafeEngine:
                         hooks.on_release(txn.name)
                     raise
                 else:
-                    self._released.notify_all()
                     return result
             if wounded:
                 hooks.on_release(txn.name)
                 continue
             parked_at = perf_counter()
             hooks.park_blocked(txn.name, blockers, object_name)
-            self._waited(txn, object_name, parked_at)
+            with self._mutex:
+                self._waited(txn, object_name, parked_at)

@@ -55,10 +55,11 @@ class SchemeCapabilities:
     model_conformant: bool = True
 
     #: ``perform`` touches only the target object plus the caller's own
-    #: tree state, never other objects.  This is what makes striped
-    #: per-object locking sound in the thread-safe facade; MVTO is
-    #: False because a timestamp conflict aborts the whole tree's
-    #: buffers across every object from inside ``perform``.
+    #: tree state, never other objects, so a ``perform`` that aborts
+    #: releases nothing the thread-safe facade must wake waiters for.
+    #: MVTO is False: a timestamp conflict aborts the whole tree's
+    #: buffers across every object from inside ``perform``, and the
+    #: facade then wakes every waiter.
     object_local_performs: bool = True
 
     #: The scheme's state transitions are fully described by its begin /

@@ -2,10 +2,10 @@
 
 Both engines keep their per-object structures (Moss lock tables, MVTO
 version chains) in an :class:`ObjectStore`: a name-keyed mapping that
-also assigns every object to a shard.  Single-threaded callers leave
-``shards=1`` and pay nothing; the thread-safe facade asks for more and
-uses :meth:`ObjectStore.shard_of` to pick the stripe lock guarding each
-object.
+also assigns every object to a shard.  In-process engines leave
+``shards=1`` and pay nothing; the multiprocess sharded engine
+(:mod:`repro.shard`) uses :meth:`ObjectStore.shard_of` to route each
+object to a worker.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class ObjectStore:
         Called once per spec to build the per-object structure.
     shards:
         Number of shards; clamped to at least 1 and at most the number
-        of objects (extra empty shards would only waste stripe locks).
+        of objects (extra shards would stay empty).
     sharding:
         Optional ``(name, shards) -> index`` assignment; defaults to
         :func:`default_sharding`.

@@ -22,8 +22,8 @@ The engine is registered as scheme ``"mvto"`` in
 (ordered by timestamp), aborts escalate to the whole tree, no lock
 movement, traces do not refine M(X), and ``perform`` is *not*
 object-local (a timestamp conflict discards the tree's buffers on every
-object), which is why the thread-safe facade runs MVTO under its global
-mutex rather than striped locking.  Transitions are announced through
+object), which is why the thread-safe facade wakes every waiter when an
+MVTO ``perform`` aborts.  Transitions are announced through
 the event spine (:mod:`repro.engine.spine`), as the locking engine's are.
 """
 

@@ -337,11 +337,7 @@ class ThreadSafeDriver(Driver):
     def _run(self, compiled, scheme, result, options) -> None:
         from repro.engine.threadsafe import ThreadSafeEngine
 
-        facade = ThreadSafeEngine(
-            compiled.store(),
-            policy=scheme,
-            stripes=options.get("stripes"),
-        )
+        facade = ThreadSafeEngine(compiled.store(), policy=scheme)
         self._drive(compiled, facade, result, options)
 
     def _drive(self, compiled, facade, result, options) -> None:

@@ -123,7 +123,6 @@ class TransactionServer:
         scheme: str = "moss-rw",
         config: Optional[ServeConfig] = None,
         observer=None,
-        stripes: Optional[int] = None,
         facade=None,
     ):
         self.config = config or ServeConfig()
@@ -135,7 +134,6 @@ class TransactionServer:
             specs,
             policy=scheme,
             observer=observer,
-            stripes=stripes,
         )
         self.object_names = sorted(self.facade.engine.specs)
         self.object_types = {
@@ -399,7 +397,7 @@ class TransactionServer:
         """A JSON-ready server + engine counter snapshot."""
         payload: Dict[str, Any] = {
             "scheme": self.facade.scheme.name,
-            # Best-effort under striping.
+            # Read without the facade mutex: a point-in-time copy.
             "engine": dict(self.facade.engine.stats),
         }
         with self._lock:

@@ -20,12 +20,11 @@ Two sinks ship:
   a directory; ``flush`` does ``flush`` + ``os.fsync`` so a flushed
   prefix survives a process (or machine) crash.
 
-The writer is internally locked: under the striped thread-safe facade
-two performs on different stripes may append concurrently, and the
-append order then *is* the log's serialization of those transitions
-(concurrent transitions never conflict -- same-object and same-tree
-transitions are already ordered by the facade's locks, so any append
-interleaving of the rest replays to the same state).
+The writer is internally locked, so several threads may append
+concurrently; the append order then *is* the log's serialization of
+those transitions.  Behind the thread-safe facade every transition
+already runs under its one mutex, so appends arrive in transition
+order.
 
 Observability: with an observer attached the writer counts
 ``wal.append`` (labelled by record kind), ``wal.flush``, ``wal.fsync``
@@ -556,7 +555,7 @@ class WriteAheadLog:
         """Take a flush ticket now; return a waiter to call later.
 
         The seam group commit needs: callers holding coarse locks (the
-        thread-safe facade commits under its mutex plus stripe set) take
+        thread-safe facade commits under its mutex) take
         the ticket *inside* the critical section -- it covers every
         append made so far -- and run the returned waiter *after*
         releasing their locks, so concurrent committers' waits overlap

@@ -8,7 +8,9 @@ tree's handle.  The contracts pinned here:
   False and changes nothing;
 * safe from a non-owner thread, racing the owner's own commit/abort;
 * releases the tree's locks so blocked transactions proceed;
-* identical behaviour in the striped and global-mutex regimes.
+* identical behaviour for both ``stripes`` spellings the constructor
+  still accepts (the default, and ``0`` as the perf ladder passes it);
+  the facade has one locking regime, so the two must not differ.
 """
 
 import threading
@@ -20,6 +22,7 @@ from repro.engine.threadsafe import ThreadSafeEngine
 from repro.errors import LockDenied, TransactionAborted
 
 
+# The ids name the regimes these spellings once selected.
 @pytest.fixture(params=["striped", "global"])
 def facade(request):
     return ThreadSafeEngine(

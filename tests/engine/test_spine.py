@@ -2,13 +2,13 @@
 
 * With nothing subscribed, no event object is ever built: every spine
   event class and every model-alphabet class raises on construction
-  while a seeded workload runs through each engine, the facade in both
-  locking regimes, recovery and the simulator.
+  while a seeded workload runs through each engine, the thread-safe
+  facade, recovery and the simulator.
 * Subscribers see a transition's event once, in transition order, and
   the recorder expands it into the model's actions in that order.
 * The write-ahead log still records the post-movement generation.
-* Under striping, the dispatch lock keeps a one-thread subscriber's
-  counts exact.
+* Behind the facade's one mutex, a one-thread subscriber's counts stay
+  exact.
 """
 
 import threading
@@ -67,11 +67,11 @@ class TestZeroCostUnsubscribed:
         assert commits
         assert engine.stats["denials"] > 0
 
+    # Both ``stripes`` spellings the constructor still accepts.
     @pytest.mark.parametrize("stripes", (None, 0))
     def test_facade(self, no_events, stripes):
         compiled = _compiled("bank")
         facade = ThreadSafeEngine(compiled.store(), stripes=stripes)
-        assert facade.striped == (stripes is None)
         commits, aborts = _drive(
             facade.begin_top, compiled.programs, _facade_perform
         )
@@ -246,6 +246,12 @@ class TestWalGeneration:
 
 
 class TestStripedDispatch:
+    """The facade dispatches every event under its one mutex.
+
+    So a subscriber written for one thread keeps exact counts while
+    many threads drive the facade.
+    """
+
     def test_one_thread_subscriber_counts_stay_exact(self):
         workers, rounds = 4, 150
         observer = Observer(trace=False)
@@ -253,7 +259,6 @@ class TestStripedDispatch:
             [Counter("c%d" % index) for index in range(workers)],
             observer=observer,
         )
-        assert facade.striped
 
         def body(index):
             for _ in range(rounds):
