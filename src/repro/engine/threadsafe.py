@@ -57,17 +57,34 @@ import time
 from time import perf_counter
 from typing import Any, Dict, Iterable, Optional, Set
 
-from repro.core.names import TransactionName, pretty_name
+from repro.core.names import TransactionName
 from repro.core.object_spec import ObjectSpec, Operation
 from repro.engine.spine import Tagged, Waited, Wounded
 from repro.engine.transaction import Transaction, TransactionStatus
 from repro.errors import (
     EngineError,
+    InvalidTransactionState,
     LockDenied,
     RetryLater,
     TransactionAborted,
 )
 from repro.kernel import get_scheme
+
+
+def _raise_if_aborted(inner: Transaction) -> None:
+    """Raise the wound contract's error for a dead handle; mutex held.
+
+    A wound or :meth:`ThreadSafeEngine.abort_top` kills a tree while
+    its owner is between calls, so the owner's next call finds the
+    handle aborted and the engine raises ``InvalidTransactionState``.
+    That is not handle misuse: report it as
+    :class:`~repro.errors.TransactionAborted`.  Called on exception
+    paths only.
+    """
+    if inner.status is TransactionStatus.ABORTED:
+        raise TransactionAborted(
+            inner.name, reason="aborted before this call"
+        ) from None
 
 
 def _timeout_denial(object_name: str, denial: LockDenied) -> LockDenied:
@@ -120,7 +137,11 @@ class ThreadSafeTransaction:
 
     def begin_child(self) -> "ThreadSafeTransaction":
         with self._facade._mutex:
-            child = self._inner.begin_child()
+            try:
+                child = self._inner.begin_child()
+            except InvalidTransactionState:
+                _raise_if_aborted(self._inner)
+                raise
         return ThreadSafeTransaction(self._facade, child)
 
     def perform(
@@ -132,7 +153,8 @@ class ThreadSafeTransaction:
         """Run one access, blocking while conflicting locks are held.
 
         Raises :class:`~repro.errors.TransactionAborted` when this
-        transaction is wounded by an older one while waiting, and
+        transaction's tree was wounded or ``abort_top``-ed (before
+        the call or while it waited), and
         :class:`~repro.errors.LockDenied` on timeout.  *timeout* bounds
         the **total** blocking time of the call (a monotonic deadline),
         not each individual wait.
@@ -376,15 +398,11 @@ class ThreadSafeEngine:
         raises :class:`~repro.errors.TransactionAborted`, aborting one
         is an idempotent no-op.  Returns True when lock state changed.
         """
-        if (
-            not inner.is_active
-            and inner.status is TransactionStatus.ABORTED
-        ):
+        if inner.status is TransactionStatus.ABORTED:
             if action == "abort":
                 return False
             raise TransactionAborted(
-                "%s was wounded before it could commit"
-                % pretty_name(inner.name)
+                inner.name, reason="aborted before it could commit"
             )
         if action == "commit":
             inner.commit(value)
@@ -563,6 +581,8 @@ class ThreadSafeEngine:
                         # before the abort propagates.
                         self._waited(txn, object_name, wait_started)
                     self._perform_failed(top, exc)
+                    if isinstance(exc, InvalidTransactionState):
+                        _raise_if_aborted(txn)
                     raise
                 if wait_started is not None:
                     self._waited(txn, object_name, wait_started)
@@ -592,6 +612,9 @@ class ThreadSafeEngine:
                 except LockDenied as denial:
                     wounded = self._wound(txn, denial)
                     blockers = tuple(sorted(denial.blockers))
+                except InvalidTransactionState:
+                    _raise_if_aborted(txn)
+                    raise
                 except TransactionAborted:
                     if not self.capabilities.object_local_performs:
                         # Tree aborted from inside ``perform`` (MVTO

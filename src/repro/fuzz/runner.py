@@ -33,10 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine.threadsafe import ThreadSafeEngine
-from repro.errors import (
-    InvalidTransactionState,
-    TransactionAborted,
-)
+from repro.errors import TransactionAborted
 from repro.fuzz.controller import (
     BoundedPreemptionStrategy,
     FuzzStall,
@@ -155,7 +152,7 @@ def _worker_body(
                 _run_program(
                     facade, injector, worker_id, top, program, log
                 )
-            except (TransactionAborted, InvalidTransactionState):
+            except TransactionAborted:
                 # Wounded by an older transaction (the whole subtree is
                 # already aborted); abandon this program.
                 log.wounded += 1
@@ -204,7 +201,7 @@ def _run_program(facade, injector, worker_id, top, program, log):
             probe = step.steps[0]
             try:
                 child.perform(probe.object_name, probe.operation)
-            except (TransactionAborted, InvalidTransactionState):
+            except TransactionAborted:
                 log.orphan_guard_hits += 1
             return
         if step.commit:

@@ -17,11 +17,11 @@ and benchmark E24 assert that equality.
   process (closed mpl or open-loop Poisson).
 * ``threadsafe`` -- real OS threads over
   :class:`~repro.engine.threadsafe.ThreadSafeEngine`: ``clients``
-  workers execute the transaction list with blocking waits and
+  client threads execute the transaction list with blocking waits and
   wound-wait retries; the *work* is deterministic (and verified
   against the plan), wall-clock timings are not.
 * ``sharded``    -- the multiprocess engine (:mod:`repro.shard`): the
-  threadsafe drive loop over ``workers`` worker *processes* with a
+  same client threads over ``workers`` worker *processes* with a
   real cross-shard 2PC coordinator; honours ``[placement]`` sections.
 * ``dist``       -- the distributed runner: the same programs over a
   uniform multi-site topology with hierarchical 2PC costs.
@@ -29,24 +29,23 @@ and benchmark E24 assert that equality.
   tree is driven over TCP (``begin``/``child``/``read``/``write``),
   honouring think times and per-class traffic shape.
 
-The threadsafe and serve drivers share one plan walker
-(:func:`_run_plan`) parameterised over a transaction *port*, so
-failure injection and retry budgets behave identically on both.
+The three live backends (threadsafe, sharded, serve) run on the one
+client loop, :func:`repro.serve.loadgen.run_clients` -- threads only,
+one connection or shared facade per client thread -- with one plan
+walker (:func:`_run_plan`) as the attempt, parameterised over a
+transaction *port*.  Failure injection, retry budgets, the failure
+vocabulary (wire codes) and the executed-matches-plan check are
+therefore the same on all three.
 """
 
 from __future__ import annotations
 
-import threading
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.sampling import RngStreams
-from repro.errors import (
-    InvalidTransactionState,
-    LockDenied,
-    TransactionAborted,
-)
 from repro.obs.metrics import percentile
 from repro.scenario.compiler import CompiledScenario
 from repro.scenario.programs import AccessOp, Block
@@ -270,20 +269,22 @@ class DistDriver(Driver):
 
 
 # ----------------------------------------------------------------------
-# The shared plan walker (threadsafe + serve)
+# The live backends (threadsafe, sharded, serve): one client loop
 # ----------------------------------------------------------------------
 def _run_plan(
     port,
     block: Block,
     fail_rng,
-    on_access: Optional[Callable[[Block, AccessOp], None]] = None,
+    timeout: Optional[float] = None,
 ) -> int:
     """Execute *block*'s steps against a transaction *port*.
 
-    A port is anything with ``begin_child() -> port``,
-    ``perform(object_name, operation)``, ``commit()`` and ``abort()``
-    -- a :class:`~repro.engine.threadsafe.ThreadSafeTransaction`
-    directly, or the serve driver's wire adapter.  Child blocks run as
+    A port is a facade handle
+    (:class:`~repro.engine.threadsafe.ThreadSafeTransaction`,
+    :class:`~repro.shard.ShardedTransaction`) or a wire transaction
+    (:class:`~repro.serve.client.WireTransaction`): anything with
+    ``begin_child() -> port``, ``perform(object_name, operation,
+    timeout)``, ``commit()`` and ``abort()``.  Child blocks run as
     subtransactions with the block's failure injection and retry
     budget (draws from *fail_rng*); parallel blocks run sequentially
     (sibling concurrency is the DES backends' dimension -- the live
@@ -293,15 +294,13 @@ def _run_plan(
     ops = 0
     for step in block.steps:
         if isinstance(step, AccessOp):
-            port.perform(step.object_name, step.operation)
+            port.perform(step.object_name, step.operation, timeout)
             ops += 1
-            if on_access is not None:
-                on_access(block, step)
         else:
             tries_left = step.retries
             while True:
                 child = port.begin_child()
-                ops += _run_plan(child, step, fail_rng, on_access)
+                ops += _run_plan(child, step, fail_rng, timeout)
                 if (
                     step.fail_prob
                     and fail_rng.random() < step.fail_prob
@@ -316,20 +315,118 @@ def _run_plan(
     return ops
 
 
-class _RetryExhausted(Exception):
-    """A transaction burned its whole retry budget without committing."""
+def _run_live(
+    compiled: CompiledScenario,
+    connect: Callable[[], Any],
+    pause: Callable[[Any, BaseException, int], float],
+    result: ScenarioResult,
+    options: Dict[str, Any],
+    pace: bool,
+    timeout: Optional[float] = None,
+):
+    """Run every compiled tree through the one client loop.
+
+    ``arrival.clients`` client threads of
+    :func:`repro.serve.loadgen.run_clients` take the transactions
+    round-robin; one that fails retryably re-runs from a fresh top
+    level up to ``max_retries`` times, ``pause(job, exc, tries)``
+    seconds apart, and is reported ``aborted`` once its budget is
+    spent.  Failure injection draws from a per-transaction
+    ``fail:<i>`` stream, re-made for every attempt, so the outcome
+    sequence is independent of which client or attempt runs the tree.
+    The executed operation stream is then checked against the plan --
+    every planned access ran -- which is what makes the reported
+    digest meaningful on a backend whose interleavings are scheduled
+    by the OS.  Returns the loop's report (per-code failure counts).
+    """
+    from repro.serve.loadgen import Job, LoadReport, run_clients
+
+    programs = compiled.programs
+    workers = min(compiled.spec.arrival.clients, len(programs)) or 1
+    streams = RngStreams(compiled.seed)
+    jobs = [
+        Job(index, 0.0, think=compiled.think_times[index] if pace else 0.0)
+        for index in range(len(programs))
+    ]
+
+    def assigned(worker: int):
+        for job in jobs[worker::workers]:
+            job.start = time.monotonic()
+            job.rng = streams.stream("fail:%d" % job.plan)
+            yield job
+
+    def attempt(top, job) -> int:
+        return _run_plan(top, programs[job.plan].body, job.rng, timeout)
+
+    def retry_pause(job, exc, tries) -> float:
+        # The jitter draws from the failed attempt's stream (fresh if
+        # it failed at begin); the next attempt gets a new stream.
+        seconds = pause(job, exc, tries)
+        job.rng = streams.stream("fail:%d" % job.plan)
+        return seconds
+
+    report = LoadReport(result.backend)
+    run_clients(
+        connect,
+        assigned,
+        attempt,
+        retry_pause,
+        report,
+        workers,
+        int(options.get("max_retries", 100)),
+        strict=True,
+    )
+    result.makespan = report.wall_seconds
+    result.committed = report.committed
+    result.aborted = len(programs) - report.committed
+    result.retries = report.aborted + report.shed  # failed attempts
+    result.ops = report.ops
+    result.latencies = report.txn_latency.values
+    # Executed-matches-plan: every committed transaction performed at
+    # least its planned accesses (failed subtrees re-run their own
+    # steps, which the plan's access_count bounds from below).
+    planned_short = [
+        programs[job.plan].label
+        for job in jobs
+        if job.ops is not None
+        and job.ops < programs[job.plan].access_count()
+    ]
+    if planned_short:
+        raise AssertionError(
+            "executed fewer accesses than planned: %s" % planned_short[:3]
+        )
+    result.extras["workers"] = workers
+    return report
+
+
+def _facade_pause(job, exc, tries: int) -> float:
+    # Seeded jitter keeps two wounded workers from re-colliding in
+    # lockstep.
+    return 0.001 * (1 + job.rng.random()) * min(tries + 1, 16)
+
+
+def _drive_facade(compiled, facade, result, options) -> None:
+    """Run *compiled* on an in-process facade shared by every client."""
+    _run_live(
+        compiled,
+        lambda: contextlib.nullcontext(facade),
+        _facade_pause,
+        result,
+        options,
+        pace=bool(options.get("pace", False)),
+        timeout=float(options.get("op_timeout", 30.0)),
+    )
+    result.extras["engine"] = dict(facade.engine.stats)
 
 
 class ThreadSafeDriver(Driver):
-    """Worker threads over the blocking facade (real concurrency).
+    """Client threads over the blocking facade (real concurrency).
 
     ``arrival.clients`` threads split the transaction list round-robin
     and run it to completion; a wounded or denied transaction retries
     from scratch (fresh top level) up to ``max_retries`` times with a
     small backoff.  The executed operation stream is checked against
-    the compiled plan -- every planned access runs, nothing unplanned
-    does -- which is what makes the reported digest meaningful on a
-    backend whose interleavings are scheduled by the OS.
+    the compiled plan (see :func:`_run_live`).
     """
 
     name = "threadsafe"
@@ -338,123 +435,18 @@ class ThreadSafeDriver(Driver):
         from repro.engine.threadsafe import ThreadSafeEngine
 
         facade = ThreadSafeEngine(compiled.store(), policy=scheme)
-        self._drive(compiled, facade, result, options)
-
-    def _drive(self, compiled, facade, result, options) -> None:
-        spec = compiled.spec
-        max_retries = int(options.get("max_retries", 100))
-        op_timeout = float(options.get("op_timeout", 30.0))
-        pace = bool(options.get("pace", False))
-        workers = min(spec.arrival.clients, len(compiled.programs)) or 1
-        streams = RngStreams(compiled.seed)
-        lock = threading.Lock()
-        latencies: List[float] = []
-        executed: Dict[int, int] = {}
-        state = {"committed": 0, "aborted": 0, "retries": 0, "ops": 0}
-        errors: List[BaseException] = []
-
-        def run_txn(index: int) -> None:
-            program = compiled.programs[index]
-            # Failure injection draws from a per-transaction stream so
-            # the outcome sequence is independent of which worker or
-            # attempt executes the tree.
-            started = time.monotonic()
-            ops = 0
-            for attempt in range(max_retries + 1):
-                fail_rng = streams.stream("fail:%d" % index)
-                top = facade.begin_top()
-                port = _FacadePort(top, op_timeout)
-                try:
-                    ops = _run_plan(port, program.body, fail_rng)
-                    top.commit()
-                except (TransactionAborted, LockDenied):
-                    if top.is_active:
-                        try:
-                            top.abort()
-                        except TransactionAborted:
-                            pass
-                    with lock:
-                        state["retries"] += 1
-                    # Seeded jitter keeps two wounded workers from
-                    # re-colliding in lockstep.
-                    time.sleep(
-                        0.001 * (1 + fail_rng.random())
-                        * min(attempt + 1, 16)
-                    )
-                    continue
-                with lock:
-                    state["committed"] += 1
-                    state["ops"] += ops
-                    executed[index] = ops
-                    latencies.append(time.monotonic() - started)
-                if spec.classes and pace:
-                    time.sleep(compiled.think_times[index])
-                return
-            with lock:
-                state["aborted"] += 1
-            raise _RetryExhausted(program.label)
-
-        def worker(worker_id: int) -> None:
-            for index in range(
-                worker_id, len(compiled.programs), workers
-            ):
-                try:
-                    run_txn(index)
-                except _RetryExhausted:
-                    continue  # counted as aborted; next transaction
-                except BaseException as exc:  # surfaced to the caller
-                    with lock:
-                        errors.append(exc)
-                    return
-
-        threads = [
-            threading.Thread(
-                target=worker,
-                args=(worker_id,),
-                name="scenario-%d" % worker_id,
-            )
-            for worker_id in range(workers)
-        ]
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        result.makespan = time.monotonic() - started
-        result.committed = state["committed"]
-        result.aborted = state["aborted"]
-        result.retries = state["retries"]
-        result.ops = state["ops"]
-        result.latencies = latencies
-        # Executed-matches-plan: every committed transaction performed
-        # exactly its planned accesses (failed subtrees re-run their
-        # own steps, which the plan's access_count already bounds from
-        # below).
-        planned_short = [
-            compiled.programs[i].label
-            for i, count in executed.items()
-            if count < compiled.programs[i].access_count()
-        ]
-        if planned_short:
-            raise AssertionError(
-                "executed fewer accesses than planned: %s"
-                % planned_short[:3]
-            )
-        result.extras["workers"] = workers
-        result.extras["engine"] = dict(facade.engine.stats)
+        _drive_facade(compiled, facade, result, options)
 
 
-class ShardedDriver(ThreadSafeDriver):
-    """The multiprocess sharded engine behind the same plan walker.
+class ShardedDriver(Driver):
+    """The multiprocess sharded engine behind the same client loop.
 
-    Identical drive loop to ``threadsafe`` (same compiled plan, same
-    failure injection, same executed-matches-plan check, hence the
-    same digest), but the facade is a
-    :class:`~repro.shard.ShardedEngine`: ``workers`` option processes
-    (default 2), object placement honoured when the spec carries a
-    ``[placement]`` section, wound-wait resolved at the coordinator.
+    Identical to ``threadsafe`` (same compiled plan, same failure
+    injection, same executed-matches-plan check, hence the same
+    digest), but the facade is a :class:`~repro.shard.ShardedEngine`:
+    ``workers`` option processes (default 2), object placement
+    honoured when the spec carries a ``[placement]`` section,
+    wound-wait resolved at the coordinator.
     """
 
     name = "sharded"
@@ -472,96 +464,9 @@ class ShardedDriver(ThreadSafeDriver):
             placement=placement or None,
         )
         with facade:
-            self._drive(compiled, facade, result, options)
+            _drive_facade(compiled, facade, result, options)
             result.extras["shards"] = facade.shards
             result.extras["placement"] = len(placement)
-
-
-class _FacadePort:
-    """Adapts a :class:`ThreadSafeTransaction` to the plan walker.
-
-    A wound lands while the victim's thread is between calls, so its
-    next call on a deep child trips ``_require_active`` and raises
-    ``InvalidTransactionState`` -- which reads as handle misuse.  Like
-    the serve session's ``_translate_dead``, re-raise that case as
-    :class:`~repro.errors.TransactionAborted` so the driver's retry
-    loop treats it as the wound it is.
-    """
-
-    def __init__(self, txn, op_timeout: float):
-        self._txn = txn
-        self._op_timeout = op_timeout
-
-    def _translate_dead(self, exc):
-        from repro.engine.transaction import TransactionStatus
-
-        if self._txn.status is TransactionStatus.ABORTED:
-            raise TransactionAborted(
-                self._txn.name, reason="wounded between calls"
-            ) from None
-        raise exc
-
-    def begin_child(self) -> "_FacadePort":
-        try:
-            child = self._txn.begin_child()
-        except InvalidTransactionState as exc:
-            self._translate_dead(exc)
-        return _FacadePort(child, self._op_timeout)
-
-    def perform(self, object_name, operation):
-        try:
-            return self._txn.perform(
-                object_name, operation, timeout=self._op_timeout
-            )
-        except InvalidTransactionState as exc:
-            self._translate_dead(exc)
-
-    def commit(self):
-        try:
-            self._txn.commit()
-        except InvalidTransactionState as exc:
-            self._translate_dead(exc)
-
-    def abort(self):
-        try:
-            self._txn.abort()
-        except InvalidTransactionState as exc:
-            self._translate_dead(exc)
-
-
-# ----------------------------------------------------------------------
-# The live service backend
-# ----------------------------------------------------------------------
-class _WirePort:
-    """Adapts one wire transaction (SyncClient + name) to the walker."""
-
-    def __init__(self, client, txn):
-        self._client = client
-        self._txn = txn
-
-    def begin_child(self) -> "_WirePort":
-        return _WirePort(self._client, self._client.child(self._txn))
-
-    def perform(self, object_name, operation):
-        if operation.is_read:
-            return self._client.read(
-                self._txn,
-                object_name,
-                kind=operation.kind,
-                args=list(operation.args),
-            )
-        return self._client.write(
-            self._txn,
-            object_name,
-            kind=operation.kind,
-            args=list(operation.args),
-        )
-
-    def commit(self):
-        self._client.commit(self._txn)
-
-    def abort(self):
-        self._client.abort(self._txn)
 
 
 class ServeDriver(Driver):
@@ -569,7 +474,7 @@ class ServeDriver(Driver):
 
     Requires ``host``/``port`` options (the server must already serve
     the scenario's objects -- start it with ``repro serve --scenario``).
-    ``clients`` worker threads each own one connection; transactions
+    ``clients`` client threads each own one connection; transactions
     are assigned round-robin; think times are honoured.  The reported
     scheme is whatever the server runs -- the wire protocol does not
     expose it, so pass ``scheme`` for labelling only.
@@ -578,7 +483,7 @@ class ServeDriver(Driver):
     name = "serve"
 
     def _run(self, compiled, scheme, result, options) -> None:
-        from repro.serve.client import ServeError, SyncClient, backoff_ms
+        from repro.serve.client import SyncClient, backoff_ms
 
         host = options.get("host", "127.0.0.1")
         port = options.get("port")
@@ -588,20 +493,6 @@ class ServeDriver(Driver):
                 "(a running `repro serve` instance)"
             )
         spec = compiled.spec
-        max_retries = int(options.get("max_retries", 100))
-        pace = bool(options.get("pace", True))
-        workers = min(spec.arrival.clients, len(compiled.programs)) or 1
-        streams = RngStreams(compiled.seed)
-        lock = threading.Lock()
-        latencies: List[float] = []
-        state = {"committed": 0, "aborted": 0, "retries": 0, "ops": 0}
-        # Failure accounting by wire code: admission sheds are load
-        # shedding (the server never saw the transaction), txn_aborted
-        # is an engine-side abort (wound, MVTO conflict) -- the league
-        # table reports them separately.
-        shed = {"count": 0, "txn_aborted": 0, "denied": 0}
-        errors: List[BaseException] = []
-
         # The scenario's objects must exist server-side; fail with a
         # typed error (not a hung run) when they do not.
         with SyncClient(host, int(port)) as probe:
@@ -618,102 +509,24 @@ class ServeDriver(Driver):
                 "it with `repro serve --scenario`"
                 % ", ".join(missing[:5])
             )
-
-        def run_txn(client, index: int) -> None:
-            program = compiled.programs[index]
-            started = time.monotonic()
-            for attempt in range(max_retries + 1):
-                fail_rng = streams.stream("fail:%d" % index)
-                top_name = None
-                try:
-                    top_name = client.begin()
-                    port_ = _WirePort(client, top_name)
-                    ops = _run_plan(port_, program.body, fail_rng)
-                    client.commit(top_name)
-                except ServeError as exc:
-                    if exc.code == "overloaded":
-                        with lock:
-                            shed["count"] += 1
-                    elif exc.code == "txn_aborted":
-                        with lock:
-                            shed["txn_aborted"] += 1
-                    elif exc.code in ("lock_denied", "retry_later"):
-                        with lock:
-                            shed["denied"] += 1
-                    else:
-                        raise
-                    if top_name is not None:
-                        try:
-                            client.abort(top_name)
-                        except (ServeError, ConnectionError, OSError):
-                            pass
-                    with lock:
-                        state["retries"] += 1
-                    time.sleep(
-                        backoff_ms(
-                            exc.retry_after_ms, attempt + 1, fail_rng
-                        )
-                        / 1000.0
-                    )
-                    continue
-                with lock:
-                    state["committed"] += 1
-                    state["ops"] += ops
-                    latencies.append(time.monotonic() - started)
-                if pace:
-                    time.sleep(compiled.think_times[index])
-                return
-            with lock:
-                state["aborted"] += 1
-            raise _RetryExhausted(program.label)
-
-        def worker(worker_id: int) -> None:
-            try:
-                client = SyncClient(host, int(port))
-            except OSError as exc:
-                with lock:
-                    errors.append(exc)
-                return
-            try:
-                for index in range(
-                    worker_id, len(compiled.programs), workers
-                ):
-                    try:
-                        run_txn(client, index)
-                    except _RetryExhausted:
-                        continue  # counted as aborted; keep going
-                    except BaseException as exc:
-                        with lock:
-                            errors.append(exc)
-                        return
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(
-                target=worker,
-                args=(worker_id,),
-                name="scenario-serve-%d" % worker_id,
+        report = _run_live(
+            compiled,
+            lambda: SyncClient(host, int(port)),
+            lambda job, exc, tries: backoff_ms(
+                exc.retry_after_ms, tries + 1, job.rng
             )
-            for worker_id in range(workers)
-        ]
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        result.makespan = time.monotonic() - started
-        result.committed = state["committed"]
-        result.aborted = state["aborted"]
-        result.retries = state["retries"]
-        result.ops = state["ops"]
-        result.latencies = latencies
-        result.extras["workers"] = workers
-        result.extras["shed"] = shed["count"]
-        result.extras["txn_aborted"] = shed["txn_aborted"]
-        result.extras["denied"] = shed["denied"]
+            / 1000.0,
+            result,
+            options,
+            pace=bool(options.get("pace", True)),
+        )
+        # Failures by wire code: admission sheds are load shedding
+        # (the server never saw the transaction), txn_aborted is an
+        # engine-side abort (wound, MVTO conflict) -- the league table
+        # reports them separately.
+        result.extras["shed"] = report.shed
+        result.extras["txn_aborted"] = report.txn_aborted
+        result.extras["denied"] = report.aborted - report.txn_aborted
 
 
 _DRIVERS = {

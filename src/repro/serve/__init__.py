@@ -13,16 +13,19 @@ durable; this package gives it a network face.  Modules:
 * :mod:`repro.serve.server` -- the TCP server: one thread per
   connection reads a burst, admits it, runs it in order (a lock wait
   blocks only that connection) and answers it with one write;
-* :mod:`repro.serve.client` -- sync and async (pipelining) clients;
-* :mod:`repro.serve.loadgen` -- open-loop Poisson and closed-loop
-  load generators reporting :mod:`repro.obs` latency percentiles.
+* :mod:`repro.serve.client` -- the blocking (optionally pipelining)
+  client, whose transactions have the facade handle's surface;
+* :mod:`repro.serve.loadgen` -- the one client loop (a thread per
+  client, threads only: the package has no event loop) and the
+  open-loop Poisson and closed-loop load generators on it, reporting
+  :mod:`repro.obs` latency percentiles.
 
 Serve with ``python -m repro serve``; drive with ``python -m repro
 loadgen``.  See docs/SERVICE.md.
 """
 
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.client import AsyncClient, ServeError, SyncClient
+from repro.serve.client import ServeError, SyncClient
 from repro.serve.loadgen import (
     LoadgenConfig,
     LoadReport,
@@ -47,7 +50,6 @@ from repro.serve.session import Session
 
 __all__ = [
     "AdmissionController",
-    "AsyncClient",
     "FrameCorrupt",
     "FrameDecoder",
     "FrameTooLarge",

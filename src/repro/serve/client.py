@@ -1,10 +1,12 @@
-"""Sync and async clients for the transaction service.
+"""The blocking client of the transaction service.
 
 :class:`SyncClient` is a plain-socket, one-outstanding-request client
-(with an explicit :meth:`SyncClient.pipeline` escape hatch) -- the
-closed-loop load generator and the tests use it.  :class:`AsyncClient`
-multiplexes any number of concurrent requests over one connection by
-``id`` -- the open-loop generator uses it.
+(with an explicit :meth:`SyncClient.pipeline` escape hatch); one
+thread owns one client.  :meth:`SyncClient.begin_top` hands out a
+:class:`WireTransaction`, a remote tree with the facade handle's
+surface, which is how the one client loop
+(:func:`repro.serve.loadgen.run_clients`) drives the service from both
+load generator modes and the scenario ``serve`` backend.
 
 Typed failures raise :class:`ServeError`, which carries the protocol
 error ``code``, the server's ``retry_after_ms`` hint, and any reported
@@ -14,7 +16,6 @@ error ``code``, the server's ``retry_after_ms`` hint, and any reported
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -195,117 +196,43 @@ class SyncClient:
     def abort(self, txn) -> Dict[str, Any]:
         return self.call("abort", txn=list(txn))
 
+    def begin_top(self) -> "WireTransaction":
+        """Begin a top-level transaction as a handle (the facade's)."""
+        return WireTransaction(self, self.begin())
 
-class AsyncClient:
-    """Asyncio client multiplexing concurrent requests by ``id``."""
 
-    def __init__(self):
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._decoder = proto.FrameDecoder()
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._next_id = 0
-        self._reader_task: Optional[asyncio.Task] = None
-        self._closing = False
+class WireTransaction:
+    """A remote transaction with the facade handle's surface.
 
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "AsyncClient":
-        client = cls()
-        client._reader, client._writer = await asyncio.open_connection(
-            host, port
+    ``begin_child`` / ``perform`` / ``commit`` / ``abort`` each go over
+    the client's connection as one request, so the client loop
+    (:func:`repro.serve.loadgen.run_clients`) drives a remote tree as
+    it drives a :class:`~repro.engine.threadsafe.ThreadSafeTransaction`.
+    Failures raise :class:`ServeError`.
+    """
+
+    __slots__ = ("client", "name")
+
+    def __init__(self, client: SyncClient, name: Tuple[int, ...]):
+        self.client = client
+        self.name = name
+
+    def begin_child(self) -> "WireTransaction":
+        return WireTransaction(self.client, self.client.child(self.name))
+
+    def perform(self, object_name: str, operation, timeout=None) -> Any:
+        """One access; the server's ``--op-timeout`` bounds its wait,
+        so *timeout* (the facade's per-call bound) is not sent."""
+        call = self.client.read if operation.is_read else self.client.write
+        return call(
+            self.name,
+            object_name,
+            kind=operation.kind,
+            args=operation.args,
         )
-        client._reader_task = asyncio.ensure_future(client._read_loop())
-        return client
 
-    @property
-    def connected(self) -> bool:
-        """True while the read loop is alive (responses can arrive)."""
-        return (
-            self._reader_task is not None
-            and not self._reader_task.done()
-            and not self._closing
-        )
+    def commit(self, value: Any = None) -> None:
+        self.client.commit(self.name, value)
 
-    async def close(self) -> None:
-        self._closing = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                data = await self._reader.read(1 << 16)
-                if not data:
-                    raise ConnectionError("server closed the connection")
-                for response in self._decoder.feed(data):
-                    future = self._pending.pop(
-                        response.get("id"), None
-                    )
-                    if future is not None and not future.done():
-                        future.set_result(response)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ConnectionError(str(exc))
-                    )
-            self._pending.clear()
-
-    async def call_raw(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """One request; response may be an error (``ok`` false)."""
-        assert self._writer is not None
-        self._next_id += 1
-        request_id = self._next_id
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        self._writer.write(
-            proto.encode_frame(proto.request(op, request_id, **fields))
-        )
-        await self._writer.drain()
-        return await future
-
-    async def call(self, op: str, **fields: Any) -> Dict[str, Any]:
-        return _raise_on_error(await self.call_raw(op, **fields))
-
-    # -- convenience ---------------------------------------------------
-    async def begin(self) -> Tuple[int, ...]:
-        return tuple((await self.call("begin"))["txn"])
-
-    async def read(self, txn, object_name: str) -> Any:
-        return (
-            await self.call(
-                "read", txn=list(txn), object=object_name
-            )
-        ).get("result")
-
-    async def write(self, txn, object_name: str, value: Any) -> Any:
-        return (
-            await self.call(
-                "write",
-                txn=list(txn),
-                object=object_name,
-                value=value,
-            )
-        ).get("result")
-
-    async def commit(self, txn, value: Any = None) -> Dict[str, Any]:
-        return await self.call("commit", txn=list(txn), value=value)
-
-    async def abort(self, txn) -> Dict[str, Any]:
-        return await self.call("abort", txn=list(txn))
-
-    async def stats(self) -> Dict[str, Any]:
-        return (await self.call("stats"))["stats"]
+    def abort(self) -> None:
+        self.client.abort(self.name)

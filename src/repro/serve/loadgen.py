@@ -1,21 +1,38 @@
-"""Open- and closed-loop load generators for the transaction service.
+"""The one client loop, and the load generators built on it.
 
-Two classic shapes (and the reason both exist -- they answer different
-questions):
+:func:`run_clients` is the package's only client loop: ``clients``
+threads, each owning one connection (a
+:class:`~repro.serve.client.SyncClient`) or an in-process facade, take
+*jobs* from a source and run each one -- begin, walk, commit, and on a
+failure abort, classify, back off, retry -- feeding one thread-safe
+:class:`LoadReport`.  It knows *ports* (anything with ``begin_top()``
+whose handles have ``begin_child`` / ``perform`` / ``commit`` /
+``abort``) and *jobs* (a plan and a scheduled start), not plans: the
+caller's attempt function walks the plan.  Every failure is classified
+by its wire code (:mod:`repro.serve.protocol`), so there is one
+failure vocabulary, and only the codes the taxonomy marks retryable
+are retried.  Both load generator modes and the scenario's live
+backends (``threadsafe``, ``sharded``, ``serve``) are thin callers of
+it.
 
-* **closed loop** -- ``clients`` worker threads, each driving one
-  :class:`~repro.serve.client.SyncClient` transaction-at-a-time (think
-  time optional).  Offered load adapts to service rate, so this
-  measures *capacity* (max sustainable throughput at a concurrency).
-* **open loop** -- Poisson arrivals at a configured ``rate``; each
-  arrival checks a connection out of a ``clients``-sized pool for the
-  life of its transaction (concurrent transactions must not share a
-  connection -- the server serializes each connection's ops, so they
-  would head-of-line block on each other's locks).  Arrivals do not
-  wait for completions, so queueing delay -- including waiting for a
-  free pool slot -- is *part of the latency*.  This measures behaviour
-  **under** a fixed offered load, the regime where admission control
-  and shedding matter.
+Two classic load shapes (and the reason both exist -- they answer
+different questions):
+
+* **closed loop** -- each of ``clients`` threads runs one transaction
+  at a time (think time optional).  Offered load adapts to service
+  rate, so this measures *capacity* (max sustainable throughput at a
+  concurrency).
+* **open loop** -- Poisson arrivals at a configured ``rate``, drawn in
+  order from one shared source; a free client thread takes the next
+  arrival, sleeps until its scheduled time, and runs it once (a
+  connection runs one transaction at a time: the server serializes
+  each connection's ops, so sharing one would head-of-line block on
+  locks).  Arrivals do not wait for completions, and latency is
+  measured from the *scheduled* arrival, so queueing behind
+  ``clients`` busy connections is *part of the latency* (no
+  coordinated omission).  This measures behaviour **under** a fixed
+  offered load, the regime where admission control and shedding
+  matter.
 
 Every transaction is ``begin -> ops_per_txn read/write accesses over
 random objects -> commit`` with seeded randomness, so runs are
@@ -25,29 +42,24 @@ sample per finished transaction; open-loop samples are measured from
 the *scheduled arrival*, closed-loop from ``begin``).  Retryable
 denials (``overloaded`` / ``retry_later`` / ``txn_aborted`` /
 ``lock_denied``) are counted per code; the closed loop retries with
-the server's ``retry_after_ms`` hint plus seeded jitter
-(:func:`repro.serve.client.backoff_ms`), the open loop records the
-outcome and moves on (an open-loop arrival missed is load shed, not
-load deferred).
+seeded jitter (:func:`repro.serve.client.backoff_ms`), the open loop
+records the outcome and moves on (an open-loop arrival missed is load
+shed, not load deferred).
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.object_spec import Operation
+from repro.errors import ReproError
 from repro.obs.metrics import Summary, percentile
 from repro.serve import protocol as proto
-from repro.serve.client import (
-    AsyncClient,
-    ServeError,
-    SyncClient,
-    backoff_ms,
-)
+from repro.serve.client import ServeError, SyncClient, backoff_ms
 
 
 @dataclass
@@ -207,6 +219,153 @@ class LoadReport:
         return "\n".join(lines)
 
 
+# ----------------------------------------------------------------------
+# The client loop
+# ----------------------------------------------------------------------
+#: The code of a connection that failed or was never made.
+CONNECTION_LOST = "connection_lost"
+
+
+@dataclass
+class Job:
+    """One transaction for :func:`run_clients` to run to an outcome."""
+
+    #: What the caller's attempt function walks.
+    plan: Any
+    #: ``time.monotonic()`` at which the job may start, and the origin
+    #: of its latency: an open loop's scheduled arrival, else now.
+    start: float
+    #: Seeded randomness for the attempt and its retry pauses.
+    rng: Optional[random.Random] = None
+    #: Seconds to sleep after the commit.
+    think: float = 0.0
+    #: Accesses the committed attempt performed (None until then).
+    ops: Optional[int] = None
+
+
+def failure_code(exc: BaseException) -> str:
+    """The wire taxonomy's code for a failed attempt's exception.
+
+    A wire error carries its code; a facade exception gets the code
+    :func:`repro.serve.protocol.exception_to_error` would answer it
+    with; a dead socket is :data:`CONNECTION_LOST`.
+    """
+    if isinstance(exc, ServeError):
+        return exc.code
+    if isinstance(exc, OSError):
+        return CONNECTION_LOST
+    return proto.exception_to_error(None, exc)["error"]["code"]
+
+
+def run_clients(
+    connect: Callable[[], Any],
+    jobs: Callable[[int], Iterable[Job]],
+    attempt: Callable[[Any, Job], int],
+    pause: Callable[[Job, BaseException, int], float],
+    report: LoadReport,
+    clients: int,
+    max_retries: int,
+    deadline: Optional[float] = None,
+    strict: bool = False,
+) -> None:
+    """Run ``clients`` client threads to completion; sets the wall time.
+
+    Thread *i* enters ``connect()`` -- a context manager whose value
+    has ``begin_top()``: a :class:`SyncClient`, or a facade in a
+    ``contextlib.nullcontext`` -- and runs every job of ``jobs(i)``:
+    it sleeps until ``job.start``, then makes up to ``max_retries + 1``
+    attempts, each ``attempt(top, job) -> accesses`` on a fresh
+    top-level transaction that the loop commits.  A failed attempt's
+    top is aborted (idempotent on every port) and its
+    :func:`failure_code` fed to *report*.  A retryable code sleeps
+    ``pause(job, exc, tries)`` seconds and tries again, until the
+    budget or *deadline* runs out.  Any other code raises to the
+    caller when *strict*; otherwise it ends the job, and the thread
+    too once the connection is gone.  An exception outside the
+    taxonomy (a bug) always raises, once every thread has finished.
+    """
+    errors: List[BaseException] = []
+
+    def client(index: int) -> None:
+        try:
+            try:
+                conn = connect()
+            except OSError:
+                if strict:
+                    raise
+                report.outcome("connect_error")
+                return
+            with conn as port:
+                for job in jobs(index):
+                    if not _run_job(
+                        port, job, attempt, pause, report,
+                        max_retries, deadline, strict,
+                    ):
+                        return
+        except Exception as exc:  # re-raised by the caller below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(
+            target=client, args=(index,), name="repro-client-%d" % index
+        )
+        for index in range(clients)
+    ]
+    started = time.monotonic()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    report.wall_seconds = time.monotonic() - started
+    if errors:
+        raise errors[0]
+
+
+def _run_job(
+    port, job, attempt, pause, report, max_retries, deadline, strict
+) -> bool:
+    """Run *job* to its outcome; False once the connection is gone."""
+    delay = job.start - time.monotonic()
+    if delay > 0:
+        time.sleep(delay)
+    tries = 0
+    while True:
+        top = None
+        try:
+            top = port.begin_top()
+            ops = attempt(top, job)
+            top.commit()
+        except (ReproError, OSError) as exc:
+            if top is not None:
+                try:
+                    top.abort()
+                except (ReproError, OSError):
+                    pass
+            code = failure_code(exc)
+            retryable = code in proto.RETRYABLE_CODES
+            if strict and not retryable:
+                raise
+            report.outcome(code)
+            if not retryable:
+                return code != CONNECTION_LOST
+            if tries == max_retries or (
+                deadline is not None and time.monotonic() >= deadline
+            ):
+                return True
+            report.retry()
+            time.sleep(pause(job, exc, tries))
+            tries += 1
+            continue
+        job.ops = ops
+        report.commit(time.monotonic() - job.start, ops)
+        if job.think:
+            time.sleep(job.think)
+        return True
+
+
+# ----------------------------------------------------------------------
+# The load generators
+# ----------------------------------------------------------------------
 #: Per-ADT op kinds: (read kind/args, write kind/args-from-rng).  The
 #: hello handshake advertises each object's ADT class, so the workload
 #: speaks every served type's language; unknown types get the plain
@@ -240,7 +399,7 @@ class _Workload:
     read_fraction: float
     object_types: Optional[Dict[str, str]] = None
 
-    def plan(self, rng: random.Random) -> List[Dict[str, Any]]:
+    def plan(self, rng: random.Random) -> List[Tuple[str, Operation]]:
         ops = []
         types = self.object_types or {}
         for _ in range(self.ops_per_txn):
@@ -251,267 +410,125 @@ class _Workload:
             is_read = rng.random() < self.read_fraction
             kind, args = reads if is_read else writes
             ops.append(
-                {
-                    "op": "read" if is_read else "write",
-                    "object": object_name,
-                    "kind": kind,
-                    "args": args(rng),
-                }
+                (object_name, Operation(kind, tuple(args(rng)), is_read))
             )
         return ops
 
 
-def _discover_objects(
+def _walk(top, job: Job) -> int:
+    """The load generators' attempt: a flat plan's accesses."""
+    for object_name, operation in job.plan:
+        top.perform(object_name, operation)
+    return len(job.plan)
+
+
+def _load(
     config: LoadgenConfig,
-) -> Tuple[List[str], Dict[str, str]]:
+    mode: str,
+    jobs,
+    pause,
+    max_retries: int,
+    deadline: Optional[float] = None,
+) -> LoadReport:
+    """Run *jobs* over ``config.clients`` connections of the server."""
+    report = LoadReport(mode)
+    run_clients(
+        lambda: SyncClient(config.host, config.port),
+        jobs,
+        _walk,
+        pause,
+        report,
+        config.clients,
+        max_retries,
+        deadline=deadline,
+    )
+    return report
+
+
+def _discover_objects(config: LoadgenConfig) -> _Workload:
     with SyncClient(config.host, config.port) as client:
         hello = client.hello()
     objects = hello.get("objects") or []
-    types = hello.get("object_types") or {}
     if config.objects:
         objects = list(config.objects)
     if not objects:
         raise ValueError("server reports no objects to load")
-    return objects, types
-
-
-# ----------------------------------------------------------------------
-# Closed loop
-# ----------------------------------------------------------------------
-def _closed_worker(
-    config: LoadgenConfig,
-    workload: _Workload,
-    report: LoadReport,
-    deadline: float,
-    index: int,
-) -> None:
-    rng = random.Random((config.seed << 16) ^ (index * 10007 + 1))
-    try:
-        client = SyncClient(config.host, config.port)
-    except OSError:
-        report.outcome("connect_error")
-        return
-    try:
-        while time.monotonic() < deadline:
-            started = time.monotonic()
-            plan = workload.plan(rng)
-            attempt = 0
-            while True:
-                code = _run_txn_sync(client, plan)
-                if code is None:
-                    report.commit(
-                        time.monotonic() - started, len(plan)
-                    )
-                    break
-                report.outcome(code)
-                attempt += 1
-                if (
-                    attempt > config.max_retries
-                    or time.monotonic() >= deadline
-                ):
-                    break
-                report.retry()
-                time.sleep(
-                    backoff_ms(None, attempt, rng) / 1000.0
-                )
-            if config.think_time:
-                time.sleep(config.think_time)
-    except (ConnectionError, OSError):
-        report.outcome("connection_lost")
-    finally:
-        client.close()
-
-
-def _run_txn_sync(client: SyncClient, plan) -> Optional[str]:
-    """One transaction attempt; returns None or the failure code."""
-    try:
-        txn = client.begin()
-    except ServeError as exc:
-        return exc.code
-    try:
-        for op in plan:
-            client.call(op["op"], txn=list(txn), **{
-                key: value
-                for key, value in op.items()
-                if key not in ("op",)
-            })
-        client.commit(txn)
-        return None
-    except ServeError as exc:
-        if exc.code != proto.ERR_TXN_ABORTED:
-            try:
-                client.abort(txn)
-            except (ServeError, ConnectionError, OSError):
-                pass
-        return exc.code
+    return _Workload(
+        objects,
+        config.ops_per_txn,
+        config.read_fraction,
+        hello.get("object_types") or {},
+    )
 
 
 def run_closed_loop(config: LoadgenConfig) -> LoadReport:
-    objects, types = _discover_objects(config)
-    workload = _Workload(
-        objects, config.ops_per_txn, config.read_fraction, types
+    workload = _discover_objects(config)
+    deadline = time.monotonic() + config.duration
+
+    def jobs(index: int):
+        rng = random.Random((config.seed << 16) ^ (index * 10007 + 1))
+        while time.monotonic() < deadline:
+            started = time.monotonic()
+            yield Job(workload.plan(rng), started, rng, config.think_time)
+
+    return _load(
+        config,
+        "closed",
+        jobs,
+        lambda job, exc, tries: backoff_ms(None, tries + 1, job.rng)
+        / 1000.0,
+        config.max_retries,
+        deadline,
     )
-    report = LoadReport("closed")
-    started = time.monotonic()
-    deadline = started + config.duration
-    threads = [
-        threading.Thread(
-            target=_closed_worker,
-            args=(config, workload, report, deadline, index),
-            daemon=True,
-        )
-        for index in range(config.clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.wall_seconds = time.monotonic() - started
-    return report
 
 
-# ----------------------------------------------------------------------
-# Open loop
-# ----------------------------------------------------------------------
-async def _open_txn(
-    client: AsyncClient,
-    plan,
-    scheduled: float,
-    report: LoadReport,
-) -> None:
-    try:
-        txn = (await client.call("begin"))["txn"]
-    except ServeError as exc:
-        report.outcome(exc.code)
-        return
-    except (ConnectionError, OSError):
-        report.outcome("connection_lost")
-        return
-    try:
-        for op in plan:
-            await client.call(
-                op["op"],
-                txn=txn,
-                **{k: v for k, v in op.items() if k != "op"},
-            )
-        await client.call("commit", txn=txn)
-        report.commit(
-            time.monotonic() - scheduled, len(plan)
-        )
-    except ServeError as exc:
-        if exc.code != proto.ERR_TXN_ABORTED:
-            try:
-                await client.call_raw("abort", txn=txn)
-            except (ConnectionError, OSError):
-                pass
-        report.outcome(exc.code)
-    except (ConnectionError, OSError):
-        report.outcome("connection_lost")
+def _arrivals(
+    workload: _Workload,
+    rng: random.Random,
+    rate: float,
+    origin: float,
+    deadline: float,
+) -> Callable[[], Optional[Job]]:
+    """The open loop's one Poisson arrival stream, shared by clients.
 
-
-async def _checkout(
-    pool: "asyncio.Queue", config: LoadgenConfig
-) -> Optional[AsyncClient]:
-    """Take a healthy connection from the pool (reconnect dead slots).
-
-    Returns None when no connection could be had within the grace
-    window (server down, or every slot stuck past the drain timeout).
+    Each call draws the next gap and then its plan under one lock, so
+    a seed's (arrival, plan) sequence does not depend on which client
+    thread takes which arrival; None once an arrival would land at or
+    after *deadline*.
     """
-    try:
-        client = await asyncio.wait_for(pool.get(), timeout=30.0)
-    except asyncio.TimeoutError:
-        return None
-    if client is not None and client.connected:
-        return client
-    if client is not None:
-        await client.close()
-    try:
-        return await AsyncClient.connect(config.host, config.port)
-    except OSError:
-        pool.put_nowait(None)  # keep the slot; retry on next checkout
-        return None
+    lock = threading.Lock()
+    scheduled = origin
 
-
-async def _open_arrival(
-    pool: "asyncio.Queue",
-    config: LoadgenConfig,
-    plan,
-    scheduled: float,
-    report: LoadReport,
-) -> None:
-    client = await _checkout(pool, config)
-    if client is None:
-        report.outcome("no_connection")
-        return
-    try:
-        await _open_txn(client, plan, scheduled, report)
-    finally:
-        pool.put_nowait(client if client.connected else None)
-        if not client.connected:
-            await client.close()
-
-
-async def _run_open_loop(config: LoadgenConfig) -> LoadReport:
-    objects, types = _discover_objects(config)
-    workload = _Workload(
-        objects, config.ops_per_txn, config.read_fraction, types
-    )
-    report = LoadReport("open")
-    rng = random.Random(config.seed)
-    # A checkout pool, NOT shared multiplexing: the server runs each
-    # connection's requests as one serially-executed stream, so two
-    # in-flight transactions sharing a connection would head-of-line
-    # block on each other's locks.  Each arrival owns one connection
-    # for the life of its transaction; ``clients`` caps concurrency,
-    # and time spent waiting for a free slot is queueing delay that
-    # (correctly, for an open loop) counts against latency.
-    pool: asyncio.Queue = asyncio.Queue()
-    for _ in range(config.clients):
-        try:
-            pool.put_nowait(
-                await AsyncClient.connect(config.host, config.port)
-            )
-        except OSError:
-            pool.put_nowait(None)
-    tasks: List[asyncio.Task] = []
-    started = time.monotonic()
-    deadline = started + config.duration
-    scheduled = started
-    try:
-        while True:
-            scheduled += rng.expovariate(config.rate)
+    def arrival() -> Optional[Job]:
+        nonlocal scheduled
+        with lock:
             if scheduled >= deadline:
-                break
-            delay = scheduled - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(
-                asyncio.ensure_future(
-                    _open_arrival(
-                        pool,
-                        config,
-                        workload.plan(rng),
-                        scheduled,
-                        report,
-                    )
-                )
-            )
-        if tasks:
-            await asyncio.wait(tasks, timeout=60.0)
-    finally:
-        for task in tasks:
-            if not task.done():
-                task.cancel()
-        while not pool.empty():
-            client = pool.get_nowait()
-            if client is not None:
-                await client.close()
-    report.wall_seconds = time.monotonic() - started
-    return report
+                return None
+            scheduled += rng.expovariate(rate)
+            if scheduled >= deadline:
+                return None
+            return Job(workload.plan(rng), scheduled)
+
+    return arrival
 
 
 def run_open_loop(config: LoadgenConfig) -> LoadReport:
-    return asyncio.run(_run_open_loop(config))
+    workload = _discover_objects(config)
+    origin = time.monotonic()
+    arrival = _arrivals(
+        workload,
+        random.Random(config.seed),
+        config.rate,
+        origin,
+        origin + config.duration,
+    )
+    return _load(
+        config,
+        "open",
+        lambda index: iter(arrival, None),
+        lambda job, exc, tries: 0.0,
+        0,
+    )
 
 
 def run_scenario_loop(config: LoadgenConfig) -> LoadReport:

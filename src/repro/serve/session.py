@@ -21,16 +21,11 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.object_spec import Operation
-from repro.engine.transaction import TransactionStatus
 from repro.engine.threadsafe import (
     ThreadSafeEngine,
     ThreadSafeTransaction,
 )
-from repro.errors import (
-    EngineError,
-    InvalidTransactionState,
-    TransactionAborted,
-)
+from repro.errors import EngineError, TransactionAborted
 from repro.serve import protocol as proto
 
 TxnName = Tuple[int, ...]
@@ -114,44 +109,17 @@ class Session:
             return proto.error_response(
                 request_id, proto.ERR_BAD_REQUEST, str(exc)
             )
-        # engine errors -> typed taxonomy
-        exc = self._translate_dead(message, exc)
+        if isinstance(exc, TransactionAborted) and "txn" in message:
+            # Wounds (and ``abort_top``) kill whole top-level trees,
+            # and the facade reports a call on any of a dead tree's
+            # handles this way: retire them all.  (The handler parsed
+            # ``txn`` before the engine could raise.)
+            self._prune_subtree(
+                proto.txn_name(message.get("txn"))[:1]
+            )
         return proto.exception_to_error(
             request_id, exc, retry_after_ms=self.retry_hint_ms
         )
-
-    def _translate_dead(
-        self, message: Dict[str, Any], exc: Exception
-    ) -> Exception:
-        """Surface wounds as ``txn_aborted`` and retire dead trees.
-
-        A wound lands while the victim's client is between calls, so
-        its next op trips ``_require_active`` and raises
-        ``InvalidTransactionState`` -- which reads as client misuse.
-        When the named handle is in fact aborted, report the wound
-        (:class:`~repro.errors.TransactionAborted`, retryable) instead.
-        Either way a dead tree's handles are pruned, since wounds kill
-        whole top-level trees.
-        """
-        try:
-            name = proto.txn_name(message.get("txn"))
-        except ValueError:
-            return exc
-        handle = self.handles.get(name)
-        if isinstance(exc, TransactionAborted):
-            self._prune_subtree(name[:1])
-            return exc
-        if (
-            isinstance(exc, InvalidTransactionState)
-            and handle is not None
-            and handle.status is TransactionStatus.ABORTED
-        ):
-            self._prune_subtree(name[:1])
-            return TransactionAborted(
-                tuple(name),
-                reason="wounded before this request ran",
-            )
-        return exc
 
     def _handle(self, message: Dict[str, Any]) -> ThreadSafeTransaction:
         name = proto.txn_name(message.get("txn"))

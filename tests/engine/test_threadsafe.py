@@ -84,7 +84,7 @@ class TestThreads:
         balance = elder.perform("acct", BankAccount.balance(), timeout=5.0)
         assert balance == 100
         assert not younger.is_active
-        with pytest.raises(InvalidTransactionState):
+        with pytest.raises(TransactionAborted):
             younger.perform("acct", BankAccount.balance())
         elder.commit()
 
@@ -167,6 +167,52 @@ class TestTimeoutDeadline:
             "timeout restarted on every signal: %.2fs" % elapsed
         )
         holder.commit()
+
+
+def _wound(facade, elder, handle):
+    # The older tree wants the lock the handle holds: wound-wait.
+    elder.perform("acct", BankAccount.balance(), timeout=5.0)
+
+
+def _abort_top(facade, elder, handle):
+    assert facade.abort_top(handle.name)
+
+
+class TestDeadHandleContract:
+    """A dead tree's handles raise ``TransactionAborted``, named right.
+
+    ``abort_top`` documents it as the same contract as a wound: the
+    owner's next ``perform``, ``begin_child`` or ``commit`` on any
+    handle of the tree raises ``TransactionAborted`` whose
+    ``transaction_id`` is that handle's name.
+    """
+
+    @pytest.mark.parametrize("kill", [_wound, _abort_top])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_every_call_raises_transaction_aborted(
+        self, facade, kill, depth
+    ):
+        elder = facade.begin_top()
+        top = facade.begin_top()
+        handle = top if depth == 1 else top.begin_child()
+        handle.perform("acct", BankAccount.deposit(5))
+        kill(facade, elder, handle)
+        assert not handle.is_active
+        calls = {
+            "perform": lambda: handle.perform(
+                "c", Counter.value(), timeout=1.0
+            ),
+            "begin_child": handle.begin_child,
+            "commit": handle.commit,
+        }
+        for label, call in calls.items():
+            with pytest.raises(TransactionAborted) as excinfo:
+                call()
+            assert excinfo.value.transaction_id == handle.name, label
+        # Aborting a dead handle stays an idempotent no-op.
+        handle.abort()
+        elder.commit()
+        assert facade.object_value("acct") == 100
 
 
 class TestWoundWaitEdges:
