@@ -33,18 +33,18 @@ Scheduler hooks
 The deterministic concurrency fuzzer (:mod:`repro.fuzz`) needs to own
 the interleaving of worker threads, so the facade exposes *yield-point
 hooks*: when :meth:`ThreadSafeEngine.install_hooks` has installed a
-controller, every lock acquire, blocking wait, commit and abort routes
-through it instead of the free-running condition-variable path
-(install them before starting worker threads).  The hooks object is
+controller, every access, commit and abort first yields to it, and
+denied accesses park on conditions it makes; blocking, wounds and
+targeted wakes otherwise run the path above.  The hooks object is
 duck-typed; it must provide::
 
     yield_point(kind, txn_name, detail)   # "acquire"/"denied"/"commit"/"abort"
-    park_blocked(txn_name, blockers, object_name)  # wait for a release
-    on_release(txn_name)                  # locks shed (commit/abort/wound)
     inject_deny(txn_name, object_name) -> bool     # fault injection point
+    condition(object_name, lock) -> Condition      # wait/notify_all on lock
 
-With no hooks installed (the default) behaviour is unchanged and the
-hot path pays a single attribute check.
+Nothing yields while the mutex is held (a controlled ``wait``
+releases it, like any condition's).  With no hooks installed (the
+default) the hot path pays a single attribute load.
 
 Lock waits (timed with :func:`time.perf_counter`), wounds and abort
 causes are facade knowledge, reported with the spine's ``note``.
@@ -164,26 +164,10 @@ class ThreadSafeTransaction:
         )
 
     def commit(self, value: Any = None) -> None:
-        hooks = self._facade._hooks
-        if hooks is not None:
-            # Names are immutable after construction.
-            hooks.yield_point(
-                "commit", self._inner.name, None  # repro-lint: ignore[CD002]
-            )
         self._facade._finish(self._inner, "commit", value)
-        if hooks is not None:
-            hooks.on_release(self._inner.name)  # repro-lint: ignore[CD002]
 
     def abort(self) -> None:
-        hooks = self._facade._hooks
-        if hooks is not None:
-            # Names are immutable after construction.
-            hooks.yield_point(
-                "abort", self._inner.name, None  # repro-lint: ignore[CD002]
-            )
         self._facade._finish(self._inner, "abort", None)
-        if hooks is not None:
-            hooks.on_release(self._inner.name)  # repro-lint: ignore[CD002]
 
     def __enter__(self) -> "ThreadSafeTransaction":
         return self
@@ -434,6 +418,9 @@ class ThreadSafeEngine:
         """Commit or abort *inner*, waking the waiters it may release."""
         # Names are immutable after construction.
         name = inner.name  # repro-lint: ignore[CD002]
+        hooks = self._hooks
+        if hooks is not None:
+            hooks.yield_point(action, name, None)
         waiter = None
         try:
             with self._mutex:
@@ -532,10 +519,16 @@ class ThreadSafeEngine:
         operation: Operation,
         timeout: Optional[float],
     ) -> Any:
-        if self._hooks is not None:
-            return self._perform_controlled(txn, object_name, operation)
         # Names are immutable after construction.
-        top = txn.name[:1]  # repro-lint: ignore[CD002]
+        name = txn.name  # repro-lint: ignore[CD002]
+        hooks = self._hooks
+        if hooks is not None:
+            # Yield outside the mutex: the next worker may need it.
+            hooks.yield_point("acquire", name, object_name)
+            while hooks.inject_deny(name, object_name):
+                hooks.yield_point("denied", name, object_name)
+                hooks.yield_point("acquire", name, object_name)
+        top = name[:1]
         deadline: Optional[float] = None
         wait_started: Optional[float] = None
         with self._mutex:
@@ -569,6 +562,8 @@ class ThreadSafeEngine:
                     if cond is None:
                         cond = self._waiting[object_name] = (
                             threading.Condition(self._mutex)
+                            if hooks is None
+                            else hooks.condition(object_name, self._mutex)
                         )
                     # A timed-out wait is re-checked against the
                     # deadline above, so total blocking never exceeds
@@ -587,48 +582,3 @@ class ThreadSafeEngine:
                 if wait_started is not None:
                     self._waited(txn, object_name, wait_started)
                 return result
-
-    def _perform_controlled(
-        self,
-        txn: Transaction,
-        object_name: str,
-        operation: Operation,
-    ) -> Any:
-        """The hook-driven twin of :meth:`_perform_blocking`.
-
-        The installed controller decides when this thread runs and is
-        told, instead of a condition wait, when the access blocks --
-        timeouts do not apply because the controller owns time.
-        """
-        hooks = self._hooks
-        while True:
-            hooks.yield_point("acquire", txn.name, object_name)
-            if hooks.inject_deny(txn.name, object_name):
-                hooks.yield_point("denied", txn.name, object_name)
-                continue
-            with self._mutex:
-                try:
-                    result = txn.perform(object_name, operation)
-                except LockDenied as denial:
-                    wounded = self._wound(txn, denial)
-                    blockers = tuple(sorted(denial.blockers))
-                except InvalidTransactionState:
-                    _raise_if_aborted(txn)
-                    raise
-                except TransactionAborted:
-                    if not self.capabilities.object_local_performs:
-                        # Tree aborted from inside ``perform`` (MVTO
-                        # ts-conflict): its pending writes are gone but
-                        # no commit/abort handle call will follow to
-                        # wake parked workers -- release them here.
-                        hooks.on_release(txn.name)
-                    raise
-                else:
-                    return result
-            if wounded:
-                hooks.on_release(txn.name)
-                continue
-            parked_at = perf_counter()
-            hooks.park_blocked(txn.name, blockers, object_name)
-            with self._mutex:
-                self._waited(txn, object_name, parked_at)

@@ -10,12 +10,14 @@ function of the *decision sequence* -- record it and any run replays
 exactly; shrink it and the run stays deterministic (unreferenced
 decisions fall back to the lowest runnable worker id).
 
-Blocking never uses wall-clock time: a worker whose access is denied
-parks in the controller as BLOCKED and becomes runnable again when any
-other worker sheds locks (commit, abort, or wound-wait).  Wound-wait
-makes the waits-for relation acyclic (younger waits on older only), so
-an all-blocked stall indicates an engine bug; the controller reports it
-as a failure instead of hanging.
+Blocking runs the facade's own path on conditions the controller
+makes (:meth:`condition`): ``wait`` parks the worker BLOCKED on that
+condition and ``notify_all`` readies exactly its waiters.  No
+wall-clock time is involved (a controlled wait ignores its timeout;
+fuzz workers pass none).  Wound-wait makes the waits-for relation
+acyclic, so an all-blocked stall -- or a parked worker whose
+:meth:`run` check finds no live blocker, a lost wakeup -- is an
+engine bug, reported as a failure instead of a hang.
 
 Scheduling strategies:
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -120,8 +122,35 @@ class _WorkerState:
     def __init__(self, worker_id: int):
         self.worker_id = worker_id
         self.phase = _READY
-        self.blocked_on: Tuple = ()
+        self.txn_name = None  # of the latest yield
         self.error: Optional[BaseException] = None
+
+
+class _Condition:
+    """``threading.Condition(lock)`` whose waiters park in a controller."""
+
+    def __init__(self, controller, object_name: str, lock):
+        self._controller = controller
+        self.object_name = object_name
+        self._lock = lock
+        self.parked: List[_WorkerState] = []  # guarded by controller._cv
+
+    def wait(self, timeout: Optional[float] = None) -> None:
+        controller = self._controller
+        worker_id = controller._me()
+        txn_name = controller._states[worker_id].txn_name
+        event = ("park", worker_id, txn_name, self.object_name)
+        self._lock.release()
+        try:
+            controller._hand_off(worker_id, event, self)
+        finally:
+            self._lock.acquire()
+
+    def notify_all(self) -> None:
+        with self._controller._cv:
+            for state in self.parked:
+                state.phase = _READY
+            self.parked.clear()
 
 
 class InterleavingController:
@@ -129,10 +158,10 @@ class InterleavingController:
 
     Implements the hook protocol of
     :class:`~repro.engine.threadsafe.ThreadSafeEngine` (``yield_point``,
-    ``park_blocked``, ``on_release``, ``inject_deny``) and drives the
-    whole run from :meth:`run`.  The recorded per-decision worker ids
+    ``inject_deny``, ``condition``) and drives the whole run from
+    :meth:`run`.  The recorded per-decision worker ids
     land in :attr:`decisions`; the ordered yield log (one entry per
-    yield point) lands in :attr:`events` and is part of the replay
+    yield point or park) lands in :attr:`events` and is part of the replay
     digest.
     """
 
@@ -178,9 +207,9 @@ class InterleavingController:
 
     def _worker_main(self, worker_id: int, body) -> None:
         self._by_ident[threading.get_ident()] = worker_id
-        self._await_turn(worker_id)
         state = self._states[worker_id]
         try:
+            self._await_turn(worker_id)
             body()
         except BaseException as exc:  # noqa: BLE001 - reported, not lost
             state.error = exc
@@ -201,38 +230,32 @@ class InterleavingController:
         state = self._states[worker_id]
         with self._cv:
             while self._current != worker_id:
-                self._cv.wait(timeout=self._turn_timeout)
                 if self.stalled:
                     raise FuzzStall(self.stall_reason or "stalled")
+                self._cv.wait(timeout=self._turn_timeout)
             state.phase = _RUNNING
 
     def yield_point(self, kind: str, txn_name, detail) -> None:
         worker_id = self._me()
-        self.events.append((kind, worker_id, txn_name, detail))
+        self._states[worker_id].txn_name = txn_name
+        self._hand_off(worker_id, (kind, worker_id, txn_name, detail))
+
+    def condition(self, object_name: str, lock) -> _Condition:
+        return _Condition(self, object_name, lock)
+
+    def _hand_off(self, worker_id: int, event: Tuple, cond=None) -> None:
+        """Log *event*, yield the turn (parked on *cond*), await one."""
+        state = self._states[worker_id]
         with self._cv:
-            self._states[worker_id].phase = _READY
+            if self.stalled:  # unwinding workers must not race the digest
+                raise FuzzStall(self.stall_reason)
+            self.events.append(event)
+            state.phase = _READY if cond is None else _BLOCKED
+            if cond is not None:
+                cond.parked.append(state)
             self._current = None
             self._cv.notify_all()
         self._await_turn(worker_id)
-
-    def park_blocked(self, txn_name, blockers, object_name) -> None:
-        worker_id = self._me()
-        self.events.append(("park", worker_id, txn_name, object_name))
-        with self._cv:
-            state = self._states[worker_id]
-            state.phase = _BLOCKED
-            state.blocked_on = tuple(blockers)
-            self._current = None
-            self._cv.notify_all()
-        self._await_turn(worker_id)
-
-    def on_release(self, txn_name) -> None:
-        self.events.append(("release", self._me(), txn_name, None))
-        with self._cv:
-            for state in self._states.values():
-                if state.phase == _BLOCKED:
-                    state.phase = _READY
-                    state.blocked_on = ()
 
     def inject_deny(self, txn_name, object_name) -> bool:
         if self._injector is None:
@@ -242,12 +265,16 @@ class InterleavingController:
     # ------------------------------------------------------------------
     # The scheduling loop (called from the driving thread)
     # ------------------------------------------------------------------
-    def run(self) -> None:
+    def run(self, check: Callable[[int], bool]) -> None:
         """Start every worker and schedule until all are done.
 
-        On a stall (all live workers blocked, or a worker failing to
-        reach its next yield point) the run is marked ``stalled``
-        instead of raising, so the caller can report it as a finding.
+        *check* is the progressiveness oracle: before every decision
+        ``check(worker_id)`` must hold for each BLOCKED worker (a live
+        conflicting blocker remains).  It runs while every worker waits
+        outside the facade's mutex.  On a stall (all live workers
+        blocked, a failed check, or a worker failing to reach its next
+        yield point) the run is marked ``stalled`` instead of raising,
+        so the caller can report it as a finding.
         """
         for thread in self._threads.values():
             thread.start()
@@ -258,6 +285,13 @@ class InterleavingController:
                     for worker_id, state in self._states.items()
                     if state.phase == _READY
                 )
+                for worker_id, state in sorted(self._states.items()):
+                    if state.phase == _BLOCKED and not check(worker_id):
+                        self._stall(
+                            "worker %d parked with no live blocker"
+                            % worker_id
+                        )
+                        return
                 if not runnable:
                     statuses = sorted(
                         (worker_id, state.phase)

@@ -5,7 +5,7 @@ seeds the worker programs and the fault streams, the choice list pins
 the interleaving (an empty/absent list means seeded random search).
 :func:`run_case` executes the case under the
 :class:`~repro.fuzz.controller.InterleavingController` and judges the
-finished run with three oracles:
+run with four oracles:
 
 1. **conformance** -- the engine trace is replayed against the formal
    model by :func:`repro.checking.check_engine_trace`; any refinement
@@ -13,8 +13,9 @@ finished run with three oracles:
    (``RW001``...) findings from :mod:`repro.analysis` (skipped for
    schemes whose capabilities declare ``model_conformant=False``,
    e.g. ``mvto`` -- the stall and exception oracles still apply);
-2. **stall** -- the controller could not make progress (all workers
-   blocked), impossible under correct wound-wait;
+2. **stall** -- all workers blocked (impossible under wound-wait), or
+   a parked worker with no live blocker (a lost wakeup; Kuznetsov-Ravi
+   progressiveness, checked at every scheduling decision);
 3. **worker exceptions** -- anything unexpected escaping a worker body;
 4. **audit** (opt-in, ``run_case(audit=True)``) -- the online
    serializability auditor (:mod:`repro.audit`) watches the run and
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.threadsafe import ThreadSafeEngine
 from repro.errors import TransactionAborted
@@ -144,14 +145,17 @@ def _worker_body(
     worker_id: int,
     programs,
     log: WorkerLog,
+    pending: Dict[int, Tuple],
 ):
+    def perform(handle, access: AccessStep):
+        pending[worker_id] = (handle, access)  # for _has_live_blocker
+        return handle.perform(access.object_name, access.operation)
+
     def body():
         for program in programs:
             top = facade.begin_top()
             try:
-                _run_program(
-                    facade, injector, worker_id, top, program, log
-                )
+                _run_program(injector, worker_id, top, program, log, perform)
             except TransactionAborted:
                 # Wounded by an older transaction (the whole subtree is
                 # already aborted); abandon this program.
@@ -163,14 +167,14 @@ def _worker_body(
     return body
 
 
-def _run_program(facade, injector, worker_id, top, program, log):
+def _run_program(injector, worker_id, top, program, log, perform):
     for step in program.steps:
         if injector.crash_now(worker_id):
             log.crashed += 1
             top.abort()
             return
         if isinstance(step, AccessStep):
-            result = top.perform(step.object_name, step.operation)
+            result = perform(top, step)
             log.performed.append((step.object_name, result))
             continue
         assert isinstance(step, ChildBlock)
@@ -188,9 +192,7 @@ def _run_program(facade, injector, worker_id, top, program, log):
                 log.crashed_with_live_child += 1
                 top.abort()
                 return
-            result = child.perform(
-                access.object_name, access.operation
-            )
+            result = perform(child, access)
             log.performed.append((access.object_name, result))
         if orphan_attempt:
             # Abort the whole top while the child handle is live, then
@@ -198,9 +200,8 @@ def _run_program(facade, injector, worker_id, top, program, log):
             # reject the access (were it granted, the trace would carry
             # an RW002 orphan access for the oracle to flag).
             top.abort()
-            probe = step.steps[0]
             try:
-                child.perform(probe.object_name, probe.operation)
+                perform(child, step.steps[0])
             except TransactionAborted:
                 log.orphan_guard_hits += 1
             return
@@ -237,6 +238,17 @@ class _LockLog:
     def on_aborted(self, event) -> None:
         if event.moved is not None:
             self.entries.append(("abort", event.name, event.moved))
+
+
+def _has_live_blocker(engine, handle, access: AccessStep) -> bool:
+    """Progressiveness: a worker parked on *access* must have a live
+    tree and a conflicting non-ancestor holder (else a wake was lost)."""
+    if not engine.transaction(handle.name[:1]).is_active:
+        return False
+    txn = engine.transaction(handle.name)
+    return bool(
+        engine.fresh_blockers(txn, access.object_name, access.operation)
+    )
 
 
 def _schedule(engine) -> Tuple:
@@ -318,6 +330,7 @@ def run_case(
     if hasattr(facade.engine, "locks"):
         facade.engine.subscribe(lock_log)
     logs = [WorkerLog() for _ in range(config.workers)]
+    pending: Dict[int, Tuple] = {}
     for worker_id in range(config.workers):
         programs = make_worker_programs(
             config.seed, worker_id, workload
@@ -325,10 +338,10 @@ def run_case(
         controller.spawn(
             worker_id,
             _worker_body(
-                facade, injector, worker_id, programs, logs[worker_id]
+                facade, injector, worker_id, programs, logs[worker_id], pending
             ),
         )
-    controller.run()
+    controller.run(lambda w: _has_live_blocker(facade.engine, *pending[w]))
 
     digest = _digest(controller, lock_log.entries, facade.engine)
     errors = {

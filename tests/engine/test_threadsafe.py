@@ -285,10 +285,7 @@ class TestWoundWaitEdges:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert "value" not in outcome
-        assert isinstance(
-            outcome["error"],
-            (TransactionAborted, InvalidTransactionState),
-        )
+        assert isinstance(outcome["error"], TransactionAborted)
         holder.commit()
 
     def test_commit_races_blocked_perform(self, facade):

@@ -22,8 +22,6 @@ from repro.errors import (
 )
 from repro.obs import Observer
 
-DEAD = (TransactionAborted, InvalidTransactionState)
-
 
 class SpyCondition(threading.Condition):
     """A condition that counts its parkings and broadcasts."""
@@ -120,7 +118,7 @@ class TestTargetedWakeups:
         # The elder wants b, wounds the victim, and so wakes it on a.
         assert elder.perform("b", Counter.value(), timeout=5.0) == 0
         parked.join()
-        assert isinstance(parked.error, DEAD)
+        assert isinstance(parked.error, TransactionAborted)
         assert not victim.is_active
         elder.commit()
         holder.commit()
@@ -135,7 +133,7 @@ class TestTargetedWakeups:
         _until(lambda: spy.parked == 1)
         assert facade.abort_top(waiter.name) is True
         parked.join()
-        assert isinstance(parked.error, DEAD)
+        assert isinstance(parked.error, TransactionAborted)
         holder.commit()
         assert facade.object_value("a") == 1
 
@@ -151,7 +149,7 @@ class TestTargetedWakeups:
         wounded = facade.begin_top()
         wounded.perform("a", Counter.increment(1))
         facade.abort_top(wounded.name)
-        with pytest.raises(DEAD):
+        with pytest.raises(TransactionAborted):
             wounded.perform("b", Counter.increment(1))
         assert facade._touched == {}
 

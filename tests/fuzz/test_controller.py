@@ -1,10 +1,14 @@
 """Determinism and replay of the interleaving controller."""
 
+import threading
+import time
+
 import pytest
 
 from repro.fuzz import (
     BoundedPreemptionStrategy,
     FuzzConfig,
+    InterleavingController,
     ReplayStrategy,
     run_case,
 )
@@ -94,3 +98,25 @@ class TestStrategies:
         )
         assert first.digest == second.digest
         assert not first.failed
+
+
+class TestStall:
+    def test_stall_does_not_leak_out_of_waiting_workers(self, monkeypatch):
+        # Worker 0 overruns its turn; worker 1, still waiting for its
+        # first turn, must unwind into its own error slot rather than
+        # escape to the thread excepthook, and finish.
+        leaked = []
+        monkeypatch.setattr(threading, "excepthook", leaked.append)
+        controller = InterleavingController(
+            ReplayStrategy([0]), turn_timeout=0.2
+        )
+        controller.spawn(0, lambda: time.sleep(1.0))
+        controller.spawn(1, lambda: None)
+        controller.run(lambda worker_id: True)
+        assert controller.stalled
+        for thread in controller._threads.values():
+            thread.join(timeout=5.0)
+        assert leaked == []
+        assert all(
+            state.phase == "done" for state in controller._states.values()
+        )

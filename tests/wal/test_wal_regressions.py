@@ -59,7 +59,7 @@ class TestCrashInjectorCoversChildren:
         # change here means the crash placement moved: update the
         # numbers only with a fuzz re-sweep showing child coverage.
         result = _crash_case(2)
-        assert [log.crashed for log in result.logs] == [2, 0, 2]
+        assert [log.crashed for log in result.logs] == [2, 0, 3]
         assert [
             log.crashed_with_live_child for log in result.logs
         ] == [1, 0, 1]
