@@ -4,8 +4,8 @@ Not a paper claim -- a perf-trajectory report for the engine hot path.
 Every lock grant must decide "is every conflicting holder an ancestor
 of the requester?".  The unoptimised rule scans the holder sets with
 tuple-prefix ancestry checks (O(holders x depth)); the fast path
-answers from O(1) aggregates (interned ancestry sets, deepest-holder
-tracking -- see ``docs/PERFORMANCE.md``).  This benchmark drives both
+answers from O(1) aggregates (deepest-holder tracking, one tuple-prefix
+compare each -- see ``docs/PERFORMANCE.md``).  This benchmark drives both
 implementations through identical workloads and reports acquire
 throughput across:
 

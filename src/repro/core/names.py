@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -109,179 +108,6 @@ def chain_between(
         )
     for length in range(len(lower), len(upper), -1):
         yield lower[:length]
-
-
-class NameNode:
-    """One interned transaction name with precomputed tree data.
-
-    ``chain[d]`` is the ancestor of :attr:`name` at depth ``d`` (so
-    ``chain[0]`` is the root and ``chain[depth]`` is the name itself),
-    and :attr:`ancestry` is the same chain as a frozenset, making
-    "is X an ancestor of this name" a single set-membership test.
-    Nodes are built once per name by a :class:`NameTable` and never
-    mutated afterwards.
-    """
-
-    __slots__ = ("name", "parent", "depth", "chain", "ancestry")
-
-    def __init__(
-        self,
-        name: TransactionName,
-        parent: Optional["NameNode"],
-        chain: Tuple[TransactionName, ...],
-        ancestry: FrozenSet[TransactionName],
-    ):
-        self.name = name
-        self.parent = parent
-        self.depth = len(name)
-        self.chain = chain
-        self.ancestry = ancestry
-
-    def __repr__(self) -> str:
-        return "NameNode(%s)" % pretty_name(self.name)
-
-
-class NameTable:
-    """Interned name nodes: O(1) ancestry tests over transaction names.
-
-    The tuple functions above recompute prefix arithmetic on every
-    call: ``is_ancestor`` slices and compares, ``lca`` zips from the
-    root.  The engine's lock fast path asks the same ancestry
-    questions about the same few names millions of times, so the
-    table interns each name once as a :class:`NameNode` carrying its
-    ancestor *set*; ``is_ancestor`` then costs one dict lookup plus
-    one set-membership test, independent of how many holders a lock
-    table has accumulated.
-
-    The tuple API is unchanged -- every method takes and returns plain
-    name tuples and agrees exactly with the module-level reference
-    implementations (property-tested in ``tests/core``).
-
-    ``max_size`` bounds the intern pool for long-running processes
-    that mint top-level names forever: once full, lookups of new
-    names build transient (uncached) nodes, trading speed for
-    bounded memory, never correctness.
-    """
-
-    def __init__(self, max_size: Optional[int] = None):
-        root = NameNode(ROOT, None, (ROOT,), frozenset((ROOT,)))
-        self._nodes: Dict[TransactionName, NameNode] = {ROOT: root}
-        self.max_size = max_size
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def clear(self) -> None:
-        """Drop every interned node except the root."""
-        root = self._nodes[ROOT]
-        self._nodes = {ROOT: root}
-
-    def node(self, name: TransactionName) -> NameNode:
-        """Return the interned node for *name*, building it if needed."""
-        node = self._nodes.get(name)
-        if node is None:
-            node = self._build(name)
-        return node
-
-    def _build(self, name: TransactionName) -> NameNode:
-        # Walk down from the deepest already-interned prefix so a whole
-        # chain costs one pass; each new node extends its parent's chain
-        # and ancestry by one element.
-        depth = len(name)
-        known = depth - 1
-        while known > 0 and name[:known] not in self._nodes:
-            known -= 1
-        node = self._nodes[name[:known]]
-        for d in range(known + 1, depth + 1):
-            prefix = name[:d]
-            node = NameNode(
-                prefix,
-                node,
-                node.chain + (prefix,),
-                node.ancestry | {prefix},
-            )
-            if (
-                self.max_size is None
-                or len(self._nodes) < self.max_size
-            ):
-                self._nodes[prefix] = node
-        return node
-
-    # ------------------------------------------------------------------
-    # Tree queries (tuple in, tuple out; agree with the module functions)
-    # ------------------------------------------------------------------
-    def parent(self, name: TransactionName) -> Optional[TransactionName]:
-        if not name:
-            return None
-        node = self._nodes.get(name)
-        if node is not None:
-            return node.parent.name
-        return name[:-1]
-
-    def depth(self, name: TransactionName) -> int:
-        return len(name)
-
-    def is_ancestor(self, a: TransactionName, b: TransactionName) -> bool:
-        """True if *a* is an ancestor of *b* (every name is its own)."""
-        node = self._nodes.get(b)
-        if node is not None:
-            return a in node.ancestry
-        if a == b:
-            return True
-        if len(a) >= len(b):
-            return False
-        # b itself may be a never-interned leaf (the engine's access
-        # names are fresh every time); its parent is the reused part.
-        return a in self.node(b[:-1]).ancestry
-
-    def is_descendant(self, a: TransactionName, b: TransactionName) -> bool:
-        """True if *a* is a descendant of *b* (every name is its own)."""
-        return self.is_ancestor(b, a)
-
-    def lca(self, a: TransactionName, b: TransactionName) -> TransactionName:
-        """Least common ancestor, by binary search over interned chains."""
-        chain_a = self.node(a).chain
-        chain_b = self.node(b).chain
-        lo, hi = 0, min(len(chain_a), len(chain_b)) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            left, right = chain_a[mid], chain_b[mid]
-            # Interned prefixes are shared tuple objects, so the
-            # identity test usually short-circuits the comparison.
-            if left is right or left == right:
-                lo = mid
-            else:
-                hi = mid - 1
-        return chain_a[lo]
-
-    def chain_between(
-        self, lower: TransactionName, upper: TransactionName
-    ) -> Iterator[TransactionName]:
-        """Ancestors of *lower* properly below *upper*, ascending."""
-        if not self.is_ancestor(upper, lower):
-            raise SystemTypeError(
-                "%r is not an ancestor of %r" % (upper, lower)
-            )
-        chain = self.node(lower).chain
-        for d in range(len(lower), len(upper), -1):
-            yield chain[d]
-
-
-#: Process-wide intern pool.  Sharing one table across engines is
-#: deliberate: different engines reuse the same small names ((0,),
-#: (0, 1), ...), so the pool stays warm; the cap bounds memory for
-#: services that mint fresh top-level names forever.
-_DEFAULT_TABLE = NameTable(max_size=1 << 20)
-
-
-def default_table() -> NameTable:
-    """The process-wide :class:`NameTable` used by the engine hot path."""
-    return _DEFAULT_TABLE
-
-
-def intern_name(name: TransactionName) -> TransactionName:
-    """Intern *name* (and its ancestor chain) in the default table."""
-    return _DEFAULT_TABLE.node(name).name
 
 
 def pretty_name(name: TransactionName) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.core.names import TransactionName, intern_name, pretty_name
+from repro.core.names import TransactionName, pretty_name
 from repro.core.object_spec import ObjectSpec, Operation
 from repro.engine.deadlock import WaitsForGraph, choose_victim, top_level
 from repro.engine.lockmanager import LockManager
@@ -73,10 +73,6 @@ class Engine(Spine):
         Optional :class:`repro.obs.Observer`, subscribed to the event
         spine.  ``None`` (the default) leaves every transition one
         truthiness test away from building nothing.
-    shards:
-        Number of object-store shards (see
-        :class:`~repro.kernel.store.ObjectStore`).  In-process callers
-        keep the default of 1.
     """
 
     def __init__(
@@ -86,14 +82,11 @@ class Engine(Spine):
         trace: bool = False,
         trace_limit: Optional[int] = None,
         observer=None,
-        shards: int = 1,
     ):
         specs = list(specs)
         if isinstance(policy, str):
             policy = make_policy(policy)
-        self.locks = LockManager(
-            specs, make_managed=policy.make_managed, shards=shards
-        )
+        self.locks = LockManager(specs, make_managed=policy.make_managed)
         self.specs: Dict[str, ObjectSpec] = {
             spec.name: spec for spec in specs
         }
@@ -276,10 +269,6 @@ class Engine(Spine):
         parent: Optional[Transaction],
         at: Optional[float] = None,
     ) -> Transaction:
-        # Intern the name so lock-grant ancestry tests are O(1) pointer
-        # and set operations (access leaves are never interned -- their
-        # parent, registered here, is what the fast path looks up).
-        name = intern_name(name)
         txn = Transaction(self, name, parent)
         self.transactions[name] = txn
         if parent is not None:

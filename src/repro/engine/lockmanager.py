@@ -16,8 +16,8 @@ full argument):
 
 * write holders always form an ancestry chain (Lemma 21), so "all
   write holders are ancestors of R" is equivalent to "the *deepest*
-  write holder is an ancestor of R" -- one O(1) interned-ancestry test
-  (:class:`repro.core.names.NameTable`);
+  write holder is an ancestor of R" -- one tuple-prefix compare
+  (names are paths from the root, so ancestry is a prefix test);
 * the ancestors of R form a chain, so "all read holders are ancestors
   of R" can only hold when the read holders form a chain themselves;
   the object tracks chain-ness and the deepest read holder
@@ -41,12 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.names import (
-    ROOT,
-    TransactionName,
-    default_table,
-    parent,
-)
+from repro.core.names import ROOT, TransactionName, parent
 from repro.core.object_spec import ObjectSpec, Operation
 from repro.engine.locks import LockMode, blocking_holders
 from repro.engine.versions import VersionMap
@@ -67,9 +62,6 @@ class ManagedObject:
     #: a :class:`LockManager` may index which objects each top-level
     #: tree holds locks on (and skip the others on commit/abort).
     HOLDER_INDEXED = True
-
-    #: Interned-name table used for O(1) ancestry tests.
-    NAMES = default_table()
 
     def __init__(self, spec: ObjectSpec):
         self.spec = spec
@@ -122,10 +114,8 @@ class ManagedObject:
         """
         # Fast certificate -- sound, not complete: taking the early
         # return implies the scan would find no blockers; falling
-        # through only means the scan must decide.  The ancestry tests
-        # are inlined tuple-prefix compares because the requester is a
-        # fresh access leaf the NameTable deliberately never interns
-        # (aggregate holders, by contrast, are table-backed tuples).
+        # through only means the scan must decide.  Each ancestry test
+        # is one inlined tuple-prefix compare.
         if self.FAST_GRANTS:
             deepest_write = self._deepest_write
             if (
@@ -247,9 +237,8 @@ class ManagedObject:
             self._reads_chain = True
             return
         ordered = sorted(self.read_holders, key=len)
-        names = self.NAMES
         for shallow, deep in zip(ordered, ordered[1:]):
-            if not names.is_ancestor(shallow, deep):
+            if deep[: len(shallow)] != shallow:
                 self._reads_chain = False
                 self._deepest_read = None
                 return
@@ -437,8 +426,7 @@ class LockManager:
 
     *make_managed* lets a locking policy substitute its own per-object
     structure (e.g. semantic locking's undo-log objects); the default is
-    the Moss :class:`ManagedObject`.  *shards*/*sharding* configure the
-    kernel :class:`~repro.kernel.store.ObjectStore`.
+    the Moss :class:`ManagedObject`.
 
     When every managed object supports it (``HOLDER_INDEXED``), the
     manager maintains a *held-objects index* -- for each top-level
@@ -453,14 +441,10 @@ class LockManager:
         self,
         specs: Iterable[ObjectSpec],
         make_managed=None,
-        shards: int = 1,
-        sharding=None,
     ):
         if make_managed is None:
             make_managed = ManagedObject
-        self.store = ObjectStore(
-            specs, make_managed, shards=shards, sharding=sharding
-        )
+        self.store = ObjectStore(specs, make_managed)
         #: The name-to-ManagedObject mapping (the store's own dict).
         self.objects: Dict[str, ManagedObject] = self.store.objects
         # Held-objects index: top-level name -> object names where that

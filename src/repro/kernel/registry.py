@@ -18,7 +18,7 @@ from repro.errors import EngineError
 from repro.kernel.scheme import SchemeCapabilities
 
 #: Factory signature shared by every scheme:
-#: ``(specs, observer=None, trace=False, trace_limit=None, shards=1)``.
+#: ``(specs, observer=None, trace=False, trace_limit=None)``.
 SchemeFactory = Callable[..., Any]
 
 
@@ -42,7 +42,6 @@ class Scheme:
         observer=None,
         trace: bool = False,
         trace_limit: Optional[int] = None,
-        shards: int = 1,
     ):
         """Construct an engine for *specs* with the shared knobs."""
         return self.factory(
@@ -50,7 +49,6 @@ class Scheme:
             observer=observer,
             trace=trace,
             trace_limit=trace_limit,
-            shards=shards,
         )
 
 
@@ -108,15 +106,13 @@ def _locking_scheme(policy) -> Scheme:
         durable=True,
     )
 
-    def factory(specs, observer=None, trace=False, trace_limit=None,
-                shards=1):
+    def factory(specs, observer=None, trace=False, trace_limit=None):
         return Engine(
             specs,
             policy=policy,
             trace=trace,
             trace_limit=trace_limit,
             observer=observer,
-            shards=shards,
         )
 
     return Scheme(
@@ -148,11 +144,10 @@ def _load_serial() -> Scheme:
 def _load_mvto() -> Scheme:
     from repro.mvto.mv_engine import MVTOEngine
 
-    def factory(specs, observer=None, trace=False, trace_limit=None,
-                shards=1):
+    def factory(specs, observer=None, trace=False, trace_limit=None):
         # MVTO keeps no model-alphabet trace; ``trace`` is accepted for
         # factory parity and ignored (``engine.recorder`` is None).
-        return MVTOEngine(specs, observer=observer, shards=shards)
+        return MVTOEngine(specs, observer=observer)
 
     return Scheme(
         name="mvto",

@@ -2,8 +2,8 @@
 
 Both engines keep their per-object structures (Moss lock tables, MVTO
 version chains) in an :class:`ObjectStore`: a name-keyed mapping that
-also assigns every object to a shard.  In-process engines leave
-``shards=1`` and pay nothing; the multiprocess sharded engine
+also assigns every object to a shard.  In-process engines build it
+with one shard and pay nothing; the multiprocess sharded engine
 (:mod:`repro.shard`) uses :meth:`ObjectStore.shard_of` to route each
 object to a worker.
 """

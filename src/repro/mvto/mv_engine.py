@@ -87,12 +87,8 @@ class MVTOEngine(Spine):
         self,
         specs: Iterable[ObjectSpec],
         observer=None,
-        shards: int = 1,
-        sharding=None,
     ):
-        self.store = ObjectStore(
-            specs, MVObject, shards=shards, sharding=sharding
-        )
+        self.store = ObjectStore(specs, MVObject)
         #: The name-to-MVObject mapping (the store's own dict).
         self.objects: Dict[str, MVObject] = self.store.objects
         self.specs: Dict[str, ObjectSpec] = self.store.specs

@@ -485,10 +485,9 @@ class ShardedEngine(Spine):
         top_name = tuple(name)[:1]
         with self._mutex:
             top = self._tops.get(top_name[0])
-            if top is None or top.root.status is not TransactionStatus.ACTIVE:
-                return False
-        self._abort_node(top.root, top, cause=cause or "explicit")
-        return True
+        if top is None:
+            return False
+        return self._abort_node(top.root, top, cause=cause or "explicit")
 
     def object_value(self, object_name: str, committed: bool = True) -> Any:
         shard = self.store.shard_of(object_name)
@@ -738,10 +737,15 @@ class ShardedEngine(Spine):
         if len(participants) == 1:
             # One-phase fast path: the only participant's commit+flush
             # IS the durability point; no prepare, no decision record.
+            # The decision is still claimed before it is sent, as in
+            # 2PC; a failed decide hands the tree back, so the failure
+            # paths below abort it as if it had never been claimed.
+            self._claim_decision(node, top, "before commit")
             link = self._links[participants[0]]
             try:
                 reply = link.call("decide", txn=[top.ordinal])
             except ShardDown as exc:
+                self._release_decision(top)
                 self._raise_error(
                     {"code": proto.ERR_INTERNAL, "message": str(exc)},
                     node,
@@ -750,8 +754,9 @@ class ShardedEngine(Spine):
             # The held acks came back in the decide's batch; a failed
             # subcommit also made the worker refuse the decide (live
             # children), so nothing was committed.
-            self._check_held(node, top)
-            if not reply.get("ok"):
+            if not reply.get("ok") or self._held_failure(top) is not None:
+                self._release_decision(top)
+                self._check_held(node, top)
                 self._raise_error(reply.get("error") or {}, node, top)
             self._finalize_commit(top, value)
             return
@@ -798,23 +803,7 @@ class ShardedEngine(Spine):
             )
         # Every link's held acks came back in front of its prepare's.
         self._check_held(node, top)
-        # Claim the decision: a wound-wait abort racing this commit
-        # marks the root under the mutex before broadcasting worker
-        # aborts, so checking-and-marking here is atomic against it.
-        # If the wound got in first, its aborts will reach (or have
-        # reached) every mirror -- nothing was decided, presumed abort
-        # holds.  If we get in first, the wound sees a finished tree
-        # and stands down, so phase 2 runs against live mirrors.
-        with self._mutex:
-            if top.root.status is not TransactionStatus.ACTIVE:
-                raise TransactionAborted(
-                    node.name,
-                    "wounded during 2pc prepare (%s)"
-                    % (top.cause or "aborted"),
-                )
-            top.root.status = (  # repro-lint: ignore[CD003]
-                TransactionStatus.COMMITTED
-            )
+        self._claim_decision(node, top, "during 2pc prepare")
         # Decision record: once durable, the commit survives any crash
         # (recover_sharded resolves prepared-but-undecided shards).
         if self._decisions is not None:
@@ -844,23 +833,57 @@ class ShardedEngine(Spine):
                 % (top.ordinal, stragglers)
             )
 
-    def _check_held(self, node: _Node, top: _Top) -> None:
-        """Abort the tree unless every held request was acked ok.
+    def _claim_decision(self, node: _Node, top: _Top, when: str) -> None:
+        """Mark the root committed before any ``decide`` is sent.
 
-        Runs after each participant's first commit-phase reply (held
-        frames left in front of it, so their acks are in) and before
-        the decision is claimed: a failed or missing ack means some
-        mirror is not the tree the coordinator is about to commit.
+        An abort racing this commit (wound-wait, ``abort_top``) marks
+        the root under the mutex before broadcasting worker aborts, so
+        checking-and-marking here is atomic against it.  If the abort
+        got in first, its aborts will reach (or have reached) every
+        mirror -- nothing was decided, presumed abort holds.  If we get
+        in first, the abort sees a finished tree and stands down, so
+        the decide runs against live mirrors.
         """
+        with self._mutex:
+            if top.root.status is not TransactionStatus.ACTIVE:
+                raise TransactionAborted(
+                    node.name,
+                    "wounded %s (%s)" % (when, top.cause or "aborted"),
+                )
+            top.root.status = (  # repro-lint: ignore[CD003]
+                TransactionStatus.COMMITTED
+            )
+
+    def _release_decision(self, top: _Top) -> None:
+        """Hand a claimed but undecided root back to the abort paths."""
+        with self._mutex:
+            top.root.status = (  # repro-lint: ignore[CD003]
+                TransactionStatus.ACTIVE
+            )
+
+    def _held_failure(self, top: _Top) -> Optional[str]:
+        """Why some held request was not acked ok, or None."""
         for shard, waiter in top.held:
             reply = waiter.reply
             if reply is not None and reply.get("ok"):
                 continue
-            cause = "held request failed on shard %d: %s" % (
+            return "held request failed on shard %d: %s" % (
                 shard,
                 ShardDown(shard) if reply is None
                 else (reply.get("error") or {}).get("message"),
             )
+        return None
+
+    def _check_held(self, node: _Node, top: _Top) -> None:
+        """Abort the tree unless every held request was acked ok.
+
+        Runs after each participant's first commit-phase reply (held
+        frames left in front of it, so their acks are in), while the
+        root is unclaimed: a failed or missing ack means some mirror
+        is not the tree the coordinator is about to commit.
+        """
+        cause = self._held_failure(top)
+        if cause is not None:
             self._abort_node(top.root, top, cause=cause)
             raise TransactionAborted(node.name, cause)
 
@@ -875,11 +898,14 @@ class ShardedEngine(Spine):
 
     def _abort_node(
         self, node: _Node, top: _Top, cause: str = "explicit"
-    ) -> None:
-        """Abort *node*'s subtree locally and on every shard mirroring it."""
+    ) -> bool:
+        """Abort *node*'s subtree locally and on every shard mirroring it.
+
+        Returns False, doing nothing, when *node* is no longer active.
+        """
         with self._mutex:
             if node.status is not TransactionStatus.ACTIVE:
-                return
+                return False
             aborted: List[Tuple[int, ...]] = []
             self._mark_aborted(node, aborted)
             if node.parent is None:
@@ -904,6 +930,7 @@ class ShardedEngine(Spine):
             except ShardDown:
                 # A dead worker's locks died with it; nothing to undo.
                 continue
+        return True
 
     def _mark_aborted(
         self, node: _Node, out: List[Tuple[int, ...]]

@@ -1,5 +1,8 @@
 """Unit and integration tests for the nested-transaction engine."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.adt import BankAccount, Counter, IntRegister
@@ -34,6 +37,22 @@ class TestLifecycle:
         assert child.name[:1] == (0,)
         assert grandchild.name[: len(child.name)] == child.name
         assert grandchild.depth == 3
+
+    def test_dropped_engine_frees_its_names(self):
+        # Names are plain tuples: nothing outside the engine (no
+        # process-wide pool) keeps one alive once the engine is gone.
+        engine = Engine([BankAccount("a", 100)])
+        top = engine.begin_top()
+        child = top.begin_child()
+        child.perform("a", BankAccount.deposit(5))
+        child.commit()
+        top.commit()
+        top_name, child_name = top.name, child.name
+        del engine, top, child
+        gc.collect()
+        # One reference from the local, one from getrefcount's argument.
+        assert sys.getrefcount(top_name) == 2
+        assert sys.getrefcount(child_name) == 2
 
     def test_commit_with_live_children_rejected(self, engine):
         top = engine.begin_top()

@@ -78,8 +78,3 @@ class TestBuild:
             top.commit()
             assert engine.object_value("c") == 2
             assert engine.stats["commits"] == 1
-
-    def test_build_honours_shards(self):
-        specs = [Counter("c%d" % i) for i in range(8)]
-        engine = get_scheme("moss-rw").build(specs, shards=4)
-        assert engine.store.shards == 4

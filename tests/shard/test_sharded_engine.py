@@ -331,6 +331,50 @@ class TestAbortRacesCommit:
                 assert engine.object_value(name) == 0
 
 
+class TestOnePhaseCommitClaimsTheDecision:
+    """The one-phase path claims its decision before sending ``decide``,
+    as 2PC does: an abort landing while the decide is in flight stands
+    down, so the tree is reported committed exactly once."""
+
+    class _Terminals:
+        def __init__(self):
+            self.events = []
+
+        def on_committed(self, event):
+            self.events.append(("committed", event.name))
+
+        def on_aborted(self, event):
+            self.events.append(("aborted", event.name))
+
+    def test_abort_after_decide_ack_stands_down(self):
+        with ShardedEngine(
+            _specs(), workers=2, sharding=_spread_sharding
+        ) as engine:
+            terminals = engine.subscribe(self._Terminals())
+            top = engine.begin_top()
+            top.perform("r0", IntRegister.write(7))
+            (shard,) = top._top.participants
+            link = engine._links[shard]
+            late_aborts = []
+            call = link.call
+
+            def call_then_abort(op, *args, **kwargs):
+                reply = call(op, *args, **kwargs)
+                if op == "decide":
+                    late_aborts.append(engine.abort_top(top.name))
+                return reply
+
+            link.call = call_then_abort
+            top.commit()
+            assert late_aborts == [False]
+            assert [
+                event for event in terminals.events if event[1] == top.name
+            ] == [("committed", top.name)]
+            assert engine.stats["aborts"] == 0
+            assert engine.stats["commits"] == 1
+            assert engine.object_value("r0") == 7
+
+
 class TestValues:
     def test_object_value_unknown_object(self):
         with ShardedEngine(_specs(), workers=2) as engine:
