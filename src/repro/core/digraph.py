@@ -1,10 +1,13 @@
 """Generic directed-graph cycle utilities shared by every checker.
 
-Three consumers maintain a graph over top-level transactions and ask
-the same questions of it: the classical offline precedence graph
+Several consumers build a graph over transactions and ask the same
+questions of it: the classical offline precedence graph
 (:mod:`repro.core.serializability`), the streaming serialization graph
-of the online auditor (:mod:`repro.audit.graph`), and the offline
-anomaly checker built on it (:mod:`repro.checking.anomalies`).  This
+of the online auditor (:mod:`repro.audit.graph`), the offline anomaly
+checker built on it (:mod:`repro.checking.anomalies`), and the
+simulator's deadlock detector (:func:`repro.engine.deadlock.find_deadlock`
+for cross-tree waits, :func:`shortest_cycle_through` for a tree's own
+parallel siblings in :mod:`repro.sim.runner`).  This
 module is their one cycle/topology core, deliberately free of any
 transaction vocabulary: nodes are opaque sortable hashables, adjacency
 is a callable, and every traversal visits successors in sorted order so

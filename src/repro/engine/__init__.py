@@ -8,7 +8,9 @@ runtime the paper's algorithm shipped in: a single-process engine with
   version map;
 * nested begin/access/commit/abort transaction handles
   (:mod:`~repro.engine.transaction`, :mod:`~repro.engine.engine`);
-* waits-for-graph deadlock detection (:mod:`~repro.engine.deadlock`);
+* the top-level collapse and victim rule a driver's deadlock detector
+  calls (:mod:`~repro.engine.deadlock`; the engine keeps no waits-for
+  graph);
 * pluggable locking policies (:mod:`~repro.engine.policies`): ``moss-rw``,
   ``exclusive`` (the all-writes degeneration), ``flat-2pl``;
 * one event spine (:mod:`~repro.engine.spine`) through which every

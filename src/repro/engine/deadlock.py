@@ -1,25 +1,29 @@
-"""Waits-for-graph deadlock detection.
+"""Deadlock detection over the waits-for graph collapsed to top-level trees.
 
 Locking with blocking introduces deadlocks the paper leaves to the
 scheduler ("in practice, the scheduler must have some power to decide to
-abort transactions, as when it detects deadlocks").  The engine detects
-them eagerly: every blocked access registers waits-for edges from the
-waiting transaction to the (non-ancestor) holders blocking it; a cycle
-means deadlock and a victim is chosen.
+abort transactions, as when it detects deadlocks").  The engine itself
+never blocks and keeps no waits-for graph: a conflicting access raises
+:class:`~repro.errors.LockDenied` naming its blockers, and the driver that
+parks the access (the simulator's ``detect`` discipline) recomputes the
+waits from the live lock tables and asks :func:`find_deadlock` for a
+cycle, then :func:`choose_victim` for the transaction to abort.
 
 With nesting, the unit that can wait is any transaction in the tree, and a
 conflict's real adversaries are *top-level* subtrees: a lock held by a
 descendant of the waiter's own top-level ancestor cannot be waited out
 (the holder may itself be waiting inside the same tree).  Edges are
-therefore recorded between transactions but cycles are detected on the
-graph collapsed to top-level ancestors, which both catches parent/child
-self-waits (collapsed self-loop) and classic cross-tree cycles.
+therefore given between transactions but cycles are sought on the graph
+collapsed to top-level ancestors, with same-tree edges dropped; cycles
+among one tree's own siblings are the simulator's separate intra-tree
+check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core import digraph
 from repro.core.names import TransactionName
 
 
@@ -28,126 +32,28 @@ def top_level(name: TransactionName) -> TransactionName:
     return name[:1]
 
 
-class WaitsForGraph:
-    """Waits-for edges with cycle detection over top-level groups."""
+def find_deadlock(
+    waits: Iterable[Tuple[TransactionName, Iterable[TransactionName]]],
+    start: TransactionName,
+) -> Optional[List[TransactionName]]:
+    """A waits-for cycle through top-level trees reachable from *start*.
 
-    def __init__(self):
-        self._waits: Dict[TransactionName, Set[TransactionName]] = {}
-        # Waiters bucketed by top-level ancestor, so subtree removal
-        # (fired on every abort) scans one tree's waiters instead of
-        # every waiter in the engine.
-        self._tops: Dict[TransactionName, Set[TransactionName]] = {}
-
-    def add_wait(
-        self,
-        waiter: TransactionName,
-        blockers: Iterable[TransactionName],
-    ) -> Optional[List[TransactionName]]:
-        """Record that *waiter* waits on *blockers*.
-
-        Returns a deadlock cycle as a list of top-level transaction names
-        (closing back on the first element) when one is created, else None.
-        """
-        edges = self._waits.setdefault(waiter, set())
-        edges.update(blockers)
-        self._tops.setdefault(top_level(waiter), set()).add(waiter)
-        return self.find_cycle(top_level(waiter))
-
-    def remove_waiter(self, waiter: TransactionName) -> None:
-        """Drop every edge out of *waiter* (it was granted or aborted)."""
-        if self._waits.pop(waiter, None) is not None:
-            top = top_level(waiter)
-            bucket = self._tops.get(top)
-            if bucket is not None:
-                bucket.discard(waiter)
-                if not bucket:
-                    del self._tops[top]
-
-    def remove_subtree(self, doomed: TransactionName) -> None:
-        """Drop edges out of every waiter in *doomed*'s subtree."""
-        if not doomed:
-            self._waits.clear()
-            self._tops.clear()
-            return
-        top = top_level(doomed)
-        bucket = self._tops.get(top)
-        if not bucket:
-            return
-        if len(doomed) == 1:
-            # Whole tree: the bucket is exactly the victim set.
-            for waiter in bucket:
-                del self._waits[waiter]
-            del self._tops[top]
-            return
-        victims = [
-            waiter
-            for waiter in bucket
-            if waiter[: len(doomed)] == doomed
-        ]
-        for waiter in victims:
-            del self._waits[waiter]
-            bucket.discard(waiter)
-        if not bucket:
-            del self._tops[top]
-
-    def _group_edges(self) -> Dict[TransactionName, Set[TransactionName]]:
-        grouped: Dict[TransactionName, Set[TransactionName]] = {}
-        for waiter, blockers in self._waits.items():
-            source = top_level(waiter)
-            targets = grouped.setdefault(source, set())
-            for blocker in blockers:
-                target = top_level(blocker)
-                if target != source:
-                    targets.add(target)
-        return grouped
-
-    def find_cycle(
-        self, start: Optional[TransactionName] = None
-    ) -> Optional[List[TransactionName]]:
-        """Find a cycle among top-level groups; return it or None.
-
-        When *start* is given only cycles reachable from it are sought
-        (sufficient after adding edges out of that group).
-        """
-        grouped = self._group_edges()
-        roots: Sequence[TransactionName]
-        if start is not None:
-            roots = [start]
-        else:
-            roots = list(grouped)
-        for root in roots:
-            cycle = self._dfs_cycle(root, grouped)
-            if cycle is not None:
-                return cycle
-        return None
-
-    @staticmethod
-    def _dfs_cycle(
-        root: TransactionName,
-        grouped: Dict[TransactionName, Set[TransactionName]],
-    ) -> Optional[List[TransactionName]]:
-        path: List[TransactionName] = []
-        on_path: Set[TransactionName] = set()
-        finished: Set[TransactionName] = set()
-
-        def visit(node: TransactionName) -> Optional[List[TransactionName]]:
-            if node in on_path:
-                at = path.index(node)
-                return path[at:] + [node]
-            if node in finished:
-                return None
-            path.append(node)
-            on_path.add(node)
-            for target in sorted(grouped.get(node, ())):
-                found = visit(target)
-                if found is not None:
-                    return found
-            on_path.discard(node)
-            path.pop()
-            finished.add(node)
-            return None
-
-        return visit(root)
+    *waits* pairs each waiting transaction with the transactions blocking
+    it.  Both ends of every edge are collapsed to their top-level
+    ancestors and same-tree edges are dropped; the cycle comes back as a
+    closed list of top-level names (``[a, b, a]``), or ``None``.
+    """
+    grouped: Dict[TransactionName, Set[TransactionName]] = {}
+    for waiter, blockers in waits:
+        source = top_level(waiter)
+        targets = grouped.setdefault(source, set())
+        for blocker in blockers:
+            target = top_level(blocker)
+            if target != source:
+                targets.add(target)
+    return digraph.find_cycle(
+        [top_level(start)], lambda node: grouped.get(node, ())
+    )
 
 
 def choose_victim(

@@ -10,8 +10,10 @@ M(X) automaton state, which the conformance harness exploits.
 Concurrency is cooperative: callers (the discrete-event simulator, tests,
 or application code) interleave calls on different transaction handles; a
 conflicting access raises :class:`~repro.errors.LockDenied` and the caller
-retries after the blocker returns.  Blocked/unblocked notifications feed a
-waits-for graph for deadlock detection.
+retries after the blocker returns.  The engine keeps no waits-for graph:
+a driver that parks denied accesses detects deadlocks itself
+(:func:`repro.engine.deadlock.find_deadlock`) and reports each one it
+resolves through :meth:`Engine.count_deadlock`.
 
 Each transition announces itself once, through the event spine
 (:mod:`repro.engine.spine`); the trace recorder, observer, auditor and
@@ -25,7 +27,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.names import TransactionName, pretty_name
 from repro.core.object_spec import ObjectSpec, Operation
-from repro.engine.deadlock import WaitsForGraph, choose_victim, top_level
+from repro.engine.deadlock import top_level
 from repro.engine.lockmanager import LockManager
 from repro.engine.locks import LockMode
 from repro.engine.policies import LockingPolicy, make_policy
@@ -91,7 +93,6 @@ class Engine(Spine):
             spec.name: spec for spec in specs
         }
         self.policy = policy
-        self.waits = WaitsForGraph()
         self.started_at: Dict[TransactionName, float] = {}
         self.transactions: Dict[TransactionName, Transaction] = {}
         self._next_top = 0
@@ -226,31 +227,8 @@ class Engine(Spine):
             raise EngineError("unknown transaction %r" % (name,)) from None
 
     # ------------------------------------------------------------------
-    # Deadlock hooks (used by the simulator / blocking wrappers)
+    # Deadlock accounting (used by the simulator / blocking wrappers)
     # ------------------------------------------------------------------
-    def note_blocked(
-        self,
-        txn: Transaction,
-        blockers: Iterable[TransactionName],
-    ) -> Optional[TransactionName]:
-        """Record a blocked access; return a deadlock victim if one arose.
-
-        The victim is the name of a *top-level* transaction; the caller is
-        responsible for aborting it (usually via
-        ``engine.transaction(victim).abort()``).
-        """
-        cycle = self.waits.add_wait(txn.name, blockers)
-        if cycle is None:
-            return None
-        self.stats["deadlocks"] += 1
-        victim = choose_victim(cycle, self.started_at)
-        self.note(Deadlocked, victim)
-        return victim
-
-    def note_unblocked(self, txn: Transaction) -> None:
-        """Clear *txn*'s waits-for edges (it was granted or gave up)."""
-        self.waits.remove_waiter(txn.name)
-
     def count_deadlock(self) -> None:
         """Record one externally resolved deadlock in the stats.
 
@@ -373,7 +351,6 @@ class Engine(Spine):
         txn.status = TransactionStatus.COMMITTED
         txn.value = value
         self.stats["commits"] += 1
-        self.waits.remove_waiter(txn.name)
         moved = None
         if self.policy.moves_locks or txn.is_top_level:
             moved = self.locks.on_commit(txn.name)
@@ -408,7 +385,6 @@ class Engine(Spine):
         doomed: Optional[List[TransactionName]] = [] if on else None
         txn._abort_subtree(doomed)
         self.stats["aborts"] += 1
-        self.waits.remove_subtree(txn.name)
         moved = self.locks.on_abort(txn.name)
         if on:
             # Emitted after any escalation redirect, so the event names

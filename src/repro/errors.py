@@ -8,7 +8,8 @@ The library distinguishes three failure families:
 * **Protocol errors** -- violations of the paper's well-formedness
   conditions detected while checking or constructing schedules.
 * **Engine errors** -- runtime failures of the executable nested-transaction
-  engine: aborted transactions, deadlocks, use of dead handles.
+  engine: aborted transactions (deadlock victims included), lock denials,
+  use of dead handles.
 """
 
 from __future__ import annotations
@@ -62,17 +63,6 @@ class TransactionAborted(EngineError):
         if reason:
             message = "%s: %s" % (message, reason)
         super().__init__(message)
-
-
-class DeadlockDetected(EngineError):
-    """A lock request would close a cycle in the waits-for graph."""
-
-    def __init__(self, victim, cycle):
-        self.victim = victim
-        self.cycle = list(cycle)
-        super().__init__(
-            "deadlock: victim %r in cycle %s" % (victim, self.cycle)
-        )
 
 
 class InvalidTransactionState(EngineError):

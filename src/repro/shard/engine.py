@@ -74,7 +74,7 @@ from repro.shard.link import ShardDown, ShardLink
 from repro.shard.recovery import DecisionLog
 from repro.shard.worker import WorkerConfig, worker_main
 
-#: Default coordinator-side pause between denial retries (seconds).
+#: Coordinator-side pause between denial retries (seconds).
 DEFAULT_RETRY_S = 0.0005
 #: Ceiling on any single denial backoff sleep.
 _MAX_PAUSE_S = 0.05
@@ -260,7 +260,6 @@ class ShardedEngine(Spine):
         observer=None,
         sharding: Optional[Callable[[str, int], int]] = None,
         placement: Optional[Dict[str, int]] = None,
-        retry_s: float = DEFAULT_RETRY_S,
     ):
         if sharding is not None and placement is not None:
             raise EngineError("pass sharding or placement, not both")
@@ -283,7 +282,6 @@ class ShardedEngine(Spine):
         if observer is not None:
             self.subscribe(observer)
         self._specs = specs
-        self._retry_s = retry_s
         self._mutex = threading.RLock()
         self._tops: Dict[int, _Top] = {}
         self._next_top = 0
@@ -614,9 +612,7 @@ class ShardedEngine(Spine):
                 if deadline is not None and now >= deadline:
                     raise self._denial(code, error, blockers)
                 hint = error.get("retry_after_ms")
-                pause = (
-                    hint / 1000.0 if hint else self._retry_s
-                )
+                pause = hint / 1000.0 if hint else DEFAULT_RETRY_S
                 if deadline is not None:
                     pause = min(pause, max(0.0, deadline - now))
                 time.sleep(min(pause, _MAX_PAUSE_S))

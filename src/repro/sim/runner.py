@@ -9,7 +9,8 @@ subtrees, and deadlock victims restart from scratch.
 
 Deadlock detection recomputes the waits-for graph *fresh* from the lock
 tables every time an access blocks: each parked access contributes edges
-from its top-level tree to the top-level trees of its current blockers.
+from its top-level tree to the top-level trees of its current blockers,
+and :func:`repro.engine.deadlock.find_deadlock` looks for a cycle.
 Fresh recomputation avoids the classic stale-edge false positives of
 incrementally maintained graphs.  A drain watchdog resolves any blocked
 residue left when the event heap empties (an undetectable-by-construction
@@ -26,9 +27,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
+from repro.core import digraph
 from repro.core.names import TransactionName
 from repro.core.object_spec import ObjectSpec
-from repro.engine.deadlock import choose_victim, top_level
+from repro.engine.deadlock import choose_victim, find_deadlock, top_level
 from repro.engine.spine import Tagged, Waited, Wounded
 from repro.engine.transaction import Transaction
 from repro.errors import LockDenied, TransactionAborted
@@ -36,6 +38,21 @@ from repro.kernel import get_scheme
 from repro.sim.des import Simulator
 from repro.sim.metrics import RunMetrics
 from repro.sim.workload import AccessOp, Block, Program
+
+#: Delay before a parked, wounded or failed access or block retries.
+RETRY_DELAY = 0.25
+#: Base delay before a restarted program begins again (scaled by the
+#: randomised exponential backoff in ``_restart_program``).
+RESTART_DELAY = 2.0
+#: After this many *intra-tree* deadlocks a program degrades its
+#: parallel blocks to sequential execution: a self-deadlocking branch
+#: pattern (one branch takes a then b, its sibling b then a) would
+#: otherwise recreate the same deadlock on every deterministic retry.
+#: Cross-tree restarts never trigger this -- they resolve by timing, and
+#: degrading on them would distort the policy sweeps.
+SERIALIZE_AFTER_SELF_DEADLOCKS = 1
+#: The values ``SimulationConfig.deadlock`` accepts.
+DEADLOCK_STRATEGIES = ("wound-wait", "detect", "timeout")
 
 
 @dataclass
@@ -61,35 +78,22 @@ class SimulationConfig:
     mpl: int = 8
     policy: str = "moss-rw"
     seed: int = 0
-    restart_delay: float = 2.0
-    #: Base delay before a parked or wounded access retries.  The n-th
-    #: consecutive retry of one access waits
-    #: ``retry_delay * retry_backoff**n`` (capped at ``retry_max_delay``),
-    #: scaled by ``1 + retry_jitter * U`` with ``U`` drawn from a
-    #: dedicated seeded stream.  The defaults (backoff 1, jitter 0)
-    #: reproduce the historical fixed 0.25 delay byte-for-byte: no
-    #: growth, and the jitter stream is never consulted, so the main
-    #: RNG sequence -- and therefore the whole schedule -- is unchanged.
-    retry_delay: float = 0.25
-    retry_backoff: float = 1.0
-    retry_jitter: float = 0.0
-    retry_max_delay: float = 8.0
     max_events: int = 2_000_000
     max_program_attempts: int = 200
     deadlock: str = "wound-wait"
     lock_timeout: float = 20.0
-    #: After this many *intra-tree* deadlocks a program degrades its
-    #: parallel blocks to sequential execution: a self-deadlocking branch
-    #: pattern (one branch takes a then b, its sibling b then a) would
-    #: otherwise recreate the same deadlock on every deterministic
-    #: retry.  Cross-tree restarts never trigger this -- they resolve by
-    #: timing, and degrading on them would distort the policy sweeps.
-    serialize_after_self_deadlocks: int = 1
     #: When set, the system is *open*: programs arrive with exponential
     #: interarrival times at this rate (per time unit) instead of all
     #: being available at t = 0; latency then measures response time
     #: from arrival (queueing included).  ``mpl`` still caps concurrency.
     arrival_rate: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.deadlock not in DEADLOCK_STRATEGIES:
+            raise ValueError(
+                "deadlock must be one of %s, not %r"
+                % (", ".join(map(repr, DEADLOCK_STRATEGIES)), self.deadlock)
+            )
 
 
 class _ProgramRun:
@@ -112,15 +116,13 @@ class _ProgramRun:
 class _BlockedAccess:
     """One parked access waiting for its blockers to return."""
 
-    def __init__(self, run, epoch, txn, op, done, requested_at, retries=0):
+    def __init__(self, run, epoch, txn, op, done, requested_at):
         self.run = run
         self.epoch = epoch
         self.txn = txn
         self.op = op
         self.done = done
         self.requested_at = requested_at
-        #: Consecutive failed attempts of this access (drives backoff).
-        self.retries = retries
 
     def valid(self) -> bool:
         return self.run.epoch == self.epoch and not self.run.finished
@@ -151,9 +153,6 @@ class _Runner:
         if auditor is not None:
             self.engine.attach_auditor(auditor)
         self.rng = random.Random(config.seed)
-        # Retry jitter draws from its own stream so enabling it never
-        # perturbs the workload's failure-injection/backoff sequence.
-        self._retry_rng = random.Random(config.seed ^ 0x52455452)
         self.metrics = RunMetrics(policy=config.policy)
         self.queue: List[_ProgramRun] = [
             _ProgramRun(program, index)
@@ -209,15 +208,6 @@ class _Runner:
             name: self.engine.object_value(name)
             for name in self.engine.specs
         }
-
-    def _retry_delay(self, attempt: int) -> float:
-        """Backoff for the *attempt*-th consecutive retry of one access."""
-        config = self.config
-        delay = config.retry_delay * config.retry_backoff ** min(attempt, 16)
-        delay = min(delay, config.retry_max_delay)
-        if config.retry_jitter:
-            delay *= 1.0 + config.retry_jitter * self._retry_rng.random()
-        return delay
 
     def _schedule_arrivals(self) -> None:
         """Open system: move the workload to exponential arrival times."""
@@ -288,7 +278,7 @@ class _Runner:
         if not steps:
             done()
             return
-        if run.self_deadlocks >= self.config.serialize_after_self_deadlocks:
+        if run.self_deadlocks >= SERIALIZE_AFTER_SELF_DEADLOCKS:
             parallel = False
         if parallel:
             remaining = [len(steps)]
@@ -367,7 +357,7 @@ class _Runner:
                 if tries_left > 0:
                     self.metrics.subtree_retries += 1
                     self.sim.after(
-                        self._retry_delay(block.retries - tries_left),
+                        RETRY_DELAY,
                         lambda: self._run_block(
                             run, epoch, txn, block, tries_left - 1, done
                         ),
@@ -394,7 +384,6 @@ class _Runner:
         op: AccessOp,
         done: Callable[[], None],
         requested_at: float,
-        retries: int = 0,
     ) -> None:
         if self._stale(run, epoch):
             return
@@ -410,9 +399,7 @@ class _Runner:
                 self._restart_program(run)
             return
         except LockDenied as denial:
-            entry = _BlockedAccess(
-                run, epoch, txn, op, done, requested_at, retries
-            )
+            entry = _BlockedAccess(run, epoch, txn, op, done, requested_at)
             if self.engine.capabilities.waits_are_acyclic:
                 # Ordered waits (MVTO timestamps) cannot cycle: just park.
                 self.blocked.append(entry)
@@ -422,10 +409,9 @@ class _Runner:
                 if wounded:
                     # Our victims released their locks; retry shortly.
                     self.sim.after(
-                        self._retry_delay(retries),
+                        RETRY_DELAY,
                         lambda: self._attempt_access(
-                            run, epoch, txn, op, done, requested_at,
-                            retries + 1,
+                            run, epoch, txn, op, done, requested_at
                         ),
                     )
                     return
@@ -435,10 +421,7 @@ class _Runner:
             if self.config.deadlock == "timeout":
                 self.blocked.append(entry)
                 waited = self.sim.now - requested_at
-                remaining = max(
-                    self.config.lock_timeout - waited,
-                    self.config.retry_delay,
-                )
+                remaining = max(self.config.lock_timeout - waited, RETRY_DELAY)
                 self.sim.after(
                     remaining, lambda: self._expire_wait(entry)
                 )
@@ -446,10 +429,19 @@ class _Runner:
             self.blocked.append(entry)
             if self._resolve_intra_tree_deadlock(entry):
                 return
-            victim = self._detect_deadlock(entry)
-            if victim is not None:
+            cycle = find_deadlock(
+                (
+                    (parked.txn.name, self._fresh_blockers(parked))
+                    for parked in self.blocked
+                    if parked.valid()
+                ),
+                entry.txn.name,
+            )
+            if cycle is not None:
                 self.engine.count_deadlock()
-                self._abort_victim(victim)
+                self._abort_victim(
+                    choose_victim(cycle, self.engine.started_at)
+                )
                 self._wake_blocked()
             return
         waited = self.sim.now - requested_at
@@ -468,51 +460,6 @@ class _Runner:
                 entry.txn, entry.op.object_name, entry.op.operation
             )
         )
-
-    def _waits_edges(self) -> Dict[TransactionName, Set[TransactionName]]:
-        """Waits-for edges between top-level trees, from current state."""
-        edges: Dict[TransactionName, Set[TransactionName]] = {}
-        for entry in self.blocked:
-            if not entry.valid():
-                continue
-            source = top_level(entry.txn.name)
-            targets = edges.setdefault(source, set())
-            for blocker in self._fresh_blockers(entry):
-                target = top_level(blocker)
-                if target != source:
-                    targets.add(target)
-        return edges
-
-    def _detect_deadlock(
-        self, entry: _BlockedAccess
-    ) -> Optional[TransactionName]:
-        """DFS for a cycle reachable from *entry*'s tree; return a victim."""
-        edges = self._waits_edges()
-        start = top_level(entry.txn.name)
-        path: List[TransactionName] = []
-        on_path: Set[TransactionName] = set()
-        finished: Set[TransactionName] = set()
-
-        def visit(node: TransactionName) -> Optional[List[TransactionName]]:
-            if node in on_path:
-                return path[path.index(node):] + [node]
-            if node in finished:
-                return None
-            path.append(node)
-            on_path.add(node)
-            for target in sorted(edges.get(node, ())):
-                cycle = visit(target)
-                if cycle is not None:
-                    return cycle
-            on_path.discard(node)
-            path.pop()
-            finished.add(node)
-            return None
-
-        cycle = visit(start)
-        if cycle is None:
-            return None
-        return choose_victim(cycle, self.engine.started_at)
 
     def _expire_wait(self, entry: _BlockedAccess) -> None:
         """Timeout discipline: a still-parked access restarts its program."""
@@ -590,20 +537,9 @@ class _Runner:
                         targets.add(id(other))
             edges[id(parked)] = targets
         # Is the new entry on a cycle (can it reach itself)?
-        seen = set()
-
-        def dfs(node):
-            for target in edges.get(node, ()):
-                if target == id(entry):
-                    return True
-                if target not in seen:
-                    seen.add(target)
-                    if dfs(target):
-                        return True
-            return False
-
+        on_cycle = digraph.shortest_cycle_through(id(entry), edges.__getitem__)
         run = entry.run
-        if dfs(id(entry)) and run.txn is not None and run.txn.is_active:
+        if on_cycle is not None and run.txn is not None and run.txn.is_active:
             self.engine.count_deadlock()
             run.self_deadlocks += 1
             self.engine.note(Tagged, top_level(run.txn.name), "deadlock")
@@ -663,10 +599,9 @@ class _Runner:
             if not entry.valid():
                 continue
             self.sim.after(
-                self._retry_delay(entry.retries),
+                RETRY_DELAY,
                 lambda e=entry: self._attempt_access(
-                    e.run, e.epoch, e.txn, e.op, e.done, e.requested_at,
-                    e.retries + 1,
+                    e.run, e.epoch, e.txn, e.op, e.done, e.requested_at
                 ),
             )
 
@@ -713,11 +648,7 @@ class _Runner:
         # Randomised exponential backoff: deterministic fixed delays make
         # the same group of programs collide (and deadlock) forever.
         scale = min(2 ** min(run.attempts - 1, 6), 32)
-        delay = (
-            self.config.restart_delay
-            * scale
-            * (0.5 + self.rng.random())
-        )
+        delay = RESTART_DELAY * scale * (0.5 + self.rng.random())
         self.sim.after(delay, lambda: self._start_attempt(run))
 
 

@@ -1,6 +1,10 @@
-"""Unit tests for waits-for-graph deadlock detection."""
+"""Unit tests for deadlock detection on the collapsed waits-for graph.
 
-from repro.engine.deadlock import WaitsForGraph, choose_victim, top_level
+Each case lists its waits as ``(waiter, blockers)`` pairs, the way the
+simulator's detector recomputes them from the live lock tables.
+"""
+
+from repro.engine.deadlock import choose_victim, find_deadlock, top_level
 
 
 class TestTopLevel:
@@ -11,91 +15,72 @@ class TestTopLevel:
 
 class TestCycleDetection:
     def test_no_cycle_on_chain(self):
-        graph = WaitsForGraph()
-        assert graph.add_wait((0, 0), [(1, 0)]) is None
-        assert graph.add_wait((1, 0), [(2, 0)]) is None
+        waits = [((0, 0), [(1, 0)]), ((1, 0), [(2, 0)])]
+        assert find_deadlock(waits, (0, 0)) is None
+        assert find_deadlock(waits, (1, 0)) is None
 
     def test_two_cycle(self):
-        graph = WaitsForGraph()
-        assert graph.add_wait((0, 0), [(1, 0)]) is None
-        cycle = graph.add_wait((1, 0), [(0, 5)])
-        assert cycle is not None
-        assert set(cycle) == {(0,), (1,)}
+        waits = [((0, 0), [(1, 0)]), ((1, 0), [(0, 5)])]
+        cycle = find_deadlock(waits, (1, 0))
+        assert cycle == [(1,), (0,), (1,)]
 
     def test_three_cycle(self):
-        graph = WaitsForGraph()
-        graph.add_wait((0,), [(1,)])
-        graph.add_wait((1,), [(2,)])
-        cycle = graph.add_wait((2,), [(0,)])
+        waits = [((0,), [(1,)]), ((1,), [(2,)]), ((2,), [(0,)])]
+        cycle = find_deadlock(waits, (2,))
         assert cycle is not None
         assert set(cycle) == {(0,), (1,), (2,)}
+        assert cycle[0] == cycle[-1] == (2,)
 
     def test_intra_tree_waits_ignored(self):
-        graph = WaitsForGraph()
         # Parent waits on its own child: not a cross-tree deadlock.
-        assert graph.add_wait((0,), [(0, 1)]) is None
+        assert find_deadlock([((0,), [(0, 1)])], (0,)) is None
 
-    def test_removal_clears_edges(self):
-        graph = WaitsForGraph()
-        graph.add_wait((0, 0), [(1, 0)])
-        graph.remove_waiter((0, 0))
-        assert graph.add_wait((1, 0), [(0, 0)]) is None
-
-    def test_remove_subtree(self):
-        graph = WaitsForGraph()
-        graph.add_wait((0, 1), [(1,)])
-        graph.add_wait((0, 2), [(2,)])
-        graph.remove_subtree((0,))
-        assert graph.find_cycle() is None
-        assert graph.add_wait((1,), [(0,)]) is None
-
-    def test_find_cycle_global(self):
-        graph = WaitsForGraph()
-        graph.add_wait((5,), [(6,)])
-        graph._waits[(6,)] = {(5,)}
-        assert graph.find_cycle() is not None
+    def test_only_cycles_reachable_from_start(self):
+        waits = [((5,), [(6,)]), ((6,), [(5,)]), ((7,), [(8,)])]
+        assert find_deadlock(waits, (7,)) is None
+        assert find_deadlock(waits, (5,)) == [(5,), (6,), (5,)]
 
 
 class TestCollapsedGraphEdgeCases:
     def test_deep_same_tree_wait_collapses_away(self):
-        graph = WaitsForGraph()
         # A deep descendant waiting on a cousin in its own tree maps
         # both endpoints to (0,) when collapsed; the would-be self-loop
         # is dropped so no spurious deadlock is reported.
-        assert graph.add_wait((0, 1, 2), [(0, 3)]) is None
-        assert graph.add_wait((0, 3), [(0, 1)]) is None
-        assert graph.find_cycle() is None
+        waits = [((0, 1, 2), [(0, 3)]), ((0, 3), [(0, 1)])]
+        assert find_deadlock(waits, (0, 3)) is None
 
     def test_nested_waiters_collapse_into_cross_tree_cycle(self):
-        graph = WaitsForGraph()
-        # Edges recorded between deep descendants still form a cycle on
+        # Edges given between deep descendants still form a cycle on
         # the collapsed graph: (0,) -> (1,) -> (0,).
-        assert graph.add_wait((0, 1, 2), [(1, 0)]) is None
-        cycle = graph.add_wait((1, 4), [(0, 2, 2)])
+        waits = [((0, 1, 2), [(1, 0)]), ((1, 4), [(0, 2, 2)])]
+        cycle = find_deadlock(waits, (1, 4))
         assert cycle is not None
         assert set(cycle) == {(0,), (1,)}
 
     def test_mixed_waits_only_cross_tree_edges_count(self):
-        graph = WaitsForGraph()
         # A parent waiting on its own child AND a foreign tree: only
         # the cross-tree edge survives collapsing.
-        assert graph.add_wait((0,), [(0, 1), (1, 0)]) is None
-        cycle = graph.add_wait((1, 0, 0), [(0, 7)])
+        waits = [((0,), [(0, 1), (1, 0)]), ((1, 0, 0), [(0, 7)])]
+        assert find_deadlock(waits[:1], (0,)) is None
+        cycle = find_deadlock(waits, (1, 0, 0))
         assert cycle is not None
         assert set(cycle) == {(0,), (1,)}
 
     def test_cycle_broken_by_victim_abort(self):
-        graph = WaitsForGraph()
-        graph.add_wait((0, 1), [(1,)])
-        cycle = graph.add_wait((1, 0), [(0, 1)])
+        waits = [((0, 1), [(1,)]), ((1, 0), [(0, 1)])]
+        cycle = find_deadlock(waits, (1, 0))
         assert cycle is not None
         victim = choose_victim(cycle, {(0,): 1.0, (1,): 2.0})
         assert victim == (1,)
-        # Aborting the victim's subtree clears its outgoing edges;
-        # the survivor can keep waiting without re-deadlocking.
-        graph.remove_subtree(victim)
-        assert graph.find_cycle() is None
-        assert graph.add_wait((0, 1), [(2,)]) is None
+        # Aborting the victim's subtree ends its waits; the survivor can
+        # keep waiting on a third tree without re-deadlocking.
+        survivors = [
+            (waiter, blockers)
+            for waiter, blockers in waits
+            if top_level(waiter) != victim
+        ]
+        assert find_deadlock(survivors, (0, 1)) is None
+        assert find_deadlock(survivors + [((0, 1), [(2,)])], (0, 1)) is None
 
 
 class TestVictimSelection:

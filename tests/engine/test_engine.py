@@ -189,23 +189,6 @@ class TestRecovery:
 
 
 class TestDeadlockHooks:
-    def test_note_blocked_reports_victim(self):
-        engine = Engine([IntRegister("x"), IntRegister("y")])
-        one = engine.begin_top()
-        two = engine.begin_top()
-        one.perform("x", IntRegister.add(1))
-        two.perform("y", IntRegister.add(1))
-        try:
-            one.perform("y", IntRegister.read())
-        except LockDenied as denial:
-            assert engine.note_blocked(one, denial.blockers) is None
-        try:
-            two.perform("x", IntRegister.read())
-        except LockDenied as denial:
-            victim = engine.note_blocked(two, denial.blockers)
-        assert victim in {(0,), (1,)}
-        assert engine.stats["deadlocks"] == 1
-
     def test_fresh_blockers(self):
         engine = Engine([IntRegister("x")])
         one = engine.begin_top()

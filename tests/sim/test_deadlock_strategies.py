@@ -1,5 +1,7 @@
 """Focused tests for the three deadlock-handling strategies."""
 
+import hashlib
+
 import pytest
 
 from repro.adt import IntRegister
@@ -8,6 +10,9 @@ from repro.sim import (
     Block,
     Program,
     SimulationConfig,
+    WorkloadConfig,
+    make_store,
+    make_workload,
     run_simulation,
 )
 
@@ -125,8 +130,8 @@ class TestStrategies:
         assert runner.metrics.committed == 2
 
     def test_unknown_strategy_parks_forever_is_avoided(self):
-        """Unknown strategies fall through to detection-style parking,
-        and the drain watchdog still finishes the workload."""
+        """Detection parks conflicting accesses, and the drain watchdog
+        still finishes the workload."""
         metrics = run_simulation(
             crossing_programs(),
             STORE(),
@@ -135,3 +140,58 @@ class TestStrategies:
             ),
         )
         assert metrics.committed == 2
+
+    def test_unknown_strategy_is_rejected(self):
+        """A misspelt discipline must not silently run as detection."""
+        with pytest.raises(ValueError, match="wound-wait"):
+            SimulationConfig(deadlock="wound_wait")
+
+
+#: Nested programs with parallel sibling blocks over six hot registers:
+#: on seed 1 every discipline resolves deadlocks, detection finds both
+#: cross-tree cycles and an intra-tree (sibling) cycle, and wound-wait
+#: restarts one self-deadlocked tree.
+CONTENDED_NESTED = WorkloadConfig(
+    programs=16, objects=6, read_fraction=0.2, depth=2, fanout=2,
+    parallel_blocks=True,
+)
+
+#: Digests of the full run (row, final state, latencies, wait time);
+#: any change to victim choice or retry timing moves them.
+PINNED = {
+    "wound-wait": (
+        "fd58f67d40ad4299be8fa8b59f56bcc4891fa213e9d3397270d1abd20ef0ea8e"
+    ),
+    "detect": (
+        "9135b8a42d52e67ac4d2ee28241d307752e7b31ba79d5a6d96d9c81c4fe4daf0"
+    ),
+    "timeout": (
+        "c5692fdd28ac05b041c3d586e77552fbef8635d5c8c62b9d401bf8f9f43c8245"
+    ),
+}
+
+
+def run_digest(strategy):
+    metrics = run_simulation(
+        make_workload(1, CONTENDED_NESTED),
+        make_store(CONTENDED_NESTED),
+        SimulationConfig(
+            mpl=6, policy="moss-rw", seed=1, deadlock=strategy,
+            lock_timeout=8.0,
+        ),
+    )
+    hasher = hashlib.sha256()
+    hasher.update(repr(metrics.row()).encode())
+    hasher.update(repr(sorted(metrics.final_state.items())).encode())
+    hasher.update(repr(metrics.latencies).encode())
+    hasher.update(repr(metrics.wait_time).encode())
+    return metrics, hasher.hexdigest()
+
+
+class TestPinnedSchedules:
+    @pytest.mark.parametrize("strategy", sorted(PINNED))
+    def test_schedule_is_pinned(self, strategy):
+        metrics, digest = run_digest(strategy)
+        assert metrics.committed == CONTENDED_NESTED.programs
+        assert metrics.deadlock_aborts > 0
+        assert digest == PINNED[strategy]

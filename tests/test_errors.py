@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     CompositionError,
-    DeadlockDetected,
     EngineError,
     InvalidTransactionState,
     LockDenied,
@@ -30,7 +29,6 @@ class TestHierarchy:
             SerializationFailure,
             EngineError,
             TransactionAborted,
-            DeadlockDetected,
             InvalidTransactionState,
             LockDenied,
         ):
@@ -43,7 +41,6 @@ class TestHierarchy:
     def test_engine_errors(self):
         for exc_type in (
             TransactionAborted,
-            DeadlockDetected,
             InvalidTransactionState,
             LockDenied,
         ):
@@ -60,11 +57,6 @@ class TestPayloads:
     def test_transaction_aborted_without_reason(self):
         exc = TransactionAborted((0,))
         assert "aborted" in str(exc)
-
-    def test_deadlock_carries_cycle(self):
-        exc = DeadlockDetected((1,), [(0,), (1,), (0,)])
-        assert exc.victim == (1,)
-        assert exc.cycle == [(0,), (1,), (0,)]
 
     def test_lock_denied_blockers_frozen(self):
         exc = LockDenied("nope", blockers=[(0,), (1,)])
