@@ -93,7 +93,7 @@ class Engine(Spine):
             spec.name: spec for spec in specs
         }
         self.policy = policy
-        self.started_at: Dict[TransactionName, float] = {}
+        #: Live trees only: a finished tree's nodes are forgotten.
         self.transactions: Dict[TransactionName, Transaction] = {}
         self._next_top = 0
         self._clock = 0.0
@@ -161,7 +161,7 @@ class Engine(Spine):
                 "scheme %r is not durable "
                 "(capabilities.durable is False)" % self.scheme_name
             )
-        if self._next_top or self.transactions:
+        if self._next_top:
             raise EngineError(
                 "attach_wal must run before any transaction begins"
             )
@@ -191,10 +191,11 @@ class Engine(Spine):
         return self.locks.store
 
     def begin_top(self, at: Optional[float] = None) -> Transaction:
-        """Start a new top-level transaction."""
+        """Start a new top-level transaction, of ``age`` *at* or the clock."""
         name = (self._next_top,)
         self._next_top += 1
-        return self._register(name, parent=None, at=at)
+        age = self._clock + 1.0 if at is None else at
+        return self._register(name, None, age)
 
     def object_value(self, object_name: str, committed: bool = True) -> Any:
         """Inspect an object: its committed (or current) value."""
@@ -220,7 +221,7 @@ class Engine(Spine):
         return managed.blockers(requester, mode, operation=operation)
 
     def transaction(self, name: TransactionName) -> Transaction:
-        """Look up a transaction handle by name."""
+        """Look up a live transaction handle by name."""
         try:
             return self.transactions[name]
         except KeyError:
@@ -245,15 +246,13 @@ class Engine(Spine):
         self,
         name: TransactionName,
         parent: Optional[Transaction],
-        at: Optional[float] = None,
+        age: float,
     ) -> Transaction:
-        txn = Transaction(self, name, parent)
+        txn = Transaction(self, name, parent, age)
         self.transactions[name] = txn
         if parent is not None:
             parent.children.append(txn)
         self._clock += 1.0
-        if len(name) == 1:
-            self.started_at[name] = at if at is not None else self._clock
         on = self._on_began
         if on:
             event = Began(name)
@@ -263,7 +262,7 @@ class Engine(Spine):
 
     def _begin_child(self, parent: Transaction) -> Transaction:
         name = parent._claim_child_slot()
-        return self._register(name, parent)
+        return self._register(name, parent, parent.age)
 
     def _check_not_orphan(self, txn: Transaction) -> None:
         # Orphan-hood can only change when an abort happens, so the
@@ -365,6 +364,7 @@ class Engine(Spine):
             # Top-level commits are the durability points: a crash
             # after the flush returns must preserve this commit.
             self._flush()
+            txn._forget_tree(self.transactions)
 
     def _flush(self) -> None:
         wal = self.wal
@@ -396,3 +396,4 @@ class Engine(Spine):
                 handler(event)
         if txn.is_top_level:
             self._flush()
+            txn._forget_tree(self.transactions)

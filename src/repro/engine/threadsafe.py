@@ -52,6 +52,7 @@ causes are facade knowledge, reported with the spine's ``note``.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from time import perf_counter
@@ -59,6 +60,7 @@ from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.core.names import TransactionName
 from repro.core.object_spec import ObjectSpec, Operation
+from repro.engine.deadlock import wound_victims
 from repro.engine.spine import Tagged, Waited, Wounded
 from repro.engine.transaction import Transaction, TransactionStatus
 from repro.errors import (
@@ -447,41 +449,32 @@ class ThreadSafeEngine:
     # ------------------------------------------------------------------
     # Blocking access with wound-wait
     # ------------------------------------------------------------------
-    def _age(self, top):
-        # Callers hold the mutex (only the wound path calls this).
-        return self._engine.started_at.get(  # repro-lint: ignore[CD002]
-            top, float("inf")
-        )
-
     def _wound(self, txn: Transaction, denial: LockDenied) -> bool:
         """Abort every younger top-level blocking *txn*; mutex held.
 
         Returns True when at least one victim was wounded (the caller
-        should retry immediately rather than wait).  Blockers sharing
-        *txn*'s own top-level ancestor are never wounded -- a
-        transaction must wait for its own relatives, not kill them.
+        should retry immediately rather than wait).  Victims come from
+        :func:`~repro.engine.deadlock.wound_victims` over the handles'
+        ``age``; a tree the engine forgot (a stale denial) ranks oldest.
         """
+        engine = self._engine  # repro-lint: ignore[CD002]
+        table = engine.transactions
         my_top = txn.name[:1]
         wounded = False
-        for blocker in sorted(denial.blockers):
-            target = blocker[:1]
-            if target == my_top:
-                continue
-            if self._age(target) > self._age(my_top):
-                table = (
-                    self._engine.transactions  # repro-lint: ignore[CD002]
-                )
-                victim = table.get(target)
-                if victim is not None and victim.is_active:
-                    # Tag the cause before the abort transition.
-                    self._engine.note(  # repro-lint: ignore[CD002]
-                        Wounded, target, my_top
-                    )
-                    victim.abort()
-                    # Wakes the victim's own thread too, if it is
-                    # parked: its object is in the victim's set.
-                    self._wake(target, retire=True)
-                    wounded = True
+        for target in wound_victims(
+            my_top,
+            sorted(denial.blockers),
+            lambda top: table[top].age if top in table else -math.inf,
+        ):
+            victim = table[target]
+            if victim.is_active:
+                # Tag the cause before the abort transition.
+                engine.note(Wounded, target, my_top)
+                victim.abort()
+                # Wakes the victim's own thread too, if it is
+                # parked: its object is in the victim's set.
+                self._wake(target, retire=True)
+                wounded = True
         return wounded
 
     def _waited(
@@ -496,15 +489,14 @@ class ThreadSafeEngine:
         """Clean up after ``perform`` raised *exc*; mutex held.
 
         If the tree is dead (wounded, ``abort_top``-ed, or aborted by
-        ``perform`` itself) the touch just recorded must not outlive
-        it.  A non-object-local scheme (MVTO) that aborts a tree from
-        inside ``perform`` sheds pending writes on every object with
-        no commit or abort call to follow, so all its waiters re-check.
+        ``perform`` itself), the engine has forgotten it, and the touch
+        just recorded must not outlive it.  A non-object-local scheme
+        (MVTO) that aborts a tree from inside ``perform`` sheds pending
+        writes on every object with no commit or abort call to follow,
+        so all its waiters re-check.
         """
-        tree = self._engine.transactions.get(  # repro-lint: ignore[CD002]
-            top
-        )
-        if tree is None or not tree.is_active:
+        engine = self._engine  # repro-lint: ignore[CD002]
+        if top not in engine.transactions:
             self._touched.pop(top, None)
         if isinstance(
             exc, TransactionAborted

@@ -31,6 +31,10 @@ class Transaction:
 
         with engine.begin_top() as txn:
             txn.perform("acct", BankAccount.deposit(10))
+
+    ``age`` is the tree's wound-wait age (larger is younger).  Once the
+    top-level transaction finishes the engine forgets the whole tree; a
+    handle still answers ``status``.
     """
 
     def __init__(
@@ -38,10 +42,12 @@ class Transaction:
         engine: "Engine",
         name: TransactionName,
         parent: Optional["Transaction"],
+        age: float,
     ):
         self._engine = engine
         self.name = name
         self.parent = parent
+        self.age = age
         self.status = TransactionStatus.ACTIVE
         self.children: List["Transaction"] = []
         self.value: Any = None
@@ -84,6 +90,16 @@ class Transaction:
         for child in self.children:
             if child.is_active:
                 child._abort_subtree(doomed)
+
+    def _forget_tree(self, table) -> None:
+        """Pop this finished tree from the engine's name *table*;
+        emptying ``children`` breaks the parent/child reference cycles."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            del table[node.name]
+            stack.extend(node.children)
+            node.children.clear()
 
     def _require_active(self) -> None:
         if not self.is_active:

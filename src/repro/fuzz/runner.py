@@ -242,8 +242,9 @@ class _LockLog:
 
 def _has_live_blocker(engine, handle, access: AccessStep) -> bool:
     """Progressiveness: a worker parked on *access* must have a live
-    tree and a conflicting non-ancestor holder (else a wake was lost)."""
-    if not engine.transaction(handle.name[:1]).is_active:
+    tree (one the engine still knows) and a conflicting non-ancestor
+    holder (else a wake was lost)."""
+    if handle.name[:1] not in engine.transactions:
         return False
     txn = engine.transaction(handle.name)
     return bool(

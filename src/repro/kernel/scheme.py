@@ -3,10 +3,10 @@
 A *scheme* is one concurrency-control algorithm exposed through the
 uniform nested-transaction handle API (``begin_top`` /
 ``Transaction.begin_child`` / ``perform`` / ``commit`` / ``abort``) plus
-the runner hooks (``fresh_blockers`` / ``stats`` / ``started_at``).  The
-runners, facades, and oracles never inspect which engine class they
-hold; everything they need to know about an algorithm's shape is
-declared up front in :class:`SchemeCapabilities`.
+the runner hooks (``fresh_blockers`` / ``stats``).  The runners,
+facades, and oracles never inspect which engine class they hold;
+everything they need to know about an algorithm's shape is declared up
+front in :class:`SchemeCapabilities`.
 """
 
 from __future__ import annotations
@@ -91,15 +91,13 @@ class ConcurrencyScheme(Protocol):
     #: ``accesses``/``denials``/``commits``/``aborts``/``deadlocks``.
     stats: Dict[str, int]
 
-    #: Start times of top-level transactions, keyed by name (wound-wait
-    #: age and victim choice).
-    started_at: Dict[TransactionName, float]
-
     def begin_top(self, at: Optional[float] = None):
-        """Start a new top-level transaction; return its handle."""
+        """Start a new top-level transaction; return its handle, whose
+        ``age`` (for wound-wait) is *at* or grows with each begin."""
 
     def transaction(self, name: TransactionName):
-        """Look up a live transaction handle by name."""
+        """Look up a live transaction handle by name (a finished tree's
+        names are forgotten)."""
 
     def object_value(self, object_name: str, committed: bool = True) -> Any:
         """Inspect an object's committed (or current) value."""

@@ -2,8 +2,8 @@
 
 Exposes the same handle API as :class:`repro.engine.Engine` (begin_top /
 begin_child / perform / commit / abort plus the runner hooks
-``fresh_blockers`` / ``stats`` / ``started_at``), implemented with
-multiversion timestamp ordering:
+``fresh_blockers`` / ``stats``), implemented with multiversion timestamp
+ordering:
 
 * each top-level tree runs at one timestamp (its admission order);
 * reads see the latest committed version at or before their timestamp --
@@ -93,7 +93,6 @@ class MVTOEngine(Spine):
         self.objects: Dict[str, MVObject] = self.store.objects
         self.specs: Dict[str, ObjectSpec] = self.store.specs
         self.transactions: Dict[TransactionName, Transaction] = {}
-        self.started_at: Dict[TransactionName, float] = {}
         self._next_top = 0
         self._next_ts = 1
         self._tree_ts: Dict[TransactionName, int] = {}
@@ -123,7 +122,8 @@ class MVTOEngine(Spine):
         passes an explicit *ts* instead, so every engine serializes
         the same tree at the same position -- the cross-engine orders
         then compose into one order.  Pinned timestamps must be fresh
-        and, like the default, are consumed monotonically.
+        and, like the default, are consumed monotonically.  ``age`` is
+        *at* or the timestamp.
         """
         if ts is not None:
             if ts in self._ts_owner:
@@ -134,13 +134,11 @@ class MVTOEngine(Spine):
             self._next_ts = max(self._next_ts, ts + 1)
         name = (self._next_top,)
         self._next_top += 1
-        txn = Transaction(self, name, parent=None)
-        self.transactions[name] = txn
-        started = ts if ts is not None else self._next_ts
-        self.started_at[name] = at if at is not None else float(started)
         if ts is None:
             ts = self._next_ts
             self._next_ts += 1
+        txn = Transaction(self, name, None, float(ts) if at is None else at)
+        self.transactions[name] = txn
         self._tree_ts[name] = ts
         self._ts_owner[ts] = name
         on = self._on_began
@@ -150,7 +148,7 @@ class MVTOEngine(Spine):
 
     def _begin_child(self, parent: Transaction) -> Transaction:
         name = parent._claim_child_slot()
-        txn = Transaction(self, name, parent=parent)
+        txn = Transaction(self, name, parent, parent.age)
         self.transactions[name] = txn
         parent.children.append(txn)
         on = self._on_began
@@ -164,6 +162,7 @@ class MVTOEngine(Spine):
         self.note(Deadlocked, None)
 
     def transaction(self, name: TransactionName) -> Transaction:
+        """Look up a live transaction handle by name."""
         try:
             return self.transactions[name]
         except KeyError:
@@ -308,6 +307,8 @@ class MVTOEngine(Spine):
             for mv_object in self.store.values():
                 mv_object.commit_tree(ts)
             self._ts_owner.pop(ts, None)
+            txn._forget_tree(self.transactions)
+            del self._tree_ts[txn.name]
         else:
             for mv_object in self.store.values():
                 live_buffer = mv_object.buffers.get(ts)
@@ -328,13 +329,13 @@ class MVTOEngine(Spine):
 
     def _abort_tree(self, top: TransactionName) -> None:
         txn = self.transactions[top]
-        if txn.is_active:
-            self._mark_aborted(txn)
+        self._mark_aborted(txn)
         self.stats["aborts"] += 1
-        ts = self._tree_ts[top]
+        ts = self._tree_ts.pop(top)
         for mv_object in self.store.values():
             mv_object.abort_tree(ts)
         self._ts_owner.pop(ts, None)
+        txn._forget_tree(self.transactions)
 
     def _mark_aborted(self, txn: Transaction) -> None:
         """Abort *txn*'s active subtree and announce it."""

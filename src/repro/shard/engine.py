@@ -47,9 +47,11 @@ import multiprocessing
 import os
 import threading
 import time
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.object_spec import ObjectSpec, Operation
+from repro.engine.deadlock import wound_victims
 from repro.engine.spine import (
     Aborted,
     Began,
@@ -633,7 +635,6 @@ class ShardedEngine(Spine):
                 "begin",
                 txn=[top.ordinal],
                 ts=top.ordinal + 1,
-                at=float(top.ordinal),
             )
             top.held.append((shard, waiter))
         while node is not None and shard not in node.mirrors:
@@ -682,20 +683,20 @@ class ShardedEngine(Spine):
     def _wound_younger(
         self, top: _Top, blockers: List[Tuple[int, ...]]
     ) -> None:
-        """Wound-wait across shards: older trees win, younger die."""
-        for blocker in blockers:
-            if not blocker or blocker[0] <= top.ordinal:
-                continue
+        """Wound-wait across shards, aged by the global ordinal.  Only
+        the thread whose claim aborted a victim counts and announces it,
+        so each wound is reported once, and only if it happened."""
+        for target in wound_victims(top.name, blockers, itemgetter(0)):
             with self._mutex:
-                victim = self._tops.get(blocker[0])
-                if (
-                    victim is None
-                    or victim.root.status is not TransactionStatus.ACTIVE
-                ):
+                victim = self._tops.get(target[0])
+                claim = victim and self._claim_abort(
+                    victim.root, victim, "wound-wait"
+                )
+                if not claim:
                     continue
                 self.stats["deadlocks"] += 1
             self.note(Wounded, victim.name, top.name)
-            self._abort_node(victim.root, victim, cause="wound-wait")
+            self._release_abort(victim.root, claim, "wound-wait")
 
     # ------------------------------------------------------------------
     # Commit / abort
@@ -900,15 +901,27 @@ class ShardedEngine(Spine):
         Returns False, doing nothing, when *node* is no longer active.
         """
         with self._mutex:
-            if node.status is not TransactionStatus.ACTIVE:
-                return False
-            aborted: List[Tuple[int, ...]] = []
-            self._mark_aborted(node, aborted)
-            if node.parent is None:
-                top.cause = cause
-                self._tops.pop(top.ordinal, None)
-            participants = sorted(node.mirrors)
-            self.stats["aborts"] += 1
+            claim = self._claim_abort(node, top, cause)
+        if claim is not None:
+            self._release_abort(node, claim, cause)
+        return claim is not None
+
+    def _claim_abort(self, node: _Node, top: _Top, cause: str):
+        """Mark *node*'s subtree aborted, mutex held: the aborted names
+        and the shards to tell, or None if another claim won."""
+        if node.status is not TransactionStatus.ACTIVE:
+            return None
+        aborted: List[Tuple[int, ...]] = []
+        self._mark_aborted(node, aborted)
+        if node.parent is None:
+            top.cause = cause
+            self._tops.pop(top.ordinal, None)
+        self.stats["aborts"] += 1
+        return aborted, sorted(node.mirrors)
+
+    def _release_abort(self, node: _Node, claim, cause: str) -> None:
+        """Announce a claimed abort and send it to its shards."""
+        aborted, participants = claim
         on = self._on_aborted
         if on:
             emit(on, Aborted(node.name, tuple(aborted), None, cause))
@@ -926,7 +939,6 @@ class ShardedEngine(Spine):
             except ShardDown:
                 # A dead worker's locks died with it; nothing to undo.
                 continue
-        return True
 
     def _mark_aborted(
         self, node: _Node, out: List[Tuple[int, ...]]

@@ -211,7 +211,6 @@ class ShardWorker:
         self,
         name: Tuple[int, ...],
         ts: Optional[int] = None,
-        at: Optional[float] = None,
     ):
         """The local handle for global *name*, mirroring as needed."""
         node = self._nodes.get(name)
@@ -221,11 +220,11 @@ class ShardWorker:
             kwargs: Dict[str, Any] = {}
             if self._accepts_ts and ts is not None:
                 kwargs["ts"] = ts
-            node = self.engine.begin_top(at=at, **kwargs)
+            node = self.engine.begin_top(**kwargs)
             self._by_top[name[0]] = [name]
             self._local_tops[node.name[0]] = name
         else:
-            parent = self._mirror(name[:-1], ts=ts, at=at)
+            parent = self._mirror(name[:-1], ts=ts)
             node = parent.begin_child()
             self._by_top[name[0]].append(name)
         self._nodes[name] = node
@@ -278,7 +277,7 @@ class ShardWorker:
         name = proto.txn_name(message.get("txn"))
         if len(name) != 1:
             raise EngineError("begin mirrors top-level names only")
-        self._mirror(name, ts=message.get("ts"), at=message.get("at"))
+        self._mirror(name, ts=message.get("ts"))
         return proto.ok_response(request_id)
 
     def _op_perform(self, request_id, message) -> Dict[str, Any]:

@@ -30,7 +30,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 from repro.core import digraph
 from repro.core.names import TransactionName
 from repro.core.object_spec import ObjectSpec
-from repro.engine.deadlock import choose_victim, find_deadlock, top_level
+from repro.engine.deadlock import (
+    choose_victim,
+    find_deadlock,
+    top_level,
+    wound_victims,
+)
 from repro.engine.spine import Tagged, Waited, Wounded
 from repro.engine.transaction import Transaction
 from repro.errors import LockDenied, TransactionAborted
@@ -192,12 +197,10 @@ class _Runner:
             pool = self_stuck or {
                 top_level(entry.txn.name) for entry in survivors
             }
-            victim = max(pool, key=self._age_key)
+            victim = choose_victim(pool, self._age_key)
             self.engine.count_deadlock()
             if victim in self_stuck:
-                victim_run = self.by_top.get(victim)
-                if victim_run is not None:
-                    victim_run.self_deadlocks += 1
+                self.by_top[victim].self_deadlocks += 1
             self._abort_victim(victim)
             self._wake_blocked()
         self.metrics.makespan = self.sim.now
@@ -439,9 +442,11 @@ class _Runner:
             )
             if cycle is not None:
                 self.engine.count_deadlock()
-                self._abort_victim(
-                    choose_victim(cycle, self.engine.started_at)
+                # The youngest admission dies; ties break on the name.
+                victim = choose_victim(
+                    cycle, lambda top: (self.by_top[top].admitted_at, top)
                 )
+                self._abort_victim(victim)
                 self._wake_blocked()
             return
         waited = self.sim.now - requested_at
@@ -549,44 +554,32 @@ class _Runner:
         return False
 
     def _age_key(self, top: TransactionName):
-        """Strict total age order, stable across restarts.
+        """Strict total age order, stable across restarts (every tree
+        the runner began stays in ``by_top``).
 
         A restarted program keeps its original admission time and order,
         which is what makes wound-wait livelock-free: the oldest program
         wins every conflict it enters and therefore always completes.
         """
-        run = self.by_top.get(top)
-        if run is None:
-            return (float("inf"), float("inf"))
+        run = self.by_top[top]
         return (run.admitted_at, run.admit_order)
 
     def _wound_younger(self, run: _ProgramRun, blockers) -> bool:
         """Wound-wait: abort every blocker younger than *run*.
 
         Returns True when at least one holder was wounded (the caller may
-        retry); False means every blocker is older, so the caller waits.
+        retry); False means every blocker is older or in *run*'s own
+        tree (an intra-tree wait resolves on its own), so the caller
+        waits.
         """
         my_top = top_level(run.txn.name)
-        my_key = self._age_key(my_top)
         wounded = False
-        for blocker in blockers:
-            target = top_level(blocker)
-            if target == my_top:
-                # Intra-tree wait (e.g. on a sibling subtransaction):
-                # resolves on its own; never wound our own tree.
-                continue
-            if self._age_key(target) > my_key:
-                victim_run = self.by_top.get(target)
-                if (
-                    victim_run is not None
-                    and not victim_run.finished
-                    and victim_run.txn is not None
-                    and victim_run.txn.is_active
-                ):
-                    self.engine.count_deadlock()
-                    self.engine.note(Wounded, target, my_top)
-                    self._abort_victim(target)
-                    wounded = True
+        for target in wound_victims(my_top, blockers, self._age_key):
+            if self.by_top[target].txn.is_active:
+                self.engine.count_deadlock()
+                self.engine.note(Wounded, target, my_top)
+                self._abort_victim(target)
+                wounded = True
         if wounded:
             self._wake_blocked()
         return wounded
@@ -621,10 +614,8 @@ class _Runner:
         self._admit()
 
     def _abort_victim(self, victim: TransactionName) -> None:
-        run = self.by_top.get(victim)
-        if run is None or run.finished:
-            return
-        if run.txn is None or not run.txn.is_active:
+        run = self.by_top[victim]
+        if not run.txn.is_active:
             return
         # First tag wins: the wound path has already tagged its victims,
         # everything else here died to a detected deadlock.

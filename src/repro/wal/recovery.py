@@ -265,13 +265,12 @@ def recover(
 
     presumed: List[Tuple[int, ...]] = []
     if presume_abort:
-        for name in sorted(engine.started_at):
-            txn = engine.transactions.get(name)
-            if txn is not None and txn.is_active:
-                txn.abort()
-                presumed.append(tuple(name))
-                if observer is not None:
-                    observer.count("recovery.presumed_abort")
+        # The engine keeps only live trees: every top left is active.
+        for name in sorted(n for n in engine.transactions if len(n) == 1):
+            engine.transactions[name].abort()
+            presumed.append(tuple(name))
+            if observer is not None:
+                observer.count("recovery.presumed_abort")
     report.presumed_aborted = tuple(presumed)
     report.committed = committed_values(engine)
     if observer is not None:
@@ -360,8 +359,7 @@ def _apply(engine, record: rec.Record) -> None:
         txn = engine.transactions.get(name)
         if txn is None:
             raise _ReplayStop(
-                "COMMIT lsn=%s: %r never began"
-                % (payload.get("lsn"), name)
+                "COMMIT lsn=%s: %r is not live" % (payload.get("lsn"), name)
             )
         try:
             txn.commit()
@@ -374,14 +372,19 @@ def _apply(engine, record: rec.Record) -> None:
     if kind == rec.ABORT:
         name = rec.name_from_wire(payload["txn"])
         txn = engine.transactions.get(name)
-        if txn is None:
+        top = name[:1]
+        if txn is None and (
+            not top or top in engine.transactions
+            or top[0] >= engine._next_top
+        ):
             raise _ReplayStop(
                 "ABORT lsn=%s: %r never began" % (payload.get("lsn"), name)
             )
-        if not txn.is_active:
+        if txn is None or not txn.is_active:
             # A wound/escalation may abort a tree whose handle already
-            # finished from its own thread's point of view; the log's
-            # single ABORT record is authoritative and idempotent.
+            # finished from its own thread's point of view (the engine
+            # has forgotten a finished tree); the log's single ABORT
+            # record is authoritative and idempotent.
             return
         txn.abort()
         return

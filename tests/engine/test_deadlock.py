@@ -1,10 +1,22 @@
-"""Unit tests for deadlock detection on the collapsed waits-for graph.
+"""Unit tests for deadlock resolution: the collapsed waits-for graph and
+the one victim rule.
 
-Each case lists its waits as ``(waiter, blockers)`` pairs, the way the
-simulator's detector recomputes them from the live lock tables.
+Each detection case lists its waits as ``(waiter, blockers)`` pairs, the
+way the simulator's detector recomputes them from the live lock tables.
+Ages are key callables over top-level names; a larger key is younger.
 """
 
-from repro.engine.deadlock import choose_victim, find_deadlock, top_level
+from repro.engine.deadlock import (
+    choose_victim,
+    find_deadlock,
+    top_level,
+    wound_victims,
+)
+
+
+def ages(table):
+    """An age key reading *table*, ties broken on the name."""
+    return lambda top: (table.get(top, 0.0), top)
 
 
 class TestTopLevel:
@@ -70,7 +82,7 @@ class TestCollapsedGraphEdgeCases:
         waits = [((0, 1), [(1,)]), ((1, 0), [(0, 1)])]
         cycle = find_deadlock(waits, (1, 0))
         assert cycle is not None
-        victim = choose_victim(cycle, {(0,): 1.0, (1,): 2.0})
+        victim = choose_victim(cycle, ages({(0,): 1.0, (1,): 2.0}))
         assert victim == (1,)
         # Aborting the victim's subtree ends its waits; the survivor can
         # keep waiting on a third tree without re-deadlocking.
@@ -87,8 +99,50 @@ class TestVictimSelection:
     def test_youngest_loses(self):
         cycle = [(0,), (1,), (0,)]
         started = {(0,): 1.0, (1,): 5.0}
-        assert choose_victim(cycle, started) == (1,)
+        assert choose_victim(cycle, ages(started)) == (1,)
 
     def test_tie_breaks_deterministically(self):
         cycle = [(0,), (1,), (0,)]
-        assert choose_victim(cycle, {}) == (1,)
+        assert choose_victim(cycle, ages({})) == (1,)
+
+    def test_takes_any_key_callable(self):
+        # The key decides alone: here the *lower* name is younger.
+        cycle = [(3,), (7,), (5,), (3,)]
+        assert choose_victim(cycle, lambda top: -top[0]) == (3,)
+        assert choose_victim({(4,), (9,)}, lambda top: top[0]) == (9,)
+
+
+class TestWoundVictims:
+    AGE = staticmethod(lambda top: top[0])
+
+    def test_own_tree_blockers_are_skipped(self):
+        # Relatives at any depth are waited for, never wounded.
+        blockers = [(2, 0), (2, 1, 3), (2,)]
+        assert wound_victims((2,), blockers, self.AGE) == []
+        assert wound_victims((2,), blockers + [(5, 1)], self.AGE) == [
+            (5,)
+        ]
+
+    def test_older_and_equal_keys_are_skipped(self):
+        table = {(1,): 10.0, (2,): 20.0, (3,): 20.0, (4,): 30.0}
+        age = table.__getitem__
+        # (1,) is older and (3,) is as old as (2,): only (4,) dies.
+        victims = wound_victims((2,), [(1, 0), (3, 0), (4, 0)], age)
+        assert victims == [(4,)]
+
+    def test_tree_named_by_several_blockers_comes_back_once(self):
+        blockers = [(6, 0), (6, 1, 2), (6,), (6, 0)]
+        assert wound_victims((1,), blockers, self.AGE) == [(6,)]
+
+    def test_input_order_is_kept(self):
+        blockers = [(9, 1), (4,), (7, 0), (9, 0), (5, 2)]
+        victims = wound_victims((3,), blockers, self.AGE)
+        assert victims == [(9,), (4,), (7,), (5,)]
+
+    def test_key_is_the_only_notion_of_age(self):
+        # Admission order survives a restart: (8,) is the retry of the
+        # oldest program, so the fresh-looking name wins its conflict.
+        admitted = {(8,): (0.0, 1), (2,): (1.0, 2), (5,): (1.0, 3)}
+        victims = wound_victims((8,), [(2,), (5, 0)], admitted.get)
+        assert victims == [(2,), (5,)]
+        assert wound_victims((5,), [(8,), (2, 4)], admitted.get) == []

@@ -9,7 +9,9 @@ that).
 import pytest
 
 from repro.adt import Counter, IntRegister
+from repro.engine.spine import Wounded
 from repro.errors import EngineError, TransactionAborted
+from repro.obs import Observer
 from repro.shard import ShardedEngine
 from repro.shard.engine import placement_sharding
 
@@ -188,6 +190,66 @@ class TestWoundWait:
             with pytest.raises(TransactionAborted):
                 top.perform("r0", IntRegister.read())
             assert engine.object_value("r0") == 0
+
+
+
+class TestWoundCountedOnce:
+    """Only the thread whose locked section found the victim active,
+    and claimed its abort there, counts and announces a coordinator
+    wound: ``Wounded`` then ``Aborted``, once."""
+
+    class _Log:
+        def __init__(self):
+            self.events = []
+
+        def on_wounded(self, event):
+            self.events.append(("wounded", event.victim))
+
+        def on_aborted(self, event):
+            self.events.append(("aborted", event.name, event.cause))
+
+    @pytest.mark.parametrize("competitor", ["abort_top", "second_wound"])
+    def test_competing_abort_between_check_and_abort(self, competitor):
+        with ShardedEngine(_specs(), workers=2) as engine:
+            observer = engine.subscribe(Observer())
+            log = engine.subscribe(self._Log())
+            older = engine.begin_top()
+            older.perform("r0", IntRegister.read())
+            second = engine.begin_top()
+            younger = engine.begin_top()
+            younger.perform("r1", IntRegister.write(9))
+            if competitor == "abort_top":
+                def compete():
+                    return engine.abort_top(younger.name, cause="reaper")
+            else:
+                def compete():
+                    return engine._wound_younger(second._top, [younger.name])
+            raced = []
+            note = engine.note
+
+            def race_then_note(kind, *fields):
+                # Interpose the competitor once, where the wound path
+                # announces its victim.
+                if kind is Wounded and not raced:
+                    raced.append("racing")
+                    raced[0] = compete()
+                note(kind, *fields)
+
+            engine.note = race_then_note
+            older.perform("r1", IntRegister.write(4))
+            older.commit()
+            second.abort()
+            # The competitor found the tree already claimed.
+            assert raced == ([False] if competitor == "abort_top" else [None])
+            assert engine.stats["deadlocks"] == 1
+            assert [
+                event for event in log.events if event[1] == younger.name
+            ] == [
+                ("wounded", younger.name),
+                ("aborted", younger.name, "wound-wait"),
+            ]
+            assert observer._abort_causes == {}
+            assert engine.object_value("r1") == 4
 
 
 class TestGhostMirrorRegression:
