@@ -11,8 +11,9 @@ simulator all call it); the simulator's ``detect`` discipline recomputes
 the waits from the live lock tables and asks :func:`find_deadlock` for a
 cycle, then :func:`choose_victim` for the tree to abort.  Ages are key
 callables over top-level names (larger is younger), so each driver keeps
-its own: the handles' ``age``, the coordinator's global ordinal, the
-simulator's admission order, which survives a restart.
+its own: the handles' ``age`` (the facade and the sharded coordinator,
+whose tree is the scheme's engine), the simulator's admission order,
+which survives a restart.
 
 With nesting, the unit that can wait is any transaction in the tree, and a
 conflict's real adversaries are *top-level* subtrees: a lock held by a

@@ -132,7 +132,6 @@ class Engine(Spine):
         """Capability flags for this engine, derived from its policy."""
         return SchemeCapabilities(
             waits_are_acyclic=False,
-            aborts_whole_tree=self.policy.escalates_aborts,
             moves_locks=self.policy.moves_locks,
             model_conformant=self.policy.model_conformant,
             object_local_performs=True,

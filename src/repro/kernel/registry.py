@@ -99,7 +99,6 @@ def _locking_scheme(policy) -> Scheme:
 
     capabilities = SchemeCapabilities(
         waits_are_acyclic=False,
-        aborts_whole_tree=policy.escalates_aborts,
         moves_locks=policy.moves_locks,
         model_conformant=policy.model_conformant,
         object_local_performs=True,

@@ -40,11 +40,6 @@ class SchemeCapabilities:
     #: detector).  False for lock-based schemes.
     waits_are_acyclic: bool = False
 
-    #: Aborting any node escalates to the whole top-level tree
-    #: (flat 2PL, MVTO).  When False, subtree aborts are contained the
-    #: way Moss' algorithm contains them.
-    aborts_whole_tree: bool = False
-
     #: Commit passes locks (and versions) to the parent -- Moss' lock
     #: inheritance.  Flat schemes and MVTO hold everything at an
     #: ancestor or in version chains instead.

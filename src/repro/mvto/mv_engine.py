@@ -19,8 +19,7 @@ ordering:
 The engine is registered as scheme ``"mvto"`` in
 :mod:`repro.kernel.registry` and declares its shape through
 :class:`~repro.kernel.scheme.SchemeCapabilities`: waits are acyclic
-(ordered by timestamp), aborts escalate to the whole tree, no lock
-movement, traces do not refine M(X), and ``perform`` is *not*
+(ordered by timestamp), no lock movement, traces do not refine M(X), and ``perform`` is *not*
 object-local (a timestamp conflict discards the tree's buffers on every
 object), which is why the thread-safe facade wakes every waiter when an
 MVTO ``perform`` aborts.  Transitions are announced through
@@ -64,7 +63,6 @@ class MVTOEngine(Spine):
     #: whole tree across every object from inside ``perform``.
     capabilities = SchemeCapabilities(
         waits_are_acyclic=True,
-        aborts_whole_tree=True,
         moves_locks=False,
         model_conformant=False,
         object_local_performs=False,

@@ -9,7 +9,6 @@ discard precisely their own writes.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set
 
@@ -86,10 +85,26 @@ class MVObject:
     # ------------------------------------------------------------------
     # Committed chain
     # ------------------------------------------------------------------
+    def _after(self, ts: int) -> int:
+        """The index of the first version with ``wts > ts``.
+
+        ``bisect_right`` over the chain by ``wts``, probing O(log n)
+        versions: the chain grows with every committed write, so it
+        is never copied or walked.
+        """
+        versions = self.versions
+        low, high = 0, len(versions)
+        while low < high:
+            middle = (low + high) // 2
+            if versions[middle].wts > ts:
+                high = middle
+            else:
+                low = middle + 1
+        return low
+
     def version_before(self, ts: int) -> Version:
         """The committed version a transaction at *ts* reads."""
-        keys = [version.wts for version in self.versions]
-        index = bisect.bisect_right(keys, ts) - 1
+        index = self._after(ts) - 1
         if index < 0:
             raise EngineError("no version before ts=%d" % ts)
         return self.versions[index]
@@ -119,9 +134,7 @@ class MVObject:
         if buffer is None or not buffer.dirty():
             return
         version = Version(ts, buffer.current(), rts=ts)
-        keys = [existing.wts for existing in self.versions]
-        index = bisect.bisect_right(keys, ts)
-        self.versions.insert(index, version)
+        self.versions.insert(self._after(ts), version)
 
     def abort_tree(self, ts: int) -> None:
         """Throw away the tree's tentative state."""

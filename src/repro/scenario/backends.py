@@ -280,9 +280,10 @@ def _run_plan(
     """Execute *block*'s steps against a transaction *port*.
 
     A port is a facade handle
-    (:class:`~repro.engine.threadsafe.ThreadSafeTransaction`,
-    :class:`~repro.shard.ShardedTransaction`) or a wire transaction
-    (:class:`~repro.serve.client.WireTransaction`): anything with
+    (:class:`~repro.engine.threadsafe.ThreadSafeTransaction`, which
+    both the in-process and the sharded facade hand out) or a wire
+    transaction (:class:`~repro.serve.client.WireTransaction`):
+    anything with
     ``begin_child() -> port``, ``perform(object_name, operation,
     timeout)``, ``commit()`` and ``abort()``.  Child blocks run as
     subtransactions with the block's failure injection and retry

@@ -8,7 +8,10 @@ its slice of the object store; a coordinator in the client process
 routes accesses by ``ObjectStore.shard_of``, lazily mirrors nested
 tree names onto participant shards, and runs presumed-abort two-phase
 commit at top-level commit (single-shard trees take a one-phase fast
-path).  Workers speak the version-pinned framed-JSON protocol of
+path).  The coordinator's transaction tree is the scheme's own engine,
+and its handles are the facade's
+(:class:`~repro.engine.threadsafe.ThreadSafeTransaction`).  Workers
+speak the version-pinned framed-JSON protocol of
 :mod:`repro.serve.protocol` over spawn-safe pipes.
 
 Per the paper's footnote 9, distribution is orthogonal to locking
@@ -17,7 +20,7 @@ correctness: each object's lock automaton only consults tree *names*
 ``docs/SHARDING.md`` for the architecture and failure matrix.
 """
 
-from repro.shard.engine import ShardedEngine, ShardedTransaction
+from repro.shard.engine import ShardedEngine
 from repro.shard.link import ShardDown
 from repro.shard.recovery import (
     ShardedRecovery,
@@ -28,7 +31,6 @@ from repro.shard.worker import WorkerConfig, worker_main
 
 __all__ = [
     "ShardedEngine",
-    "ShardedTransaction",
     "ShardDown",
     "ShardedRecovery",
     "WorkerConfig",

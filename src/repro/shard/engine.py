@@ -1,10 +1,18 @@
-"""The sharded engine: coordinator, facade handles, and 2PC.
+"""The sharded engine: a coordinator over shard workers, with 2PC.
 
 :class:`ShardedEngine` exposes the :class:`~repro.engine.threadsafe.
 ThreadSafeEngine` facade API (``begin_top`` / ``begin_child`` /
 ``perform`` / ``commit`` / ``abort`` / ``abort_top`` / ``attach_wal``
 / ``attach_auditor`` / ``object_value``), but every object lives in
-exactly one worker *process*; the coordinator:
+exactly one worker *process*.  The coordinator is the paper's generic
+scheduler and the workers are its objects: the transaction tree lives
+in the scheme's own engine, built over no objects and touched only
+under the coordinator's mutex, so status, child naming, the
+live-children and orphan checks, the scheme's abort escalation and
+the lifecycle events are the engine's.  ``begin_top`` returns the
+facade's own :class:`~repro.engine.threadsafe.ThreadSafeTransaction`
+handle, with its dead-handle contract.  Beyond the tree the
+coordinator:
 
 * routes each access by ``ObjectStore.shard_of`` (CRC32 by default,
   placement- or custom-sharding aware);
@@ -19,9 +27,11 @@ exactly one worker *process*; the coordinator:
   (the paper's ``INFORM_COMMIT_AT(X)OF(T)`` may come any time after
   ``COMMIT(T)``), go only to the shards that mirror the node, and
   have their acks checked before the top-level decision is claimed;
-* resolves cross-shard conflicts with wound-wait over *global* top
-  ordinals (workers return blockers translated to global top names;
-  older trees win, younger are wounded) -- worker engines stay
+* sends each abort to the shards mirroring what died -- the subtree,
+  or the whole tree when the scheme escalates;
+* resolves cross-shard conflicts with wound-wait over the tree
+  handles' ages (workers return blockers translated to global top
+  names; older trees win, younger are wounded) -- worker engines stay
   non-blocking and never deadlock;
 * commits top-level trees with presumed-abort two-phase commit:
   ``prepare`` (force each participant WAL durable), a coordinator
@@ -32,36 +42,29 @@ exactly one worker *process*; the coordinator:
   participant acknowledged phase 2, so an acked commit is durable in
   every per-shard WAL.
 
-The coordinator is an event spine (:mod:`repro.engine.spine`) of its
-own, with its dispatch serialised; its events are emitted
-coordinator-side: lifecycle events by the thread making the
-transition, access events by whichever thread is reading the link, in
-the shard's actual execution order -- the merged stream a subscribed
-:class:`repro.obs.Observer` or :class:`~repro.audit.OnlineAuditor`
-consumes.
+The tree engine's event spine (:mod:`repro.engine.spine`) is the
+coordinator's, with its dispatch serialised: lifecycle events come
+from the thread making the transition, access events from whichever
+thread is reading the link, in the shard's actual execution order --
+the merged stream a subscribed :class:`repro.obs.Observer` or
+:class:`~repro.audit.OnlineAuditor` consumes.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
 import time
-from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.names import TransactionName, pretty_name
 from repro.core.object_spec import ObjectSpec, Operation
 from repro.engine.deadlock import wound_victims
-from repro.engine.spine import (
-    Aborted,
-    Began,
-    Committed,
-    Granted,
-    Spine,
-    Wounded,
-    emit,
-)
-from repro.engine.transaction import TransactionStatus
+from repro.engine.spine import Granted, Tagged, Wounded, emit
+from repro.engine.threadsafe import ThreadSafeTransaction, _raise_if_aborted
+from repro.engine.transaction import Transaction, TransactionStatus
 from repro.errors import (
     EngineError,
     InvalidTransactionState,
@@ -101,103 +104,33 @@ def placement_sharding(
     return sharding
 
 
-class _Node:
-    """Coordinator-side state of one transaction in a tree."""
-
-    __slots__ = (
-        "name", "parent", "status", "children", "next_child", "mirrors"
-    )
-
-    def __init__(self, name: Tuple[int, ...], parent: Optional["_Node"]):
-        self.name = name
-        self.parent = parent
-        self.status = TransactionStatus.ACTIVE
-        self.children: List[_Node] = []
-        self.next_child = 0
-        #: shards that mirror this node: a superset of every
-        #: descendant's, so the root's is the 2PC participant set
-        self.mirrors: set = set()
-
-
 class _Top:
-    """One top-level tree: its root node plus 2PC bookkeeping."""
+    """What the coordinator knows of one live tree and its engine does not."""
 
-    __slots__ = ("ordinal", "root", "participants", "held", "cause")
+    __slots__ = ("participants", "mirrors", "held", "claimed")
 
-    def __init__(self, ordinal: int):
-        self.ordinal = ordinal
-        self.root = _Node((ordinal,), None)
+    def __init__(self, name: TransactionName):
         #: shards this tree has touched (the 2PC participant set)
-        self.participants = self.root.mirrors
+        self.participants: Set[int] = set()
+        #: node name -> the shards mirroring it: a superset of every
+        #: descendant's, so the root's is ``participants``
+        self.mirrors: Dict[TransactionName, Set[int]] = {
+            name: self.participants
+        }
         #: (shard, waiter) of every held begin/subcommit, in order;
         #: checked at the commit point
         self.held: List[Tuple[int, Any]] = []
-        #: abort cause, for error messages after the tree died
-        self.cause: Optional[str] = None
-
-    @property
-    def name(self) -> Tuple[int, ...]:
-        return self.root.name
+        #: the commit decision is claimed: aborts stand down
+        self.claimed = False
 
 
-class ShardedTransaction:
-    """Facade handle onto one coordinator-side transaction node.
-
-    Same surface as ``ThreadSafeTransaction``: ``name`` / ``status`` /
-    ``is_active`` / ``begin_child`` / ``perform`` / ``commit`` /
-    ``abort`` plus context-manager commit-or-abort.
-    """
-
-    __slots__ = ("_engine", "_node", "_top", "value")
-
-    def __init__(self, engine: "ShardedEngine", node: _Node, top: _Top):
-        self._engine = engine
-        self._node = node
-        self._top = top
-        self.value: Any = None
-
-    @property
-    def name(self) -> Tuple[int, ...]:
-        return self._node.name
-
-    @property
-    def status(self) -> TransactionStatus:
-        return self._node.status
-
-    @property
-    def is_active(self) -> bool:
-        return self._node.status is TransactionStatus.ACTIVE
-
-    def begin_child(self) -> "ShardedTransaction":
-        return self._engine._begin_child(self)
-
-    def perform(
-        self,
-        object_name: str,
-        operation: Operation,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        return self._engine._perform(self, object_name, operation, timeout)
-
-    def commit(self, value: Any = None) -> "ShardedTransaction":
-        self._engine._commit(self, value)
-        self.value = value
-        return self
-
-    def abort(self) -> "ShardedTransaction":
-        self._engine._abort_node(self._node, self._top, cause="explicit")
-        return self
-
-    def __enter__(self) -> "ShardedTransaction":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            if self.is_active:
-                self.commit()
-        elif self.is_active:
-            self.abort()
-        return False
+def _check_live(txn: Transaction) -> None:
+    """Raise the facade's error for a finished *txn*; mutex held."""
+    if not txn.is_active:
+        _raise_if_aborted(txn)
+        raise InvalidTransactionState(
+            "%s is %s" % (pretty_name(txn.name), txn.status.value)
+        )
 
 
 class _EngineView:
@@ -251,7 +184,7 @@ class ShardedWal:
         """Worker logs close with their processes; nothing to do here."""
 
 
-class ShardedEngine(Spine):
+class ShardedEngine:
     """N worker processes, one coordinator, the facade API on top."""
 
     def __init__(
@@ -278,15 +211,16 @@ class ShardedEngine(Spine):
             sharding=sharding,
         )
         self.scheme = get_scheme(policy)
-        # Coordinator events come from every client thread and from
-        # link readers: one lock serialises each event's fan-out.
-        self.serialise_dispatch(threading.Lock())
-        if observer is not None:
-            self.subscribe(observer)
+        # The tree: the scheme's own engine over no objects (those live
+        # in the workers), touched only under `_mutex`.  Its spine is
+        # the coordinator's; events come from every client thread and
+        # from link readers, so one lock serialises each fan-out.
+        self._tree = self.scheme.build([], observer=observer)
+        self._tree.serialise_dispatch(threading.Lock())
+        self.stats = self._tree.stats
         self._specs = specs
         self._mutex = threading.RLock()
-        self._tops: Dict[int, _Top] = {}
-        self._next_top = 0
+        self._tops: Dict[TransactionName, _Top] = {}
         self._links: List[ShardLink] = []
         self._procs: List[Any] = []
         self._started = False
@@ -296,15 +230,23 @@ class ShardedEngine(Spine):
         self._wal_group_ms: Optional[float] = None
         self._wal_handle: Optional[ShardedWal] = None
         self._decisions: Optional[DecisionLog] = None
-        self.stats = {
-            "accesses": 0,
-            "denials": 0,
-            "commits": 0,
-            "aborts": 0,
-            "deadlocks": 0,
-        }
         #: What the serve server dereferences as ``facade.engine``.
         self.engine = _EngineView(self)
+
+    # ------------------------------------------------------------------
+    # The event spine (the tree engine's)
+    # ------------------------------------------------------------------
+    def subscribe(self, subscriber):
+        """Add *subscriber* to the coordinator's spine; returns it."""
+        return self._tree.subscribe(subscriber)
+
+    def attach_auditor(self, auditor=None, config=None):
+        """Subscribe an online serializability auditor; returns it."""
+        return self._tree.attach_auditor(auditor, config)
+
+    def note(self, kind, *fields) -> None:
+        """Emit a *kind* event of *fields*, if anything subscribes."""
+        self._tree.note(kind, *fields)
 
     # ------------------------------------------------------------------
     # Introspection / facade parity
@@ -465,29 +407,22 @@ class ShardedEngine(Spine):
     # ------------------------------------------------------------------
     # Facade API
     # ------------------------------------------------------------------
-    def begin_top(self) -> ShardedTransaction:
+    def begin_top(self) -> ThreadSafeTransaction:
         if self._closed:
             raise EngineError("sharded engine is closed")
         if not self._started:
             self.start()
         with self._mutex:
-            ordinal = self._next_top
-            self._next_top += 1
-            top = _Top(ordinal)
-            self._tops[ordinal] = top
-        on = self._on_began
-        if on:
-            emit(on, Began(top.name))
-        return ShardedTransaction(self, top.root, top)
+            inner = self._tree.begin_top()
+            self._tops[inner.name] = _Top(inner.name)
+        return ThreadSafeTransaction(self, inner)
 
     def abort_top(self, name, cause: Optional[str] = None) -> bool:
         """Abort the tree containing *name*; idempotent, any thread."""
-        top_name = tuple(name)[:1]
-        with self._mutex:
-            top = self._tops.get(top_name[0])
-        if top is None:
-            return False
-        return self._abort_node(top.root, top, cause=cause or "explicit")
+        top = tuple(name)[:1]
+        if cause is None:
+            return self._abort_tree(top)
+        return self._abort_tree(top, Tagged, top, cause)
 
     def object_value(self, object_name: str, committed: bool = True) -> Any:
         shard = self.store.shard_of(object_name)
@@ -516,51 +451,16 @@ class ShardedEngine(Spine):
         return results
 
     # ------------------------------------------------------------------
-    # Tree transitions (called through the handles)
+    # Accesses (called through the handles)
     # ------------------------------------------------------------------
-    def _begin_child(self, handle: ShardedTransaction) -> ShardedTransaction:
-        with self._mutex:
-            self._check_node(handle._node, handle._top)
-            parent = handle._node
-            name = parent.name + (parent.next_child,)
-            parent.next_child += 1
-            node = _Node(name, parent)
-            parent.children.append(node)
-        on = self._on_began
-        if on:
-            emit(on, Began(name))
-        return ShardedTransaction(self, node, handle._top)
-
-    def _check_node(self, node: _Node, top: _Top) -> None:
-        status = node.status
-        if status is TransactionStatus.ACTIVE:
-            return
-        if status is TransactionStatus.ABORTED:
-            raise TransactionAborted(
-                node.name, top.cause or "transaction aborted"
-            )
-        raise InvalidTransactionState(
-            "%r is %s" % (node.name, status.name.lower())
-        )
-
-    def _check_committable(self, node: _Node, top: _Top) -> None:
-        self._check_node(node, top)
-        if any(
-            child.status is TransactionStatus.ACTIVE
-            for child in node.children
-        ):
-            raise InvalidTransactionState(
-                "%r cannot commit with live children" % (node.name,)
-            )
-
-    def _perform(
+    def _perform_blocking(
         self,
-        handle: ShardedTransaction,
+        txn: Transaction,
         object_name: str,
         operation: Operation,
         timeout: Optional[float],
     ) -> Any:
-        node, top = handle._node, handle._top
+        name = txn.name
         shard = self.store.shard_of(object_name)
         link = self._link(shard)
         deadline = (
@@ -570,22 +470,21 @@ class ShardedEngine(Spine):
         stats = self.stats
         while True:
             with self._mutex:
-                self._check_node(node, top)
-                if shard not in node.mirrors:
-                    self._mirror_onto(node, top, shard)
+                _check_live(txn)
+                top = self._tops[name[:1]]
+                if shard not in top.mirrors.get(name, ()):
+                    self._mirror_onto(top, name, shard)
                 # Counted when sent; taken back if the shard refuses.
                 stats["accesses"] += 1
-            on = self._on_granted
+            on = self._tree._on_granted
             on_ok = None
             if on:
-                on_ok = self._access_hook(
-                    on, node.name, object_name, operation
-                )
+                on_ok = self._access_hook(on, name, object_name, operation)
             try:
                 reply = link.call(
                     "perform",
                     on_ok=on_ok,
-                    txn=list(node.name),
+                    txn=list(name),
                     object=object_name,
                     kind=operation.kind,
                     args=args,
@@ -609,7 +508,7 @@ class ShardedEngine(Spine):
                     tuple(blocker)
                     for blocker in error.get("blockers") or ()
                 ]
-                self._wound_younger(top, blockers)
+                self._wound(name[:1], blockers)
                 now = time.monotonic()
                 if deadline is not None and now >= deadline:
                     raise self._denial(code, error, blockers)
@@ -619,27 +518,30 @@ class ShardedEngine(Spine):
                     pause = min(pause, max(0.0, deadline - now))
                 time.sleep(min(pause, _MAX_PAUSE_S))
                 continue
-            self._raise_error(error, node, top)
+            self._raise_error(error, txn)
 
-    def _mirror_onto(self, node: _Node, top: _Top, shard: int) -> None:
-        """Record that *shard* mirrors *node* (coordinator mutex held).
+    def _mirror_onto(
+        self, top: _Top, name: TransactionName, shard: int
+    ) -> None:
+        """Record that *shard* mirrors *name* (coordinator mutex held).
 
         A tree's first touch of a shard holds its ``begin``, under the
         mutex, so it is in front of whichever thread's ``perform``
-        leaves first.  The global ordinal doubles as the tree's
-        cross-shard timestamp (MVTO workers order by it, keeping one
-        serialization order across shards) and as its wound-wait age.
+        leaves first.  The top's slot doubles as the tree's cross-shard
+        timestamp (MVTO workers order by it, keeping one serialization
+        order across shards).
         """
-        if shard not in top.root.mirrors:
+        if shard not in top.participants:
             waiter = self._links[shard].hold(
-                "begin",
-                txn=[top.ordinal],
-                ts=top.ordinal + 1,
+                "begin", txn=[name[0]], ts=name[0] + 1
             )
             top.held.append((shard, waiter))
-        while node is not None and shard not in node.mirrors:
-            node.mirrors.add(shard)
-            node = node.parent
+        while name:
+            shards = top.mirrors.setdefault(name, set())
+            if shard in shards:
+                break
+            shards.add(shard)
+            name = name[:-1]
 
     @staticmethod
     def _access_hook(on, txn_name, object_name, operation):
@@ -665,110 +567,136 @@ class ShardedEngine(Spine):
             )
         return LockDenied(message, blockers=blockers)
 
-    def _raise_error(self, error: Dict[str, Any], node: _Node, top: _Top):
+    def _raise_error(self, error: Dict[str, Any], txn: Transaction):
         code = error.get("code")
         message = str(error.get("message", ""))
         if code == proto.ERR_TXN_ABORTED:
             # The worker killed its local tree (MVTO timestamp
             # conflict, orphaned mirror, ...); propagate the abort to
-            # every other participant and the coordinator state.
-            self._abort_node(
-                top.root, top, cause=message or "aborted by shard"
+            # every other participant and the coordinator's tree.
+            top = txn.name[:1]
+            self._abort_tree(
+                top, Tagged, top, message or "aborted by shard"
             )
-            raise TransactionAborted(node.name, message)
+            raise TransactionAborted(txn.name, message)
         if code == proto.ERR_INVALID_STATE:
             raise InvalidTransactionState(message)
         raise EngineError(message or "shard error %r" % (code,))
 
-    def _wound_younger(
-        self, top: _Top, blockers: List[Tuple[int, ...]]
+    def _wound(
+        self, my_top: TransactionName, blockers: List[TransactionName]
     ) -> None:
-        """Wound-wait across shards, aged by the global ordinal.  Only
-        the thread whose claim aborted a victim counts and announces it,
-        so each wound is reported once, and only if it happened."""
-        for target in wound_victims(top.name, blockers, itemgetter(0)):
-            with self._mutex:
-                victim = self._tops.get(target[0])
-                claim = victim and self._claim_abort(
-                    victim.root, victim, "wound-wait"
-                )
-                if not claim:
-                    continue
-                self.stats["deadlocks"] += 1
-            self.note(Wounded, victim.name, top.name)
-            self._release_abort(victim.root, claim, "wound-wait")
+        """Wound-wait across shards, by the tree handles' ``age`` as in
+        the facade's ``_wound``; a forgotten tree ranks oldest.  Only
+        the thread whose claim aborted a victim counts it."""
+        table = self._tree.transactions
+        with self._mutex:
+            if my_top not in table:
+                return  # wounded meanwhile; the retry raises
+            victims = wound_victims(
+                my_top,
+                blockers,
+                lambda top: table[top].age if top in table else -math.inf,
+            )
+        for target in victims:
+            if self._abort_tree(target, Wounded, target, my_top):
+                with self._mutex:
+                    self.stats["deadlocks"] += 1
 
     # ------------------------------------------------------------------
-    # Commit / abort
+    # Commit / abort (called through the handles)
     # ------------------------------------------------------------------
-    def _commit(self, handle: ShardedTransaction, value: Any) -> None:
-        node, top = handle._node, handle._top
-        if node.parent is None:
-            self._commit_top(handle, value)
-            return
+    def _finish(self, txn: Transaction, action: str, value: Any) -> None:
+        if action == "abort":
+            self._abort(txn)
+        elif len(txn.name) == 1:
+            self._commit_top(txn, value)
+        else:
+            self._commit_child(txn, value)
+
+    def _commit_child(self, txn: Transaction, value: Any) -> None:
         with self._mutex:
-            self._check_committable(node, top)
-            node.status = TransactionStatus.COMMITTED  # repro-lint: ignore[CD003]
-            self.stats["commits"] += 1
+            try:
+                txn.commit(value)
+            except InvalidTransactionState:
+                _raise_if_aborted(txn)
+                raise
+            top = self._tops[txn.name[:1]]
             # The subcommit only moves locks and versions from child
             # to parent inside this tree, on the shards that mirror
             # the child: no caller needs the answer, no other tree can
             # see the difference, so it is held.
-            for shard in node.mirrors:
+            for shard in top.mirrors.get(txn.name, ()):
                 waiter = self._links[shard].hold(
-                    "commit", txn=list(node.name)
+                    "commit", txn=list(txn.name)
                 )
                 top.held.append((shard, waiter))
-        on = self._on_committed
-        if on:
-            emit(on, Committed(node.name, value, None))
 
-    def _commit_top(self, handle: ShardedTransaction, value: Any) -> None:
-        node, top = handle._node, handle._top
+    def _commit_top(self, txn: Transaction, value: Any) -> None:
+        name = txn.name
         with self._mutex:
-            self._check_committable(node, top)
-            participants = sorted(top.participants)
-        if not participants:
-            self._finalize_commit(top, value)
-            return
-        if len(participants) == 1:
-            # One-phase fast path: the only participant's commit+flush
-            # IS the durability point; no prepare, no decision record.
-            # The decision is still claimed before it is sent, as in
-            # 2PC; a failed decide hands the tree back, so the failure
-            # paths below abort it as if it had never been claimed.
-            self._claim_decision(node, top, "before commit")
-            link = self._links[participants[0]]
-            try:
-                reply = link.call("decide", txn=[top.ordinal])
-            except ShardDown as exc:
-                self._release_decision(top)
-                self._raise_error(
-                    {"code": proto.ERR_INTERNAL, "message": str(exc)},
-                    node,
-                    top,
+            _check_live(txn)
+            if txn.live_children():
+                raise InvalidTransactionState(
+                    "%s cannot commit with live children"
+                    % pretty_name(name)
                 )
-            # The held acks came back in the decide's batch; a failed
-            # subcommit also made the worker refuse the decide (live
-            # children), so nothing was committed.
-            if not reply.get("ok") or self._held_failure(top) is not None:
-                self._release_decision(top)
-                self._check_held(node, top)
-                self._raise_error(reply.get("error") or {}, node, top)
-            self._finalize_commit(top, value)
-            return
-        self._two_phase_commit(node, top, participants)
-        self._finalize_commit(top, value)
+            top = self._tops[name]
+            participants = sorted(top.participants)
+        stragglers: List[int] = []
+        if len(participants) > 1:
+            stragglers = self._two_phase_commit(txn, top, participants)
+        else:
+            # The decision is claimed before any decide is sent.
+            self._claim_decision(txn, top, "before commit")
+            if participants:
+                self._one_phase_commit(txn, top, participants[0])
+        with self._mutex:
+            del self._tops[name]
+            txn.commit(value)
+        if stragglers:
+            # The decision stands (and is durable); the caller just
+            # cannot be told "durable everywhere", so the commit is
+            # NOT acknowledged as such.
+            raise EngineError(
+                "commit %d decided but shards %s did not acknowledge"
+                % (name[0], stragglers)
+            )
+
+    def _one_phase_commit(
+        self, txn: Transaction, top: _Top, shard: int
+    ) -> None:
+        # The only participant's commit+flush IS the durability point;
+        # no prepare, no decision record.  A failed decide hands the
+        # tree back, so the failure paths below abort it as if it had
+        # never been claimed.
+        try:
+            reply = self._links[shard].call("decide", txn=list(txn.name))
+        except ShardDown as exc:
+            self._release_decision(top)
+            self._raise_error(
+                {"code": proto.ERR_INTERNAL, "message": str(exc)}, txn
+            )
+        # The held acks came back in the decide's batch; a failed
+        # subcommit also made the worker refuse the decide (live
+        # children), so nothing was committed.
+        if not reply.get("ok") or self._held_failure(top) is not None:
+            self._release_decision(top)
+            self._check_held(txn, top)
+            self._raise_error(reply.get("error") or {}, txn)
 
     def _two_phase_commit(
-        self, node: _Node, top: _Top, participants: List[int]
-    ) -> None:
+        self, txn: Transaction, top: _Top, participants: List[int]
+    ) -> List[int]:
+        """Presumed-abort 2PC; returns the shards that did not
+        acknowledge the (durable) commit decision."""
+        name = txn.name
         # Phase 1 (presumed abort): every participant forces its WAL;
         # nothing is logged for the prepare itself, so a crash before
         # the decision record replays to an active tree that recovery
         # presumed-aborts.
         waiters = [
-            (shard, self._links[shard].send("prepare", txn=[top.ordinal]))
+            (shard, self._links[shard].send("prepare", txn=list(name)))
             for shard in participants
         ]
         locals_map: Dict[str, int] = {}
@@ -789,27 +717,21 @@ class ShardedEngine(Spine):
             else:
                 failure = reply.get("error") or {}
         if failure is not None:
-            self._abort_node(
-                top.root,
-                top,
-                cause="prepare failed: %s" % failure.get("message"),
-            )
-            raise TransactionAborted(
-                node.name,
-                "2pc prepare failed: %s" % failure.get("message"),
-            )
+            cause = "prepare failed: %s" % failure.get("message")
+            self._abort(txn, Tagged, name, cause)
+            raise TransactionAborted(name, "2pc " + cause)
         # Every link's held acks came back in front of its prepare's.
-        self._check_held(node, top)
-        self._claim_decision(node, top, "during 2pc prepare")
+        self._check_held(txn, top)
+        self._claim_decision(txn, top, "during 2pc prepare")
         # Decision record: once durable, the commit survives any crash
         # (recover_sharded resolves prepared-but-undecided shards).
         if self._decisions is not None:
-            self._decisions.log(top.ordinal, participants, locals_map)
+            self._decisions.log(name[0], participants, locals_map)
         # Phase 2: every participant logs COMMIT and flushes.  The
         # caller is acked only after all of them answered, so an acked
         # commit is durable on every shard it touched.
         waiters = [
-            (shard, self._links[shard].send("decide", txn=[top.ordinal]))
+            (shard, self._links[shard].send("decide", txn=list(name)))
             for shard in participants
         ]
         stragglers = []
@@ -821,42 +743,28 @@ class ShardedEngine(Spine):
                 continue
             if not reply.get("ok"):
                 stragglers.append(shard)
-        if stragglers:
-            # The decision stands (and is durable); the caller just
-            # cannot be told "durable everywhere", so the commit is
-            # NOT acknowledged as such.
-            raise EngineError(
-                "commit %d decided but shards %s did not acknowledge"
-                % (top.ordinal, stragglers)
-            )
+        return stragglers
 
-    def _claim_decision(self, node: _Node, top: _Top, when: str) -> None:
-        """Mark the root committed before any ``decide`` is sent.
+    def _claim_decision(self, txn: Transaction, top: _Top, when: str) -> None:
+        """Claim the commit decision before any ``decide`` is sent.
 
-        An abort racing this commit (wound-wait, ``abort_top``) marks
-        the root under the mutex before broadcasting worker aborts, so
-        checking-and-marking here is atomic against it.  If the abort
-        got in first, its aborts will reach (or have reached) every
-        mirror -- nothing was decided, presumed abort holds.  If we get
-        in first, the abort sees a finished tree and stands down, so
-        the decide runs against live mirrors.
+        An abort racing this commit (wound-wait, ``abort_top``) takes
+        the tree out of ``_tops`` under the mutex before broadcasting
+        worker aborts, so checking-and-claiming here is atomic against
+        it.  If the abort got in first, its aborts will reach (or have
+        reached) every mirror -- nothing was decided, presumed abort
+        holds.  If we get in first, the abort stands down, so the
+        decide runs against live mirrors.
         """
         with self._mutex:
-            if top.root.status is not TransactionStatus.ACTIVE:
-                raise TransactionAborted(
-                    node.name,
-                    "wounded %s (%s)" % (when, top.cause or "aborted"),
-                )
-            top.root.status = (  # repro-lint: ignore[CD003]
-                TransactionStatus.COMMITTED
-            )
+            if self._tops.get(txn.name) is not top:
+                raise TransactionAborted(txn.name, "aborted %s" % when)
+            top.claimed = True
 
     def _release_decision(self, top: _Top) -> None:
-        """Hand a claimed but undecided root back to the abort paths."""
+        """Hand a claimed but undecided tree back to the abort paths."""
         with self._mutex:
-            top.root.status = (  # repro-lint: ignore[CD003]
-                TransactionStatus.ACTIVE
-            )
+            top.claimed = False
 
     def _held_failure(self, top: _Top) -> Optional[str]:
         """Why some held request was not acked ok, or None."""
@@ -871,66 +779,61 @@ class ShardedEngine(Spine):
             )
         return None
 
-    def _check_held(self, node: _Node, top: _Top) -> None:
+    def _check_held(self, txn: Transaction, top: _Top) -> None:
         """Abort the tree unless every held request was acked ok.
 
         Runs after each participant's first commit-phase reply (held
         frames left in front of it, so their acks are in), while the
-        root is unclaimed: a failed or missing ack means some mirror
-        is not the tree the coordinator is about to commit.
+        decision is unclaimed: a failed or missing ack means some
+        mirror is not the tree the coordinator is about to commit.
         """
         cause = self._held_failure(top)
         if cause is not None:
-            self._abort_node(top.root, top, cause=cause)
-            raise TransactionAborted(node.name, cause)
+            self._abort(txn, Tagged, txn.name, cause)
+            raise TransactionAborted(txn.name, cause)
 
-    def _finalize_commit(self, top: _Top, value: Any) -> None:
+    def _abort_tree(self, top: TransactionName, *note) -> bool:
+        """Abort the live tree named *top* (see :meth:`_abort`)."""
         with self._mutex:
-            top.root.status = TransactionStatus.COMMITTED  # repro-lint: ignore[CD003]
-            self._tops.pop(top.ordinal, None)
-            self.stats["commits"] += 1
-        on = self._on_committed
-        if on:
-            emit(on, Committed(top.name, value, None))
+            txn = self._tree.transactions.get(top)
+        return txn is not None and self._abort(txn, *note)
 
-    def _abort_node(
-        self, node: _Node, top: _Top, cause: str = "explicit"
-    ) -> bool:
-        """Abort *node*'s subtree locally and on every shard mirroring it.
+    def _abort(self, txn: Transaction, *note) -> bool:
+        """Abort *txn* in the tree, then on every shard mirroring what
+        died: its subtree, or the whole tree when it is the top or the
+        scheme escalates the abort.
 
-        Returns False, doing nothing, when *node* is no longer active.
+        A top leaves ``_tops`` before *note* (a ``Wounded`` or
+        ``Tagged`` event) announces its abort, all under the mutex, so
+        a competing abort finds it gone and stands down: each abort is
+        claimed, announced and counted once.  Returns False, doing
+        nothing, when *txn* is already aborted or its tree finished or
+        claimed its commit decision.
         """
+        name = txn.name
         with self._mutex:
-            claim = self._claim_abort(node, top, cause)
-        if claim is not None:
-            self._release_abort(node, claim, cause)
-        return claim is not None
-
-    def _claim_abort(self, node: _Node, top: _Top, cause: str):
-        """Mark *node*'s subtree aborted, mutex held: the aborted names
-        and the shards to tell, or None if another claim won."""
-        if node.status is not TransactionStatus.ACTIVE:
-            return None
-        aborted: List[Tuple[int, ...]] = []
-        self._mark_aborted(node, aborted)
-        if node.parent is None:
-            top.cause = cause
-            self._tops.pop(top.ordinal, None)
-        self.stats["aborts"] += 1
-        return aborted, sorted(node.mirrors)
-
-    def _release_abort(self, node: _Node, claim, cause: str) -> None:
-        """Announce a claimed abort and send it to its shards."""
-        aborted, participants = claim
-        on = self._on_aborted
-        if on:
-            emit(on, Aborted(node.name, tuple(aborted), None, cause))
+            top = self._tops.get(name[:1])
+            if (
+                top is None
+                or top.claimed
+                or txn.status is TransactionStatus.ABORTED
+            ):
+                return False
+            if len(name) == 1:
+                del self._tops[name]
+            if note:
+                self.note(*note)
+            txn.abort()
+            if name[:1] not in self._tree.transactions:
+                name = name[:1]
+                self._tops.pop(name, None)
+            participants = sorted(top.mirrors.get(name, ()))
         # Never held: an abort frees locks other trees wait on.
         waiters = []
         for shard in participants:
             link = self._links[shard]
             try:
-                waiters.append((link, link.send("abort", txn=list(node.name))))
+                waiters.append((link, link.send("abort", txn=list(name))))
             except ShardDown:
                 continue
         for link, waiter in waiters:
@@ -939,15 +842,4 @@ class ShardedEngine(Spine):
             except ShardDown:
                 # A dead worker's locks died with it; nothing to undo.
                 continue
-
-    def _mark_aborted(
-        self, node: _Node, out: List[Tuple[int, ...]]
-    ) -> None:
-        # The coordinator's _Node mirrors are bookkeeping, not engine
-        # transactions -- the authoritative transition runs in the
-        # shard worker's Engine.
-        node.status = TransactionStatus.ABORTED  # repro-lint: ignore[CD003]
-        out.append(node.name)
-        for child in node.children:
-            if child.status is TransactionStatus.ACTIVE:
-                self._mark_aborted(child, out)
+        return True

@@ -56,7 +56,6 @@ class TestCapabilities:
     def test_mvto_shape(self):
         caps = get_scheme("mvto").capabilities
         assert caps.waits_are_acyclic
-        assert caps.aborts_whole_tree
         assert not caps.moves_locks
         assert not caps.object_local_performs
 

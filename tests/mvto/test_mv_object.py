@@ -36,6 +36,36 @@ class TestVersionChain:
         assert mv_object.earlier_pending_writers(2) == set()
 
 
+class _CountingChain(list):
+    """A version chain that counts how often it is walked whole."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestChainIsNotWalked:
+    """A read or a commit probes the chain; it never copies or walks
+    it, so MVTO's cost per access does not grow with history."""
+
+    def test_version_before_and_commit_tree_do_not_iterate(
+        self, mv_object
+    ):
+        for ts in range(1, 65):
+            mv_object.buffer_for(ts, base=0).install((0,), ts)
+            mv_object.commit_tree(ts)
+        chain = mv_object.versions = _CountingChain(mv_object.versions)
+        assert mv_object.version_before(40).value == 40
+        assert mv_object.version_before(1000).wts == 64
+        mv_object.buffer_for(70, base=0).install((0,), 7)
+        mv_object.commit_tree(70)
+        assert mv_object.version_before(69).wts == 64
+        assert chain.walks == 0
+        assert [v.wts for v in chain] == list(range(65)) + [70]
+
+
 class TestTreeBuffer:
     def test_current_falls_back_to_base(self):
         buffer = _TreeBuffer(base=10)

@@ -39,20 +39,30 @@ def server():
 
 @pytest.fixture()
 def drop_one_access(monkeypatch):
-    """The first block walked that starts with an access skips it."""
+    """Every attempt at one fixed tree skips its body's first access.
+
+    The tree is the first flat one (accesses only), so neither a
+    wound-retry, which re-runs the same lossy body, nor a child retry,
+    which re-runs accesses of its own, can make up the shortfall.
+    Yields the compiled run and the accesses dropped so far.
+    """
+    compiled = compile_scenario(SPEC, 4, transactions=6)
+    body = next(
+        program.body
+        for program in compiled.programs
+        if all(isinstance(step, AccessOp) for step in program.body.steps)
+    )
     walk = backends._run_plan
     dropped = []
 
     def lossy(port, block, fail_rng, timeout=None):
-        if not dropped and block.steps and isinstance(
-            block.steps[0], AccessOp
-        ):
+        if block is body:
             dropped.append(block.steps[0])
             block = dataclasses.replace(block, steps=block.steps[1:])
         return walk(port, block, fail_rng, timeout)
 
     monkeypatch.setattr(backends, "_run_plan", lossy)
-    return dropped
+    return compiled, dropped
 
 
 def test_serve_run_matches_its_plan(server):
@@ -67,15 +77,16 @@ def test_serve_run_matches_its_plan(server):
 
 def test_serve_run_that_drops_an_access_raises(server, drop_one_access):
     host, port = server
-    compiled = compile_scenario(SPEC, 4, transactions=6)
+    compiled, dropped = drop_one_access
     with pytest.raises(AssertionError, match="fewer accesses"):
         get_driver("serve").run(
             compiled, host=host, port=port, pace=False
         )
-    assert len(drop_one_access) == 1
+    assert dropped
 
 
 def test_threadsafe_run_that_drops_an_access_raises(drop_one_access):
-    compiled = compile_scenario(SPEC, 4, transactions=6)
+    compiled, dropped = drop_one_access
     with pytest.raises(AssertionError, match="fewer accesses"):
         get_driver("threadsafe").run(compiled)
+    assert dropped

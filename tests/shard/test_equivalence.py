@@ -20,12 +20,13 @@ import pytest
 
 from repro.adt import Counter, IntRegister
 from repro.engine.threadsafe import ThreadSafeEngine
+from repro.errors import TransactionAborted
 from repro.scenario import compile_scenario, load_scenario
 from repro.scenario.backends import get_driver
 from repro.scenario.library import library_path
 from repro.shard import ShardedEngine
 
-SCHEMES = ("moss-rw", "exclusive", "mvto")
+SCHEMES = ("moss-rw", "exclusive", "flat-2pl", "mvto")
 SEEDS = range(10)
 
 
@@ -79,32 +80,40 @@ def _program(seed, trees=8):
 
 
 def _run_program(facade, program):
-    """Drive *program*; returns (perform results, final values)."""
+    """Drive *program*; returns (perform results, final values).
+
+    A scheme that escalates a child's abort (flat 2PL) kills the whole
+    tree: the next call on it raises ``TransactionAborted``, which is
+    recorded as a result before the next tree starts.
+    """
     results = []
     for ops, commit_top in program:
         top = facade.begin_top()
         cursor = top
-        stack = []
-        for op in ops:
-            if op[0] == "perform":
-                _, name, operation = op
-                results.append(cursor.perform(name, operation))
-            else:
-                # ("child", commit?): push a nested child, run the
-                # *next* ops inside it... closed immediately keeps
-                # the scripts trivially replayable, so instead the
-                # child performs one marker read and closes.
-                child = cursor.begin_child()
-                value = child.perform("r0", IntRegister.read())
-                results.append(value)
-                if op[1]:
-                    child.commit()
+        try:
+            for op in ops:
+                if op[0] == "perform":
+                    _, name, operation = op
+                    results.append(cursor.perform(name, operation))
                 else:
-                    child.abort()
-        if commit_top:
-            top.commit()
-        else:
-            top.abort()
+                    # ("child", commit?): push a nested child, run the
+                    # *next* ops inside it... closed immediately keeps
+                    # the scripts trivially replayable, so instead the
+                    # child performs one marker read and closes.
+                    child = cursor.begin_child()
+                    value = child.perform("r0", IntRegister.read())
+                    results.append(value)
+                    if op[1]:
+                        child.commit()
+                    else:
+                        child.abort()
+            if commit_top:
+                top.commit()
+            else:
+                top.abort()
+        except TransactionAborted:
+            results.append("tree aborted")
+            continue
         results.append(("closed", commit_top))
     values = {
         name: facade.object_value(name)

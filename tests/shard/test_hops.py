@@ -245,7 +245,9 @@ class TestLiveness:
         with pytest.raises(ShardDown):
             top.perform("r2", IntRegister.write(2))
         held = [
-            waiter for shard, waiter in top._top.held if shard == 0
+            waiter
+            for shard, waiter in engine._tops[top.name].held
+            if shard == 0
         ]
         # The begin was acked with the first perform; the subcommit
         # was still held when the worker died, and fails with it.
@@ -427,7 +429,7 @@ class TestFailedSubcommit:
             top.commit()
         assert "held request failed on shard 1" in str(raised.value)
         assert not top.is_active
-        assert top.name[0] not in engine._tops
+        assert top.name not in engine._tops
         del link.hold
         for name in objects:
             assert engine.object_value(name) == 0

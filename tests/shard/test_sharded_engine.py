@@ -123,6 +123,41 @@ class TestCrossShard:
             top.abort()
 
 
+class TestFlatAbortEscalates:
+    """Under flat 2PL a child's abort is the whole tree's, on every
+    shard: the coordinator's tree is the scheme's engine, so it
+    escalates the abort exactly as the workers' engines do."""
+
+    class _Aborts:
+        def __init__(self):
+            self.names = []
+
+        def on_aborted(self, event):
+            self.names.append(event.name)
+
+    def test_child_abort_kills_the_tree_on_both_shards(self):
+        with ShardedEngine(
+            _specs(), policy="flat-2pl", workers=2,
+            sharding=_spread_sharding,
+        ) as engine:
+            aborts = engine.subscribe(self._Aborts())
+            top = engine.begin_top()
+            top.perform("r0", IntRegister.write(1))  # shard 0
+            child = top.begin_child()
+            child.perform("r1", IntRegister.write(2))  # shard 1
+            child.abort()
+            assert not top.is_active
+            with pytest.raises(TransactionAborted):
+                top.perform("r0", IntRegister.read())
+            assert aborts.names == [top.name]
+            # The top's lock on the child-free shard went with it.
+            second = engine.begin_top()
+            second.perform("r0", IntRegister.write(3), timeout=0.5)
+            second.commit()
+            assert engine.object_value("r0") == 3
+            assert engine.object_value("r1") == 0
+
+
 class TestPlacement:
     def test_placement_pins_objects_to_workers(self):
         placement = {"r0": 1, "r1": 1, "r2": 0}
@@ -223,7 +258,7 @@ class TestWoundCountedOnce:
                     return engine.abort_top(younger.name, cause="reaper")
             else:
                 def compete():
-                    return engine._wound_younger(second._top, [younger.name])
+                    return engine._wound(second.name, [younger.name])
             raced = []
             note = engine.note
 
@@ -242,13 +277,18 @@ class TestWoundCountedOnce:
             # The competitor found the tree already claimed.
             assert raced == ([False] if competitor == "abort_top" else [None])
             assert engine.stats["deadlocks"] == 1
+            # The abort is the tree engine's ("explicit"); its cause
+            # reaches the observer through the Wounded note, as on the
+            # facade.
             assert [
                 event for event in log.events if event[1] == younger.name
             ] == [
                 ("wounded", younger.name),
-                ("aborted", younger.name, "wound-wait"),
+                ("aborted", younger.name, "explicit"),
             ]
             assert observer._abort_causes == {}
+            counters = observer.metrics.snapshot()["counters"]
+            assert counters["txn.abort{cause=wound-wait,scope=top}"] == 1
             assert engine.object_value("r1") == 4
 
 
@@ -381,10 +421,8 @@ class TestAbortRacesCommit:
             top = engine.begin_top()
             for name in objects:
                 top.perform(name, IntRegister.write(5))
-            for shard in sorted(top._top.participants):
-                reply = engine._links[shard].call(
-                    "abort", txn=[top._top.ordinal]
-                )
+            for shard in sorted(engine._tops[top.name].participants):
+                reply = engine._links[shard].call("abort", txn=list(top.name))
                 assert reply["ok"]
             with pytest.raises(TransactionAborted):
                 top.commit()
@@ -415,7 +453,7 @@ class TestOnePhaseCommitClaimsTheDecision:
             terminals = engine.subscribe(self._Terminals())
             top = engine.begin_top()
             top.perform("r0", IntRegister.write(7))
-            (shard,) = top._top.participants
+            (shard,) = engine._tops[top.name].participants
             link = engine._links[shard]
             late_aborts = []
             call = link.call
