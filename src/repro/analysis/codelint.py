@@ -143,10 +143,7 @@ MUTATING_METHODS = frozenset(
 )
 
 #: Modules allowed to assign .status / mutate .stats on other objects.
-TRANSITION_MODULES = (
-    os.path.join("repro", "engine", "engine.py"),
-    os.path.join("repro", "mvto", "mv_engine.py"),
-)
+TRANSITION_MODULES = (os.path.join("repro", "engine", "engine.py"),)
 
 #: Modules whose classes own lock-holder / version state (CD005).
 #: ``analysis/schedule.py`` is the offline checker's reference

@@ -25,8 +25,8 @@ One command per way of exercising the reproduction:
   (``repro.serve``) until interrupted; exit codes mirror ``audit``
   when ``--audit`` is attached (0 clean, 1 violation, 4 inconclusive).
 * ``loadgen``      -- drive a running service with the open-loop
-  Poisson or closed-loop generator (or a declarative scenario via
-  ``--scenario``) and print latency percentiles.
+  Poisson or closed-loop generator and print latency percentiles
+  (``scenario run --backend serve`` drives it with a scenario).
 * ``scenario``     -- declarative workloads: list the bundled library,
   validate TOML specs, or compile-and-run one spec across backends
   and schemes (league table).
@@ -768,7 +768,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         read_fraction=args.read_fraction,
         seed=args.seed,
         think_time=args.think_time,
-        scenario=args.scenario,
     )
     try:
         report = run_loadgen(config)
@@ -1375,14 +1374,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--json",
         help="also write the latency report as JSON here",
-    )
-    loadgen.add_argument(
-        "--scenario",
-        help=(
-            "shape traffic from a scenario TOML file or library name "
-            "(full nested trees, per-class mix and think times; "
-            "overrides --mode/--duration/--ops)"
-        ),
     )
     loadgen.set_defaults(handler=_cmd_loadgen)
 

@@ -21,11 +21,11 @@ notifies only the conditions of the objects the finishing tree touched
 -- the only objects whose locks it can have released -- so a grant
 wakes nobody and a release wakes only plausible waiters.  Because the
 denial and the wait happen under the same lock, no release can slip
-between them.  Schemes whose ``perform`` is not object-local (MVTO
-aborts a whole tree from inside ``perform``) wake every waiter
-instead.  A single transaction *handle* must be driven by one thread at
-a time (handles are not internally locked); object values, commit
-counts and the engine's ``stats`` are exact.
+between them.  A ``perform`` that aborts its own tree (an MVTO
+timestamp conflict) wakes that tree's objects the same way.  A single
+transaction *handle* must be driven by one thread at a time (handles
+are not internally locked); object values, commit counts and the
+engine's ``stats`` are exact.
 
 Scheduler hooks
 ---------------
@@ -64,7 +64,6 @@ from repro.engine.deadlock import wound_victims
 from repro.engine.spine import Tagged, Waited, Wounded
 from repro.engine.transaction import Transaction, TransactionStatus
 from repro.errors import (
-    EngineError,
     InvalidTransactionState,
     LockDenied,
     RetryLater,
@@ -263,23 +262,12 @@ class ThreadSafeEngine:
     def attach_wal(self, wal=None, sink=None, segment_bytes=None):
         """Attach a write-ahead log to the wrapped engine; returns it.
 
-        Mirrors :meth:`repro.engine.engine.Engine.attach_wal`
+        Mirrors :meth:`repro.engine.engine.TreeEngine.attach_wal`
         (capability-gated on ``capabilities.durable``).  Attach before
         starting worker threads.
         """
-        if not self.capabilities.durable:
-            raise EngineError(
-                "scheme %r is not durable "
-                "(capabilities.durable is False)" % self.scheme.name
-            )
-        attach = getattr(self._engine, "attach_wal", None)
-        if attach is None:
-            raise EngineError(
-                "scheme %r has no write-ahead log support"
-                % self.scheme.name
-            )
         with self._mutex:
-            attached = attach(
+            attached = self._engine.attach_wal(
                 wal=wal, sink=sink, segment_bytes=segment_bytes
             )
             # Group-commit sinks coalesce fsyncs across concurrent
@@ -287,10 +275,7 @@ class ThreadSafeEngine:
             # impossible inside this facade's commit locks.  Defer:
             # the engine tickets the flush during commit and the
             # facade awaits it after releasing its locks.
-            sink_obj = getattr(attached, "sink", None)
-            if hasattr(sink_obj, "flush_begin") and hasattr(
-                self._engine, "wal_defers"
-            ):
+            if hasattr(getattr(attached, "sink", None), "flush_begin"):
                 self._engine.wal_defers = True
             return attached
 
@@ -407,11 +392,7 @@ class ThreadSafeEngine:
         sink's syncer services every ticket whether or not anyone
         waits on it.
         """
-        # getattr: alternative engines (MVTO) have no deferred-flush
-        # seam and never set `wal_defers`, so there is nothing to pop.
-        waiter = getattr(  # repro-lint: ignore[CD002]
-            self._engine, "pending_flush", None
-        )
+        waiter = self._engine.pending_flush  # repro-lint: ignore[CD002]
         if waiter is not None:
             self._engine.pending_flush = None  # repro-lint: ignore[CD002]
         return waiter
@@ -490,19 +471,18 @@ class ThreadSafeEngine:
 
         If the tree is dead (wounded, ``abort_top``-ed, or aborted by
         ``perform`` itself), the engine has forgotten it, and the touch
-        just recorded must not outlive it.  A non-object-local scheme
-        (MVTO) that aborts a tree from inside ``perform`` sheds pending
-        writes on every object with no commit or abort call to follow,
-        so all its waiters re-check.
+        just recorded must not outlive it.  A tree that ``perform``
+        aborted (an MVTO timestamp conflict) has no commit or abort
+        call to follow, yet it shed its pending writes -- only on the
+        objects it performed on -- so their waiters are woken here,
+        as after a wound.
         """
         engine = self._engine  # repro-lint: ignore[CD002]
         if top not in engine.transactions:
-            self._touched.pop(top, None)
-        if isinstance(
-            exc, TransactionAborted
-        ) and not self.capabilities.object_local_performs:
-            for cond in self._waiting.values():
-                cond.notify_all()
+            if isinstance(exc, TransactionAborted):
+                self._wake(top, retire=True)
+            else:
+                self._touched.pop(top, None)
 
     def _perform_blocking(
         self,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import EngineError
-from repro.kernel.scheme import SchemeCapabilities
+from repro.kernel.scheme import SchemeCapabilities, locking_capabilities
 
 #: Factory signature shared by every scheme:
 #: ``(specs, observer=None, trace=False, trace_limit=None)``.
@@ -97,14 +97,6 @@ def _locking_scheme(policy) -> Scheme:
     """Wrap a locking policy (instance) as a scheme descriptor."""
     from repro.engine.engine import Engine
 
-    capabilities = SchemeCapabilities(
-        waits_are_acyclic=False,
-        moves_locks=policy.moves_locks,
-        model_conformant=policy.model_conformant,
-        object_local_performs=True,
-        durable=True,
-    )
-
     def factory(specs, observer=None, trace=False, trace_limit=None):
         return Engine(
             specs,
@@ -115,7 +107,9 @@ def _locking_scheme(policy) -> Scheme:
         )
 
     return Scheme(
-        name=policy.name, capabilities=capabilities, factory=factory
+        name=policy.name,
+        capabilities=locking_capabilities(policy),
+        factory=factory,
     )
 
 

@@ -40,22 +40,9 @@ class SchemeCapabilities:
     #: detector).  False for lock-based schemes.
     waits_are_acyclic: bool = False
 
-    #: Commit passes locks (and versions) to the parent -- Moss' lock
-    #: inheritance.  Flat schemes and MVTO hold everything at an
-    #: ancestor or in version chains instead.
-    moves_locks: bool = True
-
     #: Engine traces refine the paper's M(X) automata, so the
     #: conformance harness can replay them (Theorem 34 checking).
     model_conformant: bool = True
-
-    #: ``perform`` touches only the target object plus the caller's own
-    #: tree state, never other objects, so a ``perform`` that aborts
-    #: releases nothing the thread-safe facade must wake waiters for.
-    #: MVTO is False: a timestamp conflict aborts the whole tree's
-    #: buffers across every object from inside ``perform``, and the
-    #: facade then wakes every waiter.
-    object_local_performs: bool = True
 
     #: The scheme's state transitions are fully described by its begin /
     #: granted-access / commit / abort events, so a write-ahead log of
@@ -64,6 +51,19 @@ class SchemeCapabilities:
     #: for MVTO: its pending tree buffers and timestamp watermarks are
     #: not reconstructible from the lock-movement vocabulary.
     durable: bool = True
+
+
+def locking_capabilities(policy) -> SchemeCapabilities:
+    """The capabilities of a locking engine running *policy*.
+
+    Lock waits can form cycles, traces conform to M(X) exactly when the
+    policy says so, and the write-ahead log can rebuild the lock tables.
+    """
+    return SchemeCapabilities(
+        waits_are_acyclic=False,
+        model_conformant=policy.model_conformant,
+        durable=True,
+    )
 
 
 @runtime_checkable

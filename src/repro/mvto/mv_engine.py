@@ -1,9 +1,9 @@
 """The MVTO engine: a first-class kernel scheme.
 
-Exposes the same handle API as :class:`repro.engine.Engine` (begin_top /
-begin_child / perform / commit / abort plus the runner hooks
-``fresh_blockers`` / ``stats``), implemented with multiversion timestamp
-ordering:
+A :class:`~repro.engine.engine.TreeEngine`: the transaction tree --
+handles, begin, commit, abort, orphan checks, stats and the spine's
+Began / Committed / Aborted events -- is the shared controller's.  This
+module keeps only what multiversion timestamp ordering adds:
 
 * each top-level tree runs at one timestamp (its admission order);
 * reads see the latest committed version at or before their timestamp --
@@ -19,53 +19,35 @@ ordering:
 The engine is registered as scheme ``"mvto"`` in
 :mod:`repro.kernel.registry` and declares its shape through
 :class:`~repro.kernel.scheme.SchemeCapabilities`: waits are acyclic
-(ordered by timestamp), no lock movement, traces do not refine M(X), and ``perform`` is *not*
-object-local (a timestamp conflict discards the tree's buffers on every
-object), which is why the thread-safe facade wakes every waiter when an
-MVTO ``perform`` aborts.  Transitions are announced through
-the event spine (:mod:`repro.engine.spine`), as the locking engine's are.
+(ordered by timestamp), traces do not refine M(X), and the scheme is not
+durable.  A timestamp conflict aborts the tree from inside ``perform``;
+its pending writes sit only on objects the tree performed on, so the
+thread-safe facade wakes those objects' waiters, as after a wound.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, Optional, Set
 
-from repro.core.names import TransactionName, pretty_name
+from repro.core.names import TransactionName
 from repro.core.object_spec import ObjectSpec, Operation
-from repro.engine.spine import (
-    Aborted,
-    Began,
-    Committed,
-    Deadlocked,
-    Denied,
-    Granted,
-    Spine,
-    Tagged,
-    emit,
-)
-from repro.engine.transaction import Transaction, TransactionStatus
-from repro.errors import (
-    EngineError,
-    InvalidTransactionState,
-    RetryLater,
-    TransactionAborted,
-)
+from repro.engine.engine import TreeEngine
+from repro.engine.spine import Denied, Granted, Tagged, emit
+from repro.engine.transaction import Transaction
+from repro.errors import EngineError, RetryLater, TransactionAborted
 from repro.kernel.scheme import SchemeCapabilities
 from repro.kernel.store import ObjectStore
 from repro.mvto.mv_object import MVObject
 
 
-class MVTOEngine(Spine):
+class MVTOEngine(TreeEngine):
     """A nested-transaction engine using multiversion timestamp ordering."""
 
     #: Waits always point from larger to smaller timestamps, so
-    #: waits-for cycles cannot form; a timestamp conflict aborts the
-    #: whole tree across every object from inside ``perform``.
+    #: waits-for cycles cannot form.
     capabilities = SchemeCapabilities(
         waits_are_acyclic=True,
-        moves_locks=False,
         model_conformant=False,
-        object_local_performs=False,
         # Pending tree buffers and rts/wts watermarks cannot be rebuilt
         # from the WAL's lock-movement vocabulary, so MVTO opts out of
         # durability (attach_wal refuses; see docs/DURABILITY.md).
@@ -73,13 +55,6 @@ class MVTOEngine(Spine):
     )
 
     scheme_name = "mvto"
-
-    def attach_wal(self, wal=None, sink=None, segment_bytes=None):
-        """MVTO declares no durability; refuse the attach."""
-        raise EngineError(
-            "scheme %r is not durable "
-            "(capabilities.durable is False)" % self.scheme_name
-        )
 
     def __init__(
         self,
@@ -89,27 +64,15 @@ class MVTOEngine(Spine):
         self.store = ObjectStore(specs, MVObject)
         #: The name-to-MVObject mapping (the store's own dict).
         self.objects: Dict[str, MVObject] = self.store.objects
-        self.specs: Dict[str, ObjectSpec] = self.store.specs
-        self.transactions: Dict[TransactionName, Transaction] = {}
-        self._next_top = 0
+        super().__init__(self.store.specs)
         self._next_ts = 1
         self._tree_ts: Dict[TransactionName, int] = {}
         #: top-level name per live timestamp (for blocker reporting)
         self._ts_owner: Dict[int, TransactionName] = {}
-        self.stats = {
-            "accesses": 0,
-            "denials": 0,
-            "commits": 0,
-            "aborts": 0,
-            "deadlocks": 0,
-            "ts_aborts": 0,
-        }
+        self.stats["ts_aborts"] = 0
         if observer is not None:
             self.subscribe(observer)
 
-    # ------------------------------------------------------------------
-    # Handles (same protocol as repro.engine.Engine)
-    # ------------------------------------------------------------------
     def begin_top(
         self, at: Optional[float] = None, ts: Optional[int] = None
     ) -> Transaction:
@@ -123,67 +86,21 @@ class MVTOEngine(Spine):
         and, like the default, are consumed monotonically.  ``age`` is
         *at* or the timestamp.
         """
-        if ts is not None:
-            if ts in self._ts_owner:
-                raise EngineError(
-                    "timestamp %d is already owned by %r"
-                    % (ts, self._ts_owner[ts])
-                )
-            self._next_ts = max(self._next_ts, ts + 1)
-        name = (self._next_top,)
-        self._next_top += 1
         if ts is None:
             ts = self._next_ts
-            self._next_ts += 1
-        txn = Transaction(self, name, None, float(ts) if at is None else at)
-        self.transactions[name] = txn
-        self._tree_ts[name] = ts
-        self._ts_owner[ts] = name
-        on = self._on_began
-        if on:
-            emit(on, Began(name))
+        elif ts in self._ts_owner:
+            raise EngineError(
+                "timestamp %d is already owned by %r"
+                % (ts, self._ts_owner[ts])
+            )
+        self._next_ts = max(self._next_ts, ts + 1)
+        txn = super().begin_top(float(ts) if at is None else at)
+        self._tree_ts[txn.name] = ts
+        self._ts_owner[ts] = txn.name
         return txn
-
-    def _begin_child(self, parent: Transaction) -> Transaction:
-        name = parent._claim_child_slot()
-        txn = Transaction(self, name, parent, parent.age)
-        self.transactions[name] = txn
-        parent.children.append(txn)
-        on = self._on_began
-        if on:
-            emit(on, Began(name))
-        return txn
-
-    def count_deadlock(self) -> None:
-        """Record one externally resolved deadlock in the stats."""
-        self.stats["deadlocks"] += 1
-        self.note(Deadlocked, None)
-
-    def transaction(self, name: TransactionName) -> Transaction:
-        """Look up a live transaction handle by name."""
-        try:
-            return self.transactions[name]
-        except KeyError:
-            raise EngineError("unknown transaction %r" % (name,)) from None
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _top_of(self, txn: Transaction) -> TransactionName:
-        return txn.name[:1]
 
     def _ts_of(self, txn: Transaction) -> int:
-        return self._tree_ts[self._top_of(txn)]
-
-    def _check_not_orphan(self, txn: Transaction) -> None:
-        node: Optional[Transaction] = txn
-        while node is not None:
-            if node.status is TransactionStatus.ABORTED:
-                raise TransactionAborted(
-                    txn.name,
-                    "ancestor %s aborted" % pretty_name(node.name),
-                )
-            node = node.parent
+        return self._tree_ts[txn.name[:1]]
 
     def fresh_blockers(
         self,
@@ -197,12 +114,12 @@ class MVTOEngine(Spine):
         owners = set()
         for wts in mv_object.earlier_pending_writers(ts):
             owner = self._ts_owner.get(wts)
-            if owner is not None and owner != self._top_of(txn):
+            if owner is not None and owner != txn.name[:1]:
                 owners.add(owner)
         return owners
 
     # ------------------------------------------------------------------
-    # Access / commit / abort (called via Transaction handles)
+    # Access, and commit/abort at the version chains
     # ------------------------------------------------------------------
     def _perform(
         self,
@@ -213,7 +130,6 @@ class MVTOEngine(Spine):
         self._check_not_orphan(txn)
         mv_object = self.store.object(object_name)
         ts = self._ts_of(txn)
-        top = self._top_of(txn)
         buffer = mv_object.buffers.get(ts)
         own_dirty = buffer is not None and buffer.dirty()
         if not own_dirty:
@@ -255,9 +171,10 @@ class MVTOEngine(Spine):
         if not own_dirty and (
             mv_object.later_committed_write(ts) or version.rts > ts
         ):
+            top = txn.name[:1]
             self.stats["ts_aborts"] += 1
             self.note(Tagged, top, "ts-conflict")
-            self._abort_tree(top)
+            self._abort(self.transactions[top])
             raise TransactionAborted(
                 txn.name, "timestamp conflict at %s" % object_name
             )
@@ -272,8 +189,7 @@ class MVTOEngine(Spine):
         live_buffer = mv_object.buffer_for(ts, version.value)
         base = live_buffer.current()
         result, new_value = mv_object.spec.apply(base, operation)
-        node = txn.name + (txn._next_child,)
-        txn._claim_child_slot()
+        node = txn._claim_child_slot()
         live_buffer.install(node, new_value)
         # A freshly-written node buffer must merge into the writing
         # transaction immediately (the access "subtransaction" commits at
@@ -287,61 +203,29 @@ class MVTOEngine(Spine):
             ))
         return result
 
-    def _commit(self, txn: Transaction, value: Any) -> None:
-        self._check_not_orphan(txn)
-        live = txn.live_children()
-        if live:
-            raise InvalidTransactionState(
-                "%s cannot commit with live children" % pretty_name(txn.name)
-            )
-        txn.status = TransactionStatus.COMMITTED
-        txn.value = value
-        self.stats["commits"] += 1
-        on = self._on_committed
-        if on:
-            emit(on, Committed(txn.name, value, None))
+    def _commit_objects(self, txn: Transaction) -> None:
         ts = self._ts_of(txn)
         if txn.is_top_level:
             for mv_object in self.store.values():
                 mv_object.commit_tree(ts)
-            self._ts_owner.pop(ts, None)
-            txn._forget_tree(self.transactions)
-            del self._tree_ts[txn.name]
+            del self._ts_owner[ts], self._tree_ts[txn.name]
         else:
             for mv_object in self.store.values():
                 live_buffer = mv_object.buffers.get(ts)
                 if live_buffer is not None:
                     live_buffer.promote(txn.name)
 
-    def _abort(self, txn: Transaction) -> None:
-        if txn.is_top_level:
-            self._abort_tree(txn.name)
-            return
+    def _abort_objects(self, txn: Transaction) -> None:
         ts = self._ts_of(txn)
-        self._mark_aborted(txn)
-        self.stats["aborts"] += 1
-        for mv_object in self.store.values():
-            live_buffer = mv_object.buffers.get(ts)
-            if live_buffer is not None:
-                live_buffer.discard_subtree(txn.name)
-
-    def _abort_tree(self, top: TransactionName) -> None:
-        txn = self.transactions[top]
-        self._mark_aborted(txn)
-        self.stats["aborts"] += 1
-        ts = self._tree_ts.pop(top)
-        for mv_object in self.store.values():
-            mv_object.abort_tree(ts)
-        self._ts_owner.pop(ts, None)
-        txn._forget_tree(self.transactions)
-
-    def _mark_aborted(self, txn: Transaction) -> None:
-        """Abort *txn*'s active subtree and announce it."""
-        on = self._on_aborted
-        doomed: Optional[List[TransactionName]] = [] if on else None
-        txn._abort_subtree(doomed)
-        if on:
-            emit(on, Aborted(txn.name, tuple(doomed), None, "explicit"))
+        if txn.is_top_level:
+            for mv_object in self.store.values():
+                mv_object.abort_tree(ts)
+            del self._ts_owner[ts], self._tree_ts[txn.name]
+        else:
+            for mv_object in self.store.values():
+                live_buffer = mv_object.buffers.get(ts)
+                if live_buffer is not None:
+                    live_buffer.discard_subtree(txn.name)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -332,9 +332,11 @@ def _run_live(
     round-robin; one that fails retryably re-runs from a fresh top
     level up to ``max_retries`` times, ``pause(job, exc, tries)``
     seconds apart, and is reported ``aborted`` once its budget is
-    spent.  Failure injection draws from a per-transaction
-    ``fail:<i>`` stream, re-made for every attempt, so the outcome
-    sequence is independent of which client or attempt runs the tree.
+    spent.  Failure injection draws from a per-attempt stream --
+    ``fail:<i>`` for transaction *i*'s first attempt, ``fail:<i>:<n>``
+    for its *n*-th retry -- so the outcome sequence is a function of
+    the seed, the plan and the attempt, whichever client runs it, and
+    a retry does not re-draw the failure that ended the last attempt.
     The executed operation stream is then checked against the plan --
     every planned access ran -- which is what makes the reported
     digest meaningful on a backend whose interleavings are scheduled
@@ -361,9 +363,9 @@ def _run_live(
 
     def retry_pause(job, exc, tries) -> float:
         # The jitter draws from the failed attempt's stream (fresh if
-        # it failed at begin); the next attempt gets a new stream.
+        # it failed at begin); retry tries + 1 gets its own stream.
         seconds = pause(job, exc, tries)
-        job.rng = streams.stream("fail:%d" % job.plan)
+        job.rng = streams.stream("fail:%d:%d" % (job.plan, tries + 1))
         return seconds
 
     report = LoadReport(result.backend)

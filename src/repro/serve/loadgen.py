@@ -81,10 +81,6 @@ class LoadgenConfig:
     #: Closed loop only: retry budget per transaction.
     max_retries: int = 25
     objects: Optional[List[str]] = None
-    #: A scenario TOML path or library name: shape traffic from the
-    #: declarative spec (nested trees, per-class mix, think times)
-    #: instead of the flat ``ops_per_txn`` plan.  Overrides ``mode``.
-    scenario: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("closed", "open"):
@@ -112,9 +108,6 @@ class LoadReport:
         self.errors: Dict[str, int] = {}
         self.txn_latency = Summary()
         self.wall_seconds = 0.0
-        #: Set by scenario-shaped runs only.
-        self.scenario: Optional[str] = None
-        self.digest: Optional[str] = None
         self._lock = threading.Lock()
 
     # -- feeding (workers) --------------------------------------------
@@ -161,12 +154,7 @@ class LoadReport:
         return percentile(self.txn_latency.values, fraction) * 1000.0
 
     def to_json(self) -> Dict[str, Any]:
-        extra: Dict[str, Any] = {}
-        if self.scenario is not None:
-            extra["scenario"] = self.scenario
-            extra["digest"] = self.digest
         return {
-            **extra,
             "mode": self.mode,
             "wall_seconds": round(self.wall_seconds, 4),
             "committed": self.committed,
@@ -190,13 +178,7 @@ class LoadReport:
     def render(self) -> str:
         data = self.to_json()
         lat = data["latency_ms"]
-        lines = []
-        if self.scenario is not None:
-            lines.append(
-                "scenario   : %s (digest %s)"
-                % (self.scenario, (self.digest or "")[:16])
-            )
-        lines += [
+        lines = [
             "%s-loop: %d committed (%d aborted [%d txn_aborted], "
             "%d shed, %d failed) in %.2fs" % (
                 self.mode, self.committed, self.aborted,
@@ -531,53 +513,8 @@ def run_open_loop(config: LoadgenConfig) -> LoadReport:
     )
 
 
-def run_scenario_loop(config: LoadgenConfig) -> LoadReport:
-    """Drive the server with a declarative scenario's traffic.
-
-    The scenario (a TOML path or a library name) is compiled with
-    ``config.seed`` and executed by the serve backend driver: full
-    nested transaction trees over the wire, per-class read/write mix
-    and think times, ``arrival.clients`` worker connections.  The
-    transaction count comes from the spec (``config.duration`` does
-    not apply), so a scenario run is the same logical op stream every
-    backend executes -- the report's digest matches ``repro scenario
-    run`` on the simulator.
-    """
-    import os
-
-    from repro.scenario import compile_scenario, get_driver
-    from repro.scenario.library import library_path
-    from repro.scenario.spec import load_scenario
-
-    ref = config.scenario
-    path = ref if os.path.exists(ref) else library_path(ref)
-    spec = load_scenario(path)
-    compiled = compile_scenario(spec, config.seed)
-    result = get_driver("serve").run(
-        compiled,
-        host=config.host,
-        port=config.port,
-        max_retries=config.max_retries,
-    )
-    report = LoadReport("scenario")
-    report.committed = result.committed
-    report.aborted = result.aborted
-    report.txn_aborted = int(result.extras.get("txn_aborted", 0))
-    report.retries = result.retries
-    report.ops = result.ops
-    report.shed = int(result.extras.get("shed", 0))
-    for latency in result.latencies:
-        report.txn_latency.add(latency)
-    report.wall_seconds = result.makespan
-    report.scenario = spec.name
-    report.digest = result.digest
-    return report
-
-
 def run_loadgen(config: LoadgenConfig) -> LoadReport:
-    """Dispatch on ``config.scenario`` / ``config.mode``."""
-    if config.scenario:
-        return run_scenario_loop(config)
+    """Dispatch on ``config.mode``."""
     if config.mode == "open":
         return run_open_loop(config)
     return run_closed_loop(config)

@@ -51,6 +51,14 @@ class TestLintSource:
         )
         assert lint_source("sneak.py", source) == []
 
+    def test_status_is_written_only_by_the_tree_engine(self):
+        # MVTO's transitions run through the shared tree, so its module
+        # is no longer exempt.
+        source = "def sneak(txn):\n    txn.status = 'ABORTED'\n"
+        findings = lint_source("src/repro/mvto/mv_engine.py", source)
+        assert [f.rule.code for f in findings] == ["CD003"]
+        assert lint_source("src/repro/engine/engine.py", source) == []
+
     def test_unparseable_module_is_cd000(self):
         findings = lint_source("broken.py", "def oops(:\n")
         assert [f.rule.code for f in findings] == ["CD000"]

@@ -3,9 +3,10 @@
 The facade holds one mutex for every engine transition; a denied
 access parks on its object's condition, and a commit, abort or wound
 notifies only the conditions of the objects the finishing tree
-touched.  These tests pin that targeting with a spy condition, check
-that a parked waiter whose own tree dies wakes and raises, and hammer
-the facade from real threads.
+touched -- as does a ``perform`` that aborts its own tree.  These
+tests pin that targeting with a spy condition, check that a parked
+waiter whose own tree dies wakes and raises, and hammer the facade
+from real threads.
 """
 
 import threading
@@ -136,6 +137,28 @@ class TestTargetedWakeups:
         assert isinstance(parked.error, TransactionAborted)
         holder.commit()
         assert facade.object_value("a") == 1
+
+    def test_a_tree_aborted_inside_perform_wakes_its_objects(self):
+        # Under MVTO a write can abort its own tree from inside
+        # ``perform``.  No commit or abort call follows, so the failed
+        # perform must wake the waiters on the objects the tree wrote.
+        facade = ThreadSafeEngine(
+            [Counter("x"), Counter("y")], policy="mvto"
+        )
+        ts1, ts2, ts3 = [facade.begin_top() for _ in range(3)]
+        ts1.perform("x", Counter.increment(1))
+        ts3.perform("y", Counter.value())
+        ts3.commit()
+        parked = _Parked(ts2, "x", Counter.value())  # waits for ts1
+        _until(lambda: facade.engine.stats["denials"] == 1)
+        # ts3 already read y, so ts1's write there is too late.
+        with pytest.raises(TransactionAborted):
+            ts1.perform("y", Counter.increment(1))
+        parked.thread.join(timeout=2.0)
+        assert not parked.thread.is_alive()
+        assert parked.error is None
+        assert parked.result == 0
+        ts2.commit()
 
     def test_finished_trees_leave_no_touched_sets(self):
         facade = ThreadSafeEngine([Counter("a"), Counter("b")])
@@ -278,7 +301,7 @@ def test_engine_stats_are_exact_after_a_threaded_run():
 
 def test_mvto_increments_are_conserved():
     # MVTO aborts whole trees from inside ``perform``; the facade then
-    # wakes every waiter, and retried work still adds up.
+    # wakes the dead tree's objects, and retried work still adds up.
     workers, rounds = 4, 15
     facade = ThreadSafeEngine(_specs(workers), policy="mvto")
     _run_workers(facade, workers, rounds, hold=0.0005)

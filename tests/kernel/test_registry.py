@@ -1,10 +1,17 @@
 """Tests for the scheme registry and capability descriptors."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.adt import Counter
 from repro.errors import EngineError
-from repro.kernel import Scheme, get_scheme, scheme_names
+from repro.kernel import (
+    Scheme,
+    SchemeCapabilities,
+    get_scheme,
+    scheme_names,
+)
 
 
 class TestLookup:
@@ -41,11 +48,16 @@ class TestLookup:
 
 
 class TestCapabilities:
-    def test_locking_schemes_are_object_local(self):
+    def test_the_three_flags(self):
+        assert [field.name for field in fields(SchemeCapabilities)] == [
+            "waits_are_acyclic", "model_conformant", "durable",
+        ]
+
+    def test_locking_schemes_can_deadlock(self):
         for name in ("moss-rw", "exclusive", "flat-2pl"):
             caps = get_scheme(name).capabilities
-            assert caps.object_local_performs
             assert not caps.waits_are_acyclic
+            assert caps.durable
 
     def test_model_conformance_flags(self):
         assert get_scheme("moss-rw").capabilities.model_conformant
@@ -56,8 +68,7 @@ class TestCapabilities:
     def test_mvto_shape(self):
         caps = get_scheme("mvto").capabilities
         assert caps.waits_are_acyclic
-        assert not caps.moves_locks
-        assert not caps.object_local_performs
+        assert not caps.durable
 
     def test_serial_is_moss_rw_forced_serial(self):
         serial = get_scheme("serial")

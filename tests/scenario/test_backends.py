@@ -168,9 +168,9 @@ class TestThreadSafeDriver:
         assert result.extras["engine"]["commits"] >= SPEC.transactions
 
     def test_flat_2pl_conserves_transactions(self):
-        """flat-2pl may exhaust retry budgets where moss-rw's lock
-        inheritance succeeds -- but every transaction must still be
-        accounted for as committed or aborted."""
+        """Under flat-2pl a child's abort kills its whole tree, so the
+        tree re-runs from a fresh top level; every transaction must
+        still be accounted for as committed or aborted."""
         compiled = compile_scenario(SPEC, 11)
         result = get_driver("threadsafe").run(
             compiled, scheme="flat-2pl"
@@ -179,6 +179,16 @@ class TestThreadSafeDriver:
             result.committed + result.aborted == SPEC.transactions
         )
         assert result.committed > 0
+
+    def test_flat_2pl_retry_draws_afresh(self):
+        # An injected child failure escalates to the tree under
+        # flat-2pl; each retry draws from its own stream, so the
+        # failure does not recur until the retry budget runs out.
+        spec = load_library_scenario("inventory")
+        compiled = compile_scenario(spec, 7, transactions=12)
+        result = get_driver("threadsafe").run(compiled, scheme="flat-2pl")
+        assert result.committed == 12
+        assert result.aborted == 0
 
 
 class TestServeDriver:
