@@ -21,8 +21,9 @@ This package models nested-transaction systems exactly as the paper does:
 * :mod:`~repro.core.correctness` -- the serial-correctness checker
   (Theorem 34, Corollary 35).
 
-Not from the paper: :mod:`~repro.core.framing`, the byte-frame codec the
-WAL, the wire protocol and the 2PC decision log share.
+Not from the paper: :mod:`~repro.core.framing` and
+:mod:`~repro.core.jsonbody`, the frame and body codecs the WAL, the wire
+protocol and the 2PC decision log share.
 """
 
 from repro.core.names import (

@@ -2,7 +2,8 @@
 
 A connection is a byte stream of frames (:mod:`repro.core.framing`,
 the codec the WAL uses: varint length, body, CRC32 of the body) whose
-bodies are canonical JSON (sorted keys, compact separators, UTF-8).
+bodies are canonical JSON (:mod:`repro.core.jsonbody`, the body codec
+the WAL uses: sorted keys, compact separators, ASCII).
 The format is pinned by a golden test
 (``tests/serve/test_protocol.py``); bump :data:`PROTOCOL_VERSION` when
 changing anything here, including any response field.
@@ -65,9 +66,9 @@ list ``blockers`` (transaction names as lists) when known.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core import jsonbody
 from repro.core.framing import FrameError, frame, read_frame
 from repro.errors import (
     InvalidTransactionState,
@@ -140,19 +141,9 @@ def _jsonify(value: Any) -> Any:
     )
 
 
-#: Built once: ``json.dumps`` with non-default options builds a fresh
-#: encoder on every call.  The encoder keeps no state between calls.
-_ENCODER = json.JSONEncoder(
-    sort_keys=True,
-    separators=(",", ":"),
-    ensure_ascii=True,
-    default=_jsonify,
-)
-
-
-def canonical_json(message: Dict[str, Any]) -> bytes:
-    """The one true byte encoding of a message body."""
-    return _ENCODER.encode(message).encode("ascii")
+#: The one true byte encoding of a message body
+#: (:mod:`repro.core.jsonbody`; sets become sorted lists).
+canonical_json = jsonbody.encoder(_jsonify)
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
@@ -199,33 +190,29 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Absorb *data*; return every newly completed message."""
-        self._buffer.extend(data)
+        """Absorb *data*; return every newly completed message.
+
+        Frames are parsed straight from *data* unless a torn tail of an
+        earlier feed waits in front of it; only a torn tail is kept.
+        """
+        if self._buffer:
+            self._buffer.extend(data)
+            data = bytes(self._buffer)
         messages: List[Dict[str, Any]] = []
-        view = bytes(self._buffer)
         offset = 0
         while True:
             try:
-                found = read_frame(view, offset, self._max)
+                found = read_frame(data, offset, self._max)
             except FrameError as exc:
                 refusal = FrameTooLarge if exc.oversized else FrameCorrupt
                 raise refusal(str(exc)) from None
             if found is None:
                 break  # torn; wait for more bytes
             body, offset = found
-            try:
-                message = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise FrameCorrupt(
-                    "frame body is not JSON: %s" % exc
-                ) from None
-            if not isinstance(message, dict):
-                raise FrameCorrupt(
-                    "frame body is %s, not an object"
-                    % type(message).__name__
-                )
-            messages.append(message)
-        del self._buffer[:offset]
+            messages.append(
+                jsonbody.decode(body, FrameCorrupt, "frame body")
+            )
+        self._buffer = bytearray(data[offset:])
         return messages
 
 
@@ -324,10 +311,9 @@ def wire_args(args: Any) -> Tuple:
 
 def txn_name(value: Any) -> Tuple[int, ...]:
     """A wire ``txn`` field (list of ints) as an engine name tuple."""
-    if (
-        not isinstance(value, (list, tuple))
-        or not value
-        or not all(isinstance(part, int) for part in value)
-    ):
+    if not isinstance(value, (list, tuple)) or not value:
         raise ValueError("txn must be a non-empty list of integers")
+    for part in value:
+        if type(part) is not int:  # JSON ``true`` is not ``1``
+            raise ValueError("txn must be a non-empty list of integers")
     return tuple(value)

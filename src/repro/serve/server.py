@@ -142,6 +142,13 @@ class TransactionServer:
         }
         #: serve.* metrics; touched only under ``_lock``.
         self.metrics = MetricsRegistry()
+        #: The per-request instruments, looked up once: a request would
+        #: otherwise build a sorted label key for each of them.
+        self._requests = {
+            label: self.metrics.counter("serve.requests", op=label)
+            for label in proto.OPS + ("invalid",)
+        }
+        self._inflight = self.metrics.gauge("serve.inflight")
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             max_inflight_per_conn=self.config.max_inflight_per_conn,
@@ -316,10 +323,9 @@ class TransactionServer:
         with self._lock:
             for message in messages:
                 op = message.get("op")
-                self.metrics.counter(
-                    "serve.requests", op=op if op in proto.OPS else "invalid"
-                ).inc()
-                if op not in proto.OPS:
+                known = op in proto.OPS
+                self._requests[op if known else "invalid"].inc()
+                if not known:
                     answers.append(
                         proto.error_response(
                             message.get("id"),
@@ -345,9 +351,7 @@ class TransactionServer:
                             )
                         )
             if admitted:
-                self.metrics.gauge("serve.inflight").set(
-                    self.admission.inflight
-                )
+                self._inflight.set(self.admission.inflight)
         try:
             return b"".join(
                 _encode_response(
@@ -361,9 +365,7 @@ class TransactionServer:
             if admitted:
                 with self._lock:
                     self.admission.release(admitted)
-                    self.metrics.gauge("serve.inflight").set(
-                        self.admission.inflight
-                    )
+                    self._inflight.set(self.admission.inflight)
 
     def _run(self, session: Session, message: Dict[str, Any]):
         op = message.get("op")

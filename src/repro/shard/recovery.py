@@ -28,12 +28,12 @@ the decision shows how to roll them forward.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core import jsonbody
 from repro.core.framing import FrameError, frame, scan_frames
 from repro.errors import EngineError
 from repro.wal.log import FileWalSink, GroupCommitSink, read_log_bytes
@@ -87,11 +87,7 @@ class DecisionLog:
             "participants": [int(shard) for shard in participants],
             "local": locals_map or {},
         }
-        data = frame(
-            json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            ).encode()
-        )
+        data = frame(jsonbody.encode(record))
         with self._lock:
             self._sink.append(data)
             self._count += 1
@@ -110,13 +106,7 @@ class DecisionLog:
 
 
 def _decode_decision(body: bytes, start: int, end: int) -> Dict[str, Any]:
-    try:
-        decision = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FrameError("bad decision record: %s" % exc) from None
-    if not isinstance(decision, dict):
-        raise FrameError("decision record is not an object")
-    return decision
+    return jsonbody.decode(body, FrameError, "decision record")
 
 
 def read_decisions(wal_dir: str) -> List[Dict[str, Any]]:

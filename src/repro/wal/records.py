@@ -4,7 +4,8 @@ A log is a byte stream of frames (:mod:`repro.core.framing`: varint
 length, body, CRC32 of the body) whose bodies are::
 
     body    := kind(1 byte) payload
-    payload := canonical JSON (sorted keys, compact separators, UTF-8)
+    payload := canonical JSON (repro.core.jsonbody: sorted keys,
+               compact separators, ASCII)
 
 Framing carries no magic bytes: the first record of every segment is a
 :data:`SEGMENT` header whose payload names the format version, so a
@@ -35,10 +36,10 @@ for denials, so equal prefixes of two logs describe equal state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core import jsonbody
 from repro.core.framing import FrameError, frame, scan_frames
 from repro.errors import ReproError
 
@@ -69,14 +70,9 @@ class WalFormatError(ReproError):
     """A WAL record could not be encoded or decoded."""
 
 
-#: Built once: ``json.dumps`` with non-default options builds a fresh
-#: encoder on every call.  The encoder keeps no state between calls.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _canonical_json(payload: Dict[str, Any]) -> str:
+def _canonical_json(payload: Dict[str, Any]) -> bytes:
     try:
-        return _ENCODER.encode(payload)
+        return jsonbody.encode(payload)
     except (TypeError, ValueError) as exc:
         raise WalFormatError(
             "payload is not JSON-serializable: %s" % exc
@@ -92,7 +88,7 @@ def encode_record(kind: int, payload: Dict[str, Any]) -> bytes:
     """
     if kind not in KIND_NAMES:
         raise WalFormatError("unknown record kind %d" % kind)
-    return frame(bytes((kind,)) + _canonical_json(payload).encode())
+    return frame(bytes((kind,)) + _canonical_json(payload))
 
 
 #: ``(object, op shape) -> b'"object":...,"op":{...}}'`` -- the constant
@@ -119,7 +115,7 @@ def acquire_tail(object_name: str, operation) -> bytes:
         # canonical rendering of just these two, minus its ``{``.
         tail = _canonical_json(
             {"object": object_name, "op": operation_to_wire(operation)}
-        )[1:].encode()
+        )[1:]
         if len(_ACQUIRE_TAILS) < _CACHE_LIMIT:
             _ACQUIRE_TAILS[key] = tail
     return tail
@@ -172,13 +168,9 @@ def _decode_record(body: bytes, start: int, end: int) -> Record:
     kind = body[0]
     if kind not in KIND_NAMES:
         raise FrameError("unknown record kind %d" % kind)
-    try:
-        payload = json.loads(body[1:].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FrameError("bad payload: %s" % exc) from None
-    if not isinstance(payload, dict):
-        raise FrameError("payload not an object")
-    return Record(kind, payload, start, end)
+    return Record(
+        kind, jsonbody.decode(body[1:], FrameError, "payload"), start, end
+    )
 
 
 def scan_records(data: bytes) -> ScanResult:

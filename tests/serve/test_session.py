@@ -98,6 +98,22 @@ class TestErrorTaxonomy:
             response = session.run(message)
             assert response["error"]["code"] == proto.ERR_BAD_REQUEST
 
+    def test_boolean_txn_parts_are_bad_requests(self, session):
+        # JSON ``true`` decodes to True, and (True,) == (1,): a name
+        # made of booleans must not reach the tree named [1].
+        names = [begin(session) for _ in range(2)]
+        assert [1] in names
+        wire = proto.encode_frame(
+            proto.request("read", 1, txn=[True], object="r")
+        )
+        message = proto.decode_frame(wire)
+        assert message["txn"] == [True]
+        response = session.run(message)
+        assert response["error"]["code"] == proto.ERR_BAD_REQUEST
+        for bad in ([True], [1, False], (0, True)):
+            with pytest.raises(ValueError):
+                proto.txn_name(bad)
+
     def test_foreign_txn_is_unknown(self, session):
         response = run(session, "read", txn=[404], object="r")
         assert response["error"]["code"] == proto.ERR_UNKNOWN_TXN
