@@ -6,9 +6,11 @@ and the :mod:`repro.dist` two-phase-commit *model* to reality.  One
 worker process per shard runs the proven single-threaded engine over
 its slice of the object store; a coordinator in the client process
 routes accesses by ``ObjectStore.shard_of``, lazily mirrors nested
-tree names onto participant shards, and runs presumed-abort two-phase
-commit at top-level commit (single-shard trees take a one-phase fast
-path).  The coordinator's transaction tree is the scheme's own engine,
+tree names onto participant shards, and at top-level commit lets the
+shards a tree wrote on decide: presumed-abort two-phase commit among
+two or more writers, a one-phase ``decide`` for one, nothing for none
+(a read-only participant's ``decide`` rides in the next request on
+its link).  The coordinator's transaction tree is the scheme's own engine,
 and its handles are the facade's
 (:class:`~repro.engine.threadsafe.ThreadSafeTransaction`).  Workers
 speak the version-pinned framed-JSON protocol of

@@ -33,14 +33,20 @@ coordinator:
   handles' ages (workers return blockers translated to global top
   names; older trees win, younger are wounded) -- worker engines stay
   non-blocking and never deadlock;
-* commits top-level trees with presumed-abort two-phase commit:
-  ``prepare`` (force each participant WAL durable), a coordinator
-  decision record, then ``decide`` (participants log COMMIT and
-  flush).  Single-shard trees skip all of that for a one-phase fast
-  path -- one round trip whose worker-side flush is the durability
-  point.  A commit is acknowledged to the caller only after every
-  participant acknowledged phase 2, so an acked commit is durable in
-  every per-shard WAL.
+* lets the shards a tree *wrote* on decide its commit: none commits
+  with no pipe write, one with a one-phase ``decide`` whose
+  worker-side flush is the durability point, two or more with
+  presumed-abort two-phase commit among themselves -- ``prepare``
+  (force each WAL durable), a coordinator decision record naming
+  them, then ``decide`` (each logs COMMIT and flushes).  A commit is
+  acknowledged to the caller only after every writing participant
+  acknowledged its ``decide``, so an acked commit is durable in every
+  per-shard WAL it changed.  A participant that only read gets no
+  commit-phase message of its own: its ``decide`` is held once the
+  writers committed (its read locks are visible to another tree only
+  through a request on its link, which carries the decide in front).
+  A reader with a held frame still unacked votes with ``prepare``, so
+  that ack is checked before the decision is claimed.
 
 The tree engine's event spine (:mod:`repro.engine.spine`) is the
 coordinator's, with its dispatch serialised: lifecycle events come
@@ -107,11 +113,14 @@ def placement_sharding(
 class _Top:
     """What the coordinator knows of one live tree and its engine does not."""
 
-    __slots__ = ("participants", "mirrors", "held", "claimed")
+    __slots__ = ("participants", "written", "mirrors", "held", "claimed")
 
     def __init__(self, name: TransactionName):
-        #: shards this tree has touched (the 2PC participant set)
+        #: shards this tree has touched (the participant set)
         self.participants: Set[int] = set()
+        #: shards this tree sent a non-read ``perform`` to (granted or
+        #: not): the ones that decide the commit
+        self.written: Set[int] = set()
         #: node name -> the shards mirroring it: a superset of every
         #: descendant's, so the root's is ``participants``
         self.mirrors: Dict[TransactionName, Set[int]] = {
@@ -344,16 +353,20 @@ class ShardedEngine:
                 wal_group_ms=self._wal_group_ms,
                 check_sharding=not self._custom_sharding,
             )
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            # Two one-way pipes: a pipe round trip is cheaper than a
+            # socketpair's, and the reply pipe is read raw.
+            requests, to_worker = ctx.Pipe(duplex=False)
+            from_worker, replies = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=worker_main,
-                args=(child_conn, config),
+                args=(requests, replies, config),
                 name="repro-shard-%d" % shard,
                 daemon=True,
             )
             proc.start()
-            child_conn.close()
-            self._links.append(ShardLink(shard, parent_conn))
+            requests.close()
+            replies.close()
+            self._links.append(ShardLink(shard, to_worker, from_worker))
             self._procs.append(proc)
         self._started = True
         try:
@@ -474,6 +487,8 @@ class ShardedEngine:
                 top = self._tops[name[:1]]
                 if shard not in top.mirrors.get(name, ()):
                     self._mirror_onto(top, name, shard)
+                if not operation.is_read:
+                    top.written.add(shard)
                 # Counted when sent; taken back if the shard refuses.
                 stats["accesses"] += 1
             on = self._tree._on_granted
@@ -642,15 +657,33 @@ class ShardedEngine:
                     % pretty_name(name)
                 )
             top = self._tops[name]
-            participants = sorted(top.participants)
+            writers = sorted(top.written)
+            readers = sorted(top.participants - top.written)
+        # A reader whose held frames were all acked has nothing left to
+        # say before the decision; one with an ack still out votes, so
+        # that the ack comes back in front of its prepare's.
+        unacked = {
+            shard for shard, waiter in top.held if waiter.reply is None
+        }
+        voters = [shard for shard in readers if shard in unacked]
+        lone = writers[0] if len(writers) == 1 else None
+        if lone is None:
+            voters = sorted(voters + writers)
+        locals_map = self._prepare(txn, voters) if voters else {}
+        # A lone writer's held acks come back in its decide's batch.
+        self._check_held(txn, top, lone)
+        self._claim_decision(
+            txn, top, "during 2pc prepare" if voters else "before commit"
+        )
         stragglers: List[int] = []
-        if len(participants) > 1:
-            stragglers = self._two_phase_commit(txn, top, participants)
-        else:
-            # The decision is claimed before any decide is sent.
-            self._claim_decision(txn, top, "before commit")
-            if participants:
-                self._one_phase_commit(txn, top, participants[0])
+        if lone is not None:
+            self._one_phase_commit(txn, top, lone)
+        elif writers:
+            stragglers = self._two_phase_decide(txn, writers, locals_map)
+        # The writers committed: the readers' decides ride in front of
+        # the next write any thread makes on their links.
+        for shard in readers:
+            self._links[shard].hold("decide", txn=list(name))
         with self._mutex:
             del self._tops[name]
             txn.commit(value)
@@ -666,10 +699,10 @@ class ShardedEngine:
     def _one_phase_commit(
         self, txn: Transaction, top: _Top, shard: int
     ) -> None:
-        # The only participant's commit+flush IS the durability point;
-        # no prepare, no decision record.  A failed decide hands the
-        # tree back, so the failure paths below abort it as if it had
-        # never been claimed.
+        # The only writer's commit+flush IS the durability point; no
+        # prepare, no decision record.  A failed decide hands the tree
+        # back, so the failure paths below abort it as if it had never
+        # been claimed.
         try:
             reply = self._links[shard].call("decide", txn=list(txn.name))
         except ShardDown as exc:
@@ -685,21 +718,20 @@ class ShardedEngine:
             self._check_held(txn, top)
             self._raise_error(reply.get("error") or {}, txn)
 
-    def _two_phase_commit(
-        self, txn: Transaction, top: _Top, participants: List[int]
-    ) -> List[int]:
-        """Presumed-abort 2PC; returns the shards that did not
-        acknowledge the (durable) commit decision."""
+    def _prepare(self, txn: Transaction, voters: List[int]) -> Dict[int, int]:
+        """Phase 1 on *voters*; returns each one's local top slot.
+
+        Presumed abort: every voter forces its WAL and nothing is
+        logged for the prepare itself, so a crash before the decision
+        record replays to an active tree that recovery presumed-aborts.
+        A failed vote aborts the tree everywhere.
+        """
         name = txn.name
-        # Phase 1 (presumed abort): every participant forces its WAL;
-        # nothing is logged for the prepare itself, so a crash before
-        # the decision record replays to an active tree that recovery
-        # presumed-aborts.
         waiters = [
             (shard, self._links[shard].send("prepare", txn=list(name)))
-            for shard in participants
+            for shard in voters
         ]
-        locals_map: Dict[str, int] = {}
+        locals_map: Dict[int, int] = {}
         failure = None
         for shard, waiter in waiters:
             try:
@@ -713,26 +745,44 @@ class ShardedEngine:
             if reply.get("ok"):
                 local = reply.get("local")
                 if local is not None:
-                    locals_map[str(shard)] = local
+                    locals_map[shard] = local
             else:
                 failure = reply.get("error") or {}
         if failure is not None:
             cause = "prepare failed: %s" % failure.get("message")
             self._abort(txn, Tagged, name, cause)
             raise TransactionAborted(name, "2pc " + cause)
-        # Every link's held acks came back in front of its prepare's.
-        self._check_held(txn, top)
-        self._claim_decision(txn, top, "during 2pc prepare")
+        return locals_map
+
+    def _two_phase_decide(
+        self,
+        txn: Transaction,
+        writers: List[int],
+        locals_map: Dict[int, int],
+    ) -> List[int]:
+        """Log the decision, then phase 2 on *writers*; returns the ones
+        that did not acknowledge the (durable) commit decision."""
+        name = txn.name
         # Decision record: once durable, the commit survives any crash
-        # (recover_sharded resolves prepared-but-undecided shards).
+        # (recover_sharded resolves prepared-but-undecided writers).
+        # It names only the writers: a reader's decide may never leave,
+        # and recovery presumes its tree aborted, which is right.
         if self._decisions is not None:
-            self._decisions.log(name[0], participants, locals_map)
-        # Phase 2: every participant logs COMMIT and flushes.  The
-        # caller is acked only after all of them answered, so an acked
-        # commit is durable on every shard it touched.
+            self._decisions.log(
+                name[0],
+                writers,
+                {
+                    str(shard): locals_map[shard]
+                    for shard in writers
+                    if shard in locals_map
+                },
+            )
+        # Phase 2: every writer logs COMMIT and flushes.  The caller is
+        # acked only after all of them answered, so an acked commit is
+        # durable on every shard it changed.
         waiters = [
             (shard, self._links[shard].send("decide", txn=list(name)))
-            for shard in participants
+            for shard in writers
         ]
         stragglers = []
         for shard, waiter in waiters:
@@ -766,9 +816,14 @@ class ShardedEngine:
         with self._mutex:
             top.claimed = False
 
-    def _held_failure(self, top: _Top) -> Optional[str]:
-        """Why some held request was not acked ok, or None."""
+    def _held_failure(
+        self, top: _Top, skip: Optional[int] = None
+    ) -> Optional[str]:
+        """Why some held request (on a shard but *skip*) was not acked
+        ok, or None."""
         for shard, waiter in top.held:
+            if shard == skip:
+                continue
             reply = waiter.reply
             if reply is not None and reply.get("ok"):
                 continue
@@ -779,15 +834,19 @@ class ShardedEngine:
             )
         return None
 
-    def _check_held(self, txn: Transaction, top: _Top) -> None:
-        """Abort the tree unless every held request was acked ok.
+    def _check_held(
+        self, txn: Transaction, top: _Top, skip: Optional[int] = None
+    ) -> None:
+        """Abort the tree unless every held request (on a shard but
+        *skip*) was acked ok.
 
-        Runs after each participant's first commit-phase reply (held
-        frames left in front of it, so their acks are in), while the
-        decision is unclaimed: a failed or missing ack means some
-        mirror is not the tree the coordinator is about to commit.
+        Runs while the decision is unclaimed, once every participant
+        but *skip* has no held frame left unacked: the voters' prepare
+        replies came behind theirs, and a quiet reader's were acked
+        already.  A failed or missing ack means some mirror is not the
+        tree the coordinator is about to commit.
         """
-        cause = self._held_failure(top)
+        cause = self._held_failure(top, skip)
         if cause is not None:
             self._abort(txn, Tagged, txn.name, cause)
             raise TransactionAborted(txn.name, cause)

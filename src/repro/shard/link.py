@@ -1,35 +1,50 @@
 """Coordinator-side RPC link to one shard worker.
 
-A :class:`ShardLink` wraps one duplex pipe connection with the framed
-JSON protocol.  A pipe message is a batch of frames: ``send`` assigns
-a request id and writes the frame at once, behind every frame *held*
-on the link, in one ``send_bytes``; ``hold`` (for a request whose
-answer no caller needs and whose effect no other tree can observe)
-assigns the id and queues the frame, which leaves -- in order, in
-front -- inside the next ``send`` any thread makes.
+A :class:`ShardLink` wraps the two one-way pipes to and from one
+worker with the framed JSON protocol (two pipes: a round trip over
+them is cheaper than over one socketpair).  A request write is a batch
+of frames: ``send`` assigns a request id and writes the frame at once,
+behind every frame *held* on the link, in one
+``Connection.send_bytes``; ``hold`` (for a request whose answer no
+caller needs and whose effect no other tree can observe) assigns the
+id and queues the frame, which leaves -- in order, in front -- inside
+the next ``send`` any thread makes.
+
+Replies come back as bare frames: the worker writes its response
+frames with ``os.write``, with no pipe-message header, and the link
+reads them with ``os.read`` into its own
+:class:`~repro.serve.protocol.FrameDecoder`, which keeps a torn tail
+for the next read and checks every frame's CRC.  Requests keep
+``send_bytes``: it is where the perf ladder and the hop tests count
+coordinator writes, and a raw request would hide every hop.
 
 The waiting thread reads: ``wait`` takes the link's receive lock,
-reads pipe messages and hands every reply in them to its waiter until
-its own has come, then lets the next waiter take over.  Replies
+reads the reply pipe and hands every reply it decodes to its waiter
+until its own has come, then lets the next waiter take over.  Replies
 therefore arrive in the worker's execution order, and per-reply hooks
 (observer access events) fire in that order on whichever thread is
 reading -- which is what keeps the merged audit stream faithful to
-each shard's actual history.  An idle waiter blocks in ``recv_bytes``
-(``poll`` under a timeout) or on the lock; nothing spins.
+each shard's actual history.  An idle waiter blocks in ``os.read``
+(``Connection.poll`` under a timeout) or on the lock; nothing spins.
 
-A dead pipe (worker SIGKILLed, or exited) fails every pending waiter,
-held ones included, and every later call with :class:`ShardDown`, a
-typed :class:`~repro.errors.EngineError`.
+A dead pipe (worker SIGKILLed, or exited: EOF, even inside a frame)
+or a corrupt reply frame fails every pending waiter, held ones
+included, and every later call with :class:`ShardDown`, a typed
+:class:`~repro.errors.EngineError`.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import EngineError
 from repro.serve import protocol as proto
+
+#: Most bytes one ``os.read`` of the reply pipe takes.
+_READ_BYTES = 1 << 16
 
 
 class ShardDown(EngineError):
@@ -44,7 +59,7 @@ class ShardDown(EngineError):
 
 
 def decode_batch(data: bytes) -> List[Dict[str, Any]]:
-    """The messages of one pipe message: whole frames, nothing torn."""
+    """The messages of one request write: whole frames, nothing torn."""
     decoder = proto.FrameDecoder()
     messages = decoder.feed(data)
     if decoder.pending:
@@ -64,11 +79,14 @@ class _Waiter:
 
 
 class ShardLink:
-    """Pipelined request/reply over one worker pipe."""
+    """Pipelined request/reply over one worker's pipes."""
 
-    def __init__(self, shard: int, conn):
+    def __init__(self, shard: int, conn, replies):
         self.shard = shard
+        #: the request pipe's writing ``Connection``
         self.conn = conn
+        #: the reply pipe's reading ``Connection``
+        self.replies = replies
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._pending_lock = threading.Lock()
@@ -76,6 +94,8 @@ class ShardLink:
         self._held: List[bytes] = []
         self._next_id = 0
         self._down: Optional[ShardDown] = None
+        #: the reply stream's torn tail (receive lock held)
+        self._decoder = proto.FrameDecoder()
 
     # ------------------------------------------------------------------
     # Request/reply
@@ -139,7 +159,7 @@ class ShardLink:
                 while waiter.reply is None:
                     if self._down is not None:
                         raise self._down
-                    if self._read_batch(deadline):
+                    if self._read_replies(deadline):
                         break  # timed out
             finally:
                 self._recv_lock.release()
@@ -166,21 +186,27 @@ class ShardLink:
     # ------------------------------------------------------------------
     # Reading (by whichever waiter holds the receive lock)
     # ------------------------------------------------------------------
-    def _read_batch(self, deadline: Optional[float]) -> bool:
-        """One pipe message in, its replies out; true if none came by
-        *deadline*."""
-        conn = self.conn
+    def _read_replies(self, deadline: Optional[float]) -> bool:
+        """One read of the pipe, its whole replies out; true if nothing
+        came by *deadline*."""
+        replies = self.replies
         try:
-            if deadline is not None and not conn.poll(
+            if deadline is not None and not replies.poll(
                 max(0.0, deadline - time.monotonic())
             ):
                 return True
-            data = conn.recv_bytes()
-        except (EOFError, OSError, ValueError):
-            self._mark_down("pipe closed")
+            data = os.read(replies.fileno(), _READ_BYTES)
+        except (OSError, ValueError):
+            data = b""
+        if not data:
+            self._mark_down(
+                "pipe closed inside a frame"
+                if self._decoder.pending
+                else "pipe closed"
+            )
             return False
         try:
-            messages = decode_batch(data)
+            messages = self._decoder.feed(data)
         except proto.ProtocolError:
             self._mark_down("bad frame from worker")
             return False
@@ -217,8 +243,9 @@ class ShardLink:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        for conn in (self.conn, self.replies):
+            try:
+                conn.close()
+            except OSError:
+                pass
         self._mark_down("closed")

@@ -13,17 +13,21 @@ shard directory unchanged.  Presumed abort does the rest: a tree that
 crashed before its COMMIT record replays to an active tree and is
 aborted by recovery -- which is the correct outcome for every
 unprepared or undecided cross-shard tree, because the coordinator acks
-a commit only after *every* participant logged COMMIT durably.
+a commit only after *every participant that wrote* logged COMMIT
+durably.  A participant that only read gets its ``decide`` late (held
+until the next write on its link), so a crash can leave its copy of an
+acked tree uncommitted; presuming that copy aborted undoes nothing.
 
 The decision log adds the one piece the per-shard logs cannot carry:
-for each cross-shard commit, a framed canonical-JSON record
-(:mod:`repro.core.framing`, so it is CRC-checked and torn-tail
-tolerant like a WAL record) written *between* phase 1 and phase 2,
-naming the global ordinal, the participant shards, and each
-participant's local top slot.  Recovery uses it to
-flag decided-but-unapplied shards (prepared, decision durable, crash
-before the shard's COMMIT record): those trees were never acked, but
-the decision shows how to roll them forward.
+for each commit with two or more writing shards, a framed
+canonical-JSON record (:mod:`repro.core.framing`, so it is CRC-checked
+and torn-tail tolerant like a WAL record) written *between* phase 1
+and phase 2, naming the global ordinal, the writing shards, and each
+one's local top slot (never a read-only participant's, which recovery
+rightly presumes aborted).  Recovery uses it to flag
+decided-but-unapplied shards (prepared, decision durable, crash before
+the shard's COMMIT record): those trees were never acked, but the
+decision shows how to roll them forward.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ class DecisionLog:
     concurrently.  With a group-commit window the underlying sink
     coalesces their fsyncs (``flush_begin``/``flush_wait`` run outside
     the append lock), which is the decision log's natural regime --
-    it only sees cross-shard commits, which arrive from many sessions.
+    it only sees commits that wrote on two or more shards, which
+    arrive from many sessions.
     """
 
     def __init__(self, wal_dir: str, window_ms: Optional[float] = None):
@@ -202,7 +207,7 @@ def recover_sharded(
     Each ``shard-NN`` directory replays independently through
     :func:`repro.wal.recovery.recover` (same presumed-abort semantics
     as a single-process log); the decision log then cross-checks that
-    every decided cross-shard commit reached every participant --
+    every decided cross-shard commit reached every writer it names --
     shards where it did not are reported ``in_doubt`` with a
     roll-forward resolution.
     """

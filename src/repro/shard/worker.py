@@ -3,11 +3,15 @@
 ``worker_main`` is the spawn-safe process target.  It builds the
 engine named by its :class:`WorkerConfig` over the shard's spec slice,
 optionally attaches a per-shard file WAL, and then serves framed-JSON
-requests until the coordinator pipe closes.  A pipe message is a
-*batch* of :mod:`repro.serve.protocol` frames: the worker handles them
-in order and answers with one pipe message of the response frames, in
-the same order -- so requests the coordinator held back (``begin``,
-subtransaction ``commit``) cost no context switch of their own.
+requests until the coordinator's request pipe closes.  A request pipe
+message (``Connection.recv_bytes``) is a *batch* of
+:mod:`repro.serve.protocol` frames: the worker handles them in order
+and answers on its reply pipe with one ``os.write`` of the bare
+response frames, in the same order and with no pipe-message header
+(the coordinator's link decodes the reply stream frame by frame) -- so
+requests the coordinator held back (``begin``, subtransaction
+``commit``, a read-only participant's ``decide``) cost no context
+switch of their own.
 
 Name mirroring is lazy and worker-local: requests carry *global*
 transaction names (the coordinator's numbering); the worker maps each
@@ -34,9 +38,12 @@ The worker protocol (superset shapes of the serve wire protocol):
 ``abort``             abort a mirrored subtree (no-op if unknown)
 ``prepare``           phase 1 of 2PC: validate the tree is active and
                       force the WAL durable (presumed abort: nothing is
-                      logged for the prepare itself)
-``decide``            phase 2 (and the single-shard fast path): commit
-                      the local top; the engine logs COMMIT and flushes
+                      logged for the prepare itself); also the vote of
+                      a read-only participant with unacked held frames
+``decide``            phase 2 (and the lone-writer fast path): commit
+                      the local top; the engine logs COMMIT and
+                      flushes.  A read-only participant's is held until
+                      the writers committed
 ``value``             committed (or current) object value
 ``stats``             engine + WAL counters
 ``shutdown``          close the WAL and exit after replying
@@ -46,6 +53,7 @@ The worker protocol (superset shapes of the serve wire protocol):
 from __future__ import annotations
 
 import inspect
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -102,6 +110,10 @@ class ShardWorker:
                     else DEFAULT_SEGMENT_BYTES
                 ),
             )
+            # The segment header is durable before the first request:
+            # a shard that only ever served reads may never flush
+            # again, and its log must still replay.
+            self.wal.flush()
         #: global name tuple -> local Transaction handle
         self._nodes: Dict[Tuple[int, ...], Any] = {}
         #: global top ordinal -> every mirrored global name under it
@@ -167,9 +179,10 @@ class ShardWorker:
             return proto.exception_to_error(request_id, exc)
 
     def handle_batch(self, data: bytes) -> Tuple[bytes, bool]:
-        """One pipe message in, one out: the frames of *data* handled
-        in order, their response frames concatenated.  The flag turns
-        false at ``shutdown``, which ends the batch and the serving."""
+        """One request pipe message in, one reply write out: the frames
+        of *data* handled in order, their response frames concatenated.
+        The flag turns false at ``shutdown``, which ends the batch and
+        the serving."""
         serving = True
         try:
             responses = []
@@ -373,26 +386,37 @@ class ShardWorker:
             self.wal.close()
 
 
-def worker_main(conn, config: WorkerConfig) -> None:
-    """Process target: serve framed requests until the pipe closes.
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` all of *data* to *fd*, however many writes it takes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
-    The coordinator pipe is the worker's lifeline -- EOF (coordinator
+
+def worker_main(conn, replies, config: WorkerConfig) -> None:
+    """Process target: serve framed requests read from *conn* until
+    that pipe closes, answering on the *replies* pipe.
+
+    The request pipe is the worker's lifeline -- EOF (coordinator
     exit or crash) means close the WAL and leave.  SIGKILL of the
     coordinator therefore never strands workers: their blocking
     ``recv_bytes`` raises and they exit through the same path (without
     the WAL close -- which is exactly the crash the per-shard recovery
-    path replays).
+    path replays).  Replies, a boot failure's included, are bare
+    frames written straight to the reply pipe's descriptor.
     """
+    fd = replies.fileno()
     try:
         worker = ShardWorker(config)
     except Exception as exc:  # noqa: BLE001 - boot errors go on the wire
         try:
-            conn.send_bytes(
-                proto.encode_frame(proto.exception_to_error(None, exc))
+            _write_all(
+                fd, proto.encode_frame(proto.exception_to_error(None, exc))
             )
-        except (OSError, ValueError, BrokenPipeError):
+        except OSError:
             pass
         conn.close()
+        replies.close()
         return
     try:
         serving = True
@@ -403,12 +427,13 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 break
             reply, serving = worker.handle_batch(data)
             try:
-                conn.send_bytes(reply)
-            except (OSError, ValueError, BrokenPipeError):
+                _write_all(fd, reply)
+            except OSError:
                 break
     finally:
         worker.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
+        for pipe in (conn, replies):
+            try:
+                pipe.close()
+            except OSError:
+                pass

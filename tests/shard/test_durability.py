@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import zlib
 
 import pytest
 
@@ -164,6 +165,93 @@ class TestCoordinatorKill:
             )
         for name in per_shard_targets.values():
             assert committed.get(name, 0) >= acked, state.render()
+
+
+class TestReadOnlyParticipantCrash:
+    """A shard the tree only read on gets its ``decide`` held until the
+    next write on its link; a crash before that write costs nothing."""
+
+    DRIVER = textwrap.dedent(
+        """
+        import sys
+        import time
+
+        from repro.adt import Counter
+        from repro.shard import ShardedEngine
+
+
+        def main():
+            wal_dir, shape = sys.argv[1], sys.argv[2]
+            specs = [Counter("k%d" % i) for i in range(8)]
+            engine = ShardedEngine(specs, workers=2)
+            engine.attach_wal(wal_dir=wal_dir)
+            engine.start()
+            targets = {}
+            for name in engine.store.names():
+                targets.setdefault(engine.store.shard_of(name), name)
+            top = engine.begin_top()
+            reader = top.begin_child() if shape == "nested" else top
+            reader.perform(targets[0], Counter.value())
+            if reader is not top:
+                reader.commit()
+            top.perform(targets[1], Counter.increment(1))
+            top.commit()
+            print("acked", flush=True)
+            time.sleep(60)  # nothing more crosses either link
+
+
+        if __name__ == "__main__":
+            main()
+        """
+    )
+
+    @pytest.mark.parametrize("shape", ["flat", "nested"])
+    def test_kill_before_the_held_decide_left(self, tmp_path, shape):
+        wal_dir = str(tmp_path / "wal")
+        script = tmp_path / "driver.py"
+        script.write_text(self.DRIVER)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, str(script), wal_dir, shape],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            cwd=os.getcwd(),
+            start_new_session=True,
+            text=True,
+        )
+        try:
+            assert proc.stdout.readline().strip() == "acked"
+            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        finally:
+            proc.wait(timeout=30)
+            proc.stdout.close()
+
+        state = recover_sharded(wal_dir)
+        assert state.verdict == "complete", state.render()
+        assert not state.shard_errors and not state.in_doubt
+        # One writer committed in one phase: no decision record.
+        assert state.decisions == []
+        names = {
+            zlib.crc32(name.encode()) % 2: name
+            for name in reversed(["k%d" % i for i in range(8)])
+        }
+        committed = state.committed()
+        assert committed[names[1]] == 1, state.render()
+        assert committed.get(names[0], 0) == 0, state.render()
+        presumed = state.shards[0].report.presumed_aborted
+        if shape == "nested":
+            # The reader voted (its subcommit was unacked), so prepare
+            # made its records durable: they replay to a tree that
+            # recovery presumes aborted.
+            assert len(presumed) == 1, state.render()
+        else:
+            # A quiet reader's records may still sit in its worker's
+            # write buffer; either way nothing of the tree commits.
+            assert len(presumed) <= 1, state.render()
 
 
 class TestRecoveryErrors:

@@ -2,10 +2,12 @@
 
 One rule (docs/SHARDING.md, "What crosses the pipe, and when"): a
 request gets a pipe write of its own only if the caller needs its
-answer or another tree could observe its effect.  A mirror ``begin``
-and a subtransaction ``commit`` are held on the link and leave in
-front of its next write; a child's ``commit``/``abort`` goes only to
-the shards that mirror it; the waiting thread reads its own reply.
+answer or another tree could observe its effect.  A mirror ``begin``,
+a subtransaction ``commit`` and a read-only participant's ``decide``
+are held on the link and leave in front of its next write; a child's
+``commit``/``abort`` goes only to the shards that mirror it; the
+shards a tree wrote on decide its commit protocol; the waiting thread
+reads its own reply, straight off the pipe.
 
 Writes are counted where the perf ladder counts them: at
 ``Connection.send_bytes`` on the coordinator side.
@@ -25,7 +27,7 @@ from repro.audit import AuditConfig
 from repro.errors import EngineError, LockDenied, TransactionAborted
 from repro.serve import protocol as proto
 from repro.shard import ShardDown, ShardedEngine
-from repro.shard.link import decode_batch
+from repro.shard.link import ShardLink, decode_batch
 from repro.shard.worker import ShardWorker, WorkerConfig
 
 
@@ -170,6 +172,116 @@ class TestHopCounts:
         assert engine.object_value("r0") == 3
 
 
+class TestReadOnlyParticipants:
+    """A shard the tree only read on gets no commit-phase message of its
+    own: its ``decide`` is held until the writers committed."""
+
+    def test_all_read_tree_commits_with_no_pipe_write(self, engine, writes):
+        top = engine.begin_top()
+        top.perform("r0", IntRegister.read())
+        top.perform("r1", IntRegister.read())
+        top.commit()
+        assert _awaited(writes) == [(0, "perform"), (1, "perform")]
+        # Each held decide leaves in front of the next write on its link.
+        other = engine.begin_top()
+        other.perform("r2", IntRegister.write(2))
+        other.perform("r3", IntRegister.read())
+        for shard in (0, 1):
+            assert writes[2 + shard] == (
+                shard,
+                [
+                    ("decide", top.name),
+                    ("begin", other.name),
+                    ("perform", other.name),
+                ],
+            )
+        other.commit()
+        assert engine.object_value("r2") == 2
+
+    def test_reader_and_lone_writer_commit_in_one_phase(self, engine, writes):
+        top = engine.begin_top()
+        top.perform("r0", IntRegister.read())
+        top.perform("r1", IntRegister.write(4))
+        top.commit()
+        assert _awaited(writes) == [
+            (0, "perform"),
+            (1, "perform"),
+            (1, "decide"),
+        ]
+        assert engine.object_value("r1") == 4
+
+    def test_writer_after_a_read_only_commit_is_granted_first_try(
+        self, engine, writes
+    ):
+        reader = engine.begin_top()
+        reader.perform("r0", IntRegister.read())
+        reader.perform("r1", IntRegister.read())
+        reader.commit()
+        writer = engine.begin_top()
+        writer.perform("r0", IntRegister.write(8), timeout=0)
+        assert writes[-1] == (
+            0,
+            [
+                ("decide", reader.name),
+                ("begin", writer.name),
+                ("perform", writer.name),
+            ],
+        )
+        assert engine.stats["denials"] == 0
+        writer.commit()
+        assert engine.object_value("r0") == 8
+
+    def test_reader_with_an_unacked_subcommit_votes(self, engine, writes):
+        top = engine.begin_top()
+        child = top.begin_child()
+        child.perform("r0", IntRegister.read())
+        child.commit()  # held on shard 0, behind its last perform
+        top.perform("r1", IntRegister.write(3))
+        top.commit()
+        assert _awaited(writes) == [
+            (0, "perform"),
+            (1, "perform"),
+            (0, "prepare"),
+            (1, "decide"),
+        ]
+        assert writes[2][1] == [
+            ("commit", child.name),
+            ("prepare", top.name),
+        ]
+        assert engine.object_value("r1") == 3
+
+    def test_two_writers_run_2pc_without_the_reader(self, monkeypatch):
+        by_three = lambda name, shards: int(name[1:]) % shards  # noqa: E731
+        with ShardedEngine(_specs(), workers=3, sharding=by_three) as engine:
+            shards = {id(link.conn): link.shard for link in engine._links}
+            connection = multiprocessing.connection.Connection
+            original = connection.send_bytes
+            log = []
+
+            def recording(self, data, *args, **kwargs):
+                ops = [message["op"] for message in decode_batch(bytes(data))]
+                log.append((shards[id(self)], ops[-1]))
+                return original(self, data, *args, **kwargs)
+
+            monkeypatch.setattr(connection, "send_bytes", recording)
+            top = engine.begin_top()
+            top.perform("r0", IntRegister.write(1))
+            top.perform("r1", IntRegister.write(2))
+            top.perform("r2", IntRegister.read())
+            top.commit()
+            assert log == [
+                (0, "perform"),
+                (1, "perform"),
+                (2, "perform"),
+                (0, "prepare"),
+                (1, "prepare"),
+                (0, "decide"),
+                (1, "decide"),
+            ]
+            assert engine.object_value("r0") == 1
+            assert engine.object_value("r1") == 2
+
+
 class TestOrderAndInvisibility:
     def test_held_subcommit_rides_in_front_of_another_trees_perform(
         self, engine, writes
@@ -276,6 +388,69 @@ class TestLiveness:
         # The late reply is read by whoever waits next; the link lives.
         assert link.wait(waiter, timeout=10.0)["ok"]
         assert link.alive
+
+
+class TestRawReplies:
+    """Replies are bare frames read with ``os.read``; requests still go
+    through ``send_bytes``.  In-process pipes play the worker."""
+
+    @pytest.fixture
+    def pipe(self):
+        requests, to_worker = multiprocessing.Pipe(duplex=False)
+        from_worker, replies = multiprocessing.Pipe(duplex=False)
+        link = ShardLink(0, to_worker, from_worker)
+        yield link, requests, replies
+        link.close()
+        requests.close()
+        replies.close()
+
+    @staticmethod
+    def _reply(requests, **fields):
+        (request,) = decode_batch(requests.recv_bytes())
+        return proto.encode_frame(proto.ok_response(request["id"], **fields))
+
+    def test_a_reply_split_across_two_reads_is_reassembled(self, pipe):
+        link, requests, replies = pipe
+        waiter = link.send("stats")
+        frame = self._reply(requests, stats={"shard": 0})
+        os.write(replies.fileno(), frame[:5])
+        with pytest.raises(EngineError) as raised:
+            link.wait(waiter, timeout=0.05)
+        assert not isinstance(raised.value, ShardDown)
+        os.write(replies.fileno(), frame[5:])
+        assert link.wait(waiter, timeout=5.0)["stats"] == {"shard": 0}
+        assert link.alive
+
+    def test_a_corrupt_crc_is_shard_down(self, pipe):
+        link, requests, replies = pipe
+        waiter = link.send("stats")
+        frame = bytearray(self._reply(requests))
+        frame[-1] ^= 0xFF
+        os.write(replies.fileno(), bytes(frame))
+        with pytest.raises(ShardDown):
+            link.wait(waiter, timeout=5.0)
+        assert not link.alive
+
+    def test_eof_inside_a_frame_is_shard_down(self, pipe):
+        link, requests, replies = pipe
+        waiter = link.send("stats")
+        os.write(replies.fileno(), self._reply(requests)[:-2])
+        replies.close()
+        with pytest.raises(ShardDown) as raised:
+            link.wait(waiter, timeout=5.0)
+        assert "inside a frame" in str(raised.value)
+
+    def test_wait_still_times_out(self, pipe):
+        link, requests, replies = pipe
+        waiter = link.send("stats")
+        started = time.monotonic()
+        with pytest.raises(EngineError) as raised:
+            link.wait(waiter, timeout=0.05)
+        assert time.monotonic() - started < 2.0
+        assert not isinstance(raised.value, ShardDown)
+        assert "timed out" in str(raised.value)
+        os.write(replies.fileno(), self._reply(requests))
+        assert link.wait(waiter, timeout=5.0)["ok"]
 
 
 class TestThreads:
@@ -442,3 +617,40 @@ class TestFailedSubcommit:
         assert [engine.object_value(name) for name in objects] == [6] * len(
             objects
         )
+
+
+    def test_reader_with_a_failed_subcommit_aborts_the_tree(
+        self, engine, writes
+    ):
+        link = engine._links[0]
+        hold = link.hold
+
+        def failing_hold(op, **fields):
+            if op == "commit":
+                fields["txn"] = fields["txn"][:1]
+            return hold(op, **fields)
+
+        link.hold = failing_hold
+        top = engine.begin_top()
+        child = top.begin_child()
+        child.perform("r0", IntRegister.read())  # shard 0 only reads
+        child.perform("r1", IntRegister.write(5))  # shard 1 writes
+        child.commit()
+        with pytest.raises(TransactionAborted) as raised:
+            top.commit()
+        assert "held request failed on shard 0" in str(raised.value)
+        # The reader voted, so its failed ack came back before the
+        # claim; the writer never heard a decide.
+        assert (0, "prepare") in _awaited(writes)
+        assert not [
+            shard for shard, ops in writes for op, _ in ops if op == "decide"
+        ]
+        assert not top.is_active
+        del link.hold
+        assert engine.object_value("r1") == 0
+        assert engine.object_value("r1", committed=False) == 0
+        second = engine.begin_top()
+        for name in ("r0", "r1"):
+            second.perform(name, IntRegister.write(6), timeout=0)
+        second.commit()
+        assert [engine.object_value(name) for name in ("r0", "r1")] == [6, 6]
