@@ -154,6 +154,9 @@ class MVTOEngine(TreeEngine):
         version = mv_object.version_before(ts)
         if operation.is_read:
             self.stats["accesses"] += 1
+            # A granted read is a child of *txn* in the paper's naming,
+            # so it claims a slot; it buffers nothing, so no leaf.
+            txn._claim_child_slot()
             if own_dirty:
                 base = buffer.current()
                 result, _ = mv_object.spec.apply(base, operation)

@@ -8,6 +8,19 @@ surface, which is how the one client loop
 (:func:`repro.serve.loadgen.run_clients`) drives the service from both
 load generator modes and the scenario ``serve`` backend.
 
+The client holds what no caller awaits.  The paper names a
+transaction by its path in the tree and every access is a child of
+the transaction that issued it, so once ``begin`` answers the client
+can name every descendant itself: ``child`` returns ``parent +
+(slot,)`` at once, where the slot counts the children begun plus the
+accesses granted on that node, and a subtransaction ``commit`` (once
+its child's ``child`` reply came back) answers nothing a caller needs
+and changes nothing another tree can see.  Both are *held*: their
+frames ride in front of the next awaited request, in one ``sendall``,
+and every reply of that write is read before it returns.  A held
+reply that failed -- or a ``child`` reply that names another child --
+raises on that awaited request, the write's first failure winning.
+
 Typed failures raise :class:`ServeError`, which carries the protocol
 error ``code``, the server's ``retry_after_ms`` hint, and any reported
 ``blockers``.  :func:`backoff_ms` turns a hint into a jittered sleep
@@ -20,6 +33,7 @@ import random
 import socket
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.names import TransactionName as TxnName
 from repro.errors import ReproError
 from repro.serve import protocol as proto
 
@@ -66,7 +80,13 @@ def _raise_on_error(response: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class SyncClient:
-    """Blocking client over one TCP connection."""
+    """Blocking client over one TCP connection.
+
+    Not thread-safe: one thread owns one client.  ``begin``, every
+    access, a child's ``abort``, a top-level ``commit`` / ``abort`` and
+    the fast ops are awaited; a ``child`` and a subtransaction
+    ``commit`` are held (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -80,6 +100,14 @@ class SyncClient:
         self._decoder = proto.FrameDecoder()
         self._next_id = 0
         self._inbox: List[Dict[str, Any]] = []
+        #: Encoded frames no caller awaits yet, in request order.
+        self._held: List[bytes] = []
+        #: Per held frame: the node it names, and whether it is a
+        #: ``child`` (whose reply must name that node).
+        self._expect: List[Tuple[TxnName, bool]] = []
+        #: Next child slot of every live node whose count is known; a
+        #: ``child`` of any other node is awaited and teaches it.
+        self._slots: Dict[TxnName, int] = {}
 
     # -- plumbing ------------------------------------------------------
     def close(self) -> None:
@@ -107,12 +135,66 @@ class SyncClient:
             self._inbox.extend(self._decoder.feed(data))
         return self._inbox.pop(0)
 
-    def call(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """One request, one response (raises :class:`ServeError`)."""
-        request_id = self._take_id()
-        self._sock.sendall(
-            proto.encode_frame(proto.request(op, request_id, **fields))
+    def _hold(self, op: str, node: TxnName, **fields: Any) -> None:
+        """Queue one request whose reply no caller awaits."""
+        self._held.append(
+            proto.encode_frame(
+                proto.request(op, self._take_id(), **fields)
+            )
         )
+        self._expect.append((node, op == "child"))
+
+    def _send_with_held(self, payload: bytes) -> Optional[ServeError]:
+        """Write the held frames, then *payload*, in one ``sendall``;
+        read the held replies.  Returns the first failure among them."""
+        held, self._held = self._held, []
+        expect, self._expect = self._expect, []
+        held.append(payload)
+        self._sock.sendall(b"".join(held))
+        failure = None
+        for node, is_child in expect:
+            response = self._recv_one()
+            if not response.get("ok"):
+                error = ServeError(response)
+            elif is_child and tuple(response.get("txn") or ()) != node:
+                error = ServeError(
+                    proto.error_response(
+                        response.get("id"),
+                        proto.ERR_INTERNAL,
+                        "the server named the child %r, not %r"
+                        % (response.get("txn"), list(node)),
+                    )
+                )
+            else:
+                continue
+            # The tree is not what the client counted: forget it, so
+            # its next ``child`` is awaited and relearns the count.
+            self._forget(node[:1])
+            if failure is None:
+                failure = error
+        return failure
+
+    def _forget(self, root: TxnName) -> None:
+        """Drop the slot counts of *root* and its descendants."""
+        slots = self._slots
+        slots.pop(root, None)
+        if slots:  # other counts left: drop *root*'s descendants
+            depth = len(root)
+            for name in [name for name in slots if name[:depth] == root]:
+                del slots[name]
+
+    def call(self, op: str, **fields: Any) -> Dict[str, Any]:
+        """One awaited request (raises :class:`ServeError`), with the
+        held frames in front of it."""
+        request_id = self._take_id()
+        frame = proto.encode_frame(proto.request(op, request_id, **fields))
+        if self._held:
+            failure = self._send_with_held(frame)
+            response = self._recv_one()
+            if failure is not None:
+                raise failure
+            return _raise_on_error(response)
+        self._sock.sendall(frame)
         response = self._recv_one()
         return _raise_on_error(response)
 
@@ -122,7 +204,8 @@ class SyncClient:
         """Send every request, then read every response (in order).
 
         Responses are returned raw (``ok`` may be false) so callers
-        can count sheds without exception plumbing.
+        can count sheds without exception plumbing; a failed held
+        frame that rode in front still raises.
         """
         payload = bytearray()
         ids = []
@@ -134,12 +217,23 @@ class SyncClient:
                     proto.request(op, request_id, **fields)
                 )
             )
-        self._sock.sendall(bytes(payload))
+        failure = self._send_with_held(bytes(payload))
         by_id = {}
         while len(by_id) < len(ids):
             response = self._recv_one()
             by_id[response.get("id")] = response
-        return [by_id[request_id] for request_id in ids]
+        responses = [by_id[request_id] for request_id in ids]
+        for (op, fields), response in zip(requests, responses):
+            if "txn" not in fields:
+                continue
+            node = tuple(fields["txn"])
+            if op not in ("read", "write") or not response.get("ok"):
+                self._forget(node[:1])
+            elif node in self._slots:
+                self._slots[node] += 1
+        if failure is not None:
+            raise failure
+        return responses
 
     # -- convenience ---------------------------------------------------
     def hello(self) -> Dict[str, Any]:
@@ -151,11 +245,24 @@ class SyncClient:
     def stats(self) -> Dict[str, Any]:
         return self.call("stats")["stats"]
 
-    def begin(self) -> Tuple[int, ...]:
-        return tuple(self.call("begin")["txn"])
+    def begin(self) -> TxnName:
+        name = tuple(self.call("begin")["txn"])
+        self._slots[name] = 0
+        return name
 
-    def child(self, txn) -> Tuple[int, ...]:
-        return tuple(self.call("child", txn=list(txn))["txn"])
+    def child(self, txn) -> TxnName:
+        """Begin a child of *txn*; held when *txn*'s count is known."""
+        parent = tuple(txn)
+        slot = self._slots.get(parent)
+        if slot is None:
+            name = tuple(self.call("child", txn=list(txn))["txn"])
+            self._slots[parent] = name[-1] + 1
+        else:
+            name = parent + (slot,)
+            self._slots[parent] = slot + 1
+            self._hold("child", name, txn=list(txn))
+        self._slots[name] = 0
+        return name
 
     def read(
         self,
@@ -164,13 +271,25 @@ class SyncClient:
         kind: Optional[str] = None,
         args: Optional[Iterable] = None,
     ) -> Any:
-        return self.call(
-            "read",
-            txn=list(txn),
-            object=object_name,
-            kind=kind,
-            args=list(args) if args is not None else None,
-        ).get("result")
+        node = tuple(txn)
+        try:
+            response = self.call(
+                "read",
+                txn=list(txn),
+                object=object_name,
+                kind=kind,
+                args=list(args) if args is not None else None,
+            )
+        except BaseException:
+            # Granted or not, the count is unknown now: the node's
+            # next ``child`` is awaited and relearns it.
+            self._slots.pop(node, None)
+            raise
+        try:  # granted: the access claims the node's next slot
+            self._slots[node] += 1
+        except KeyError:  # a node whose count is unknown
+            pass
+        return response.get("result")
 
     def write(
         self,
@@ -180,6 +299,7 @@ class SyncClient:
         kind: Optional[str] = None,
         args: Optional[Iterable] = None,
     ) -> Any:
+        node = tuple(txn)
         fields: Dict[str, Any] = {
             "txn": list(txn), "object": object_name
         }
@@ -188,13 +308,41 @@ class SyncClient:
             fields["args"] = list(args) if args is not None else []
         else:
             fields["value"] = value
-        return self.call("write", **fields).get("result")
+        try:
+            response = self.call("write", **fields)
+        except BaseException:
+            self._slots.pop(node, None)  # as in ``read``
+            raise
+        try:
+            self._slots[node] += 1
+        except KeyError:
+            pass
+        return response.get("result")
 
-    def commit(self, txn, value: Any = None) -> Dict[str, Any]:
-        return self.call("commit", txn=list(txn), value=value)
+    def commit(self, txn, value: Any = None) -> Optional[Dict[str, Any]]:
+        """Commit *txn*: the response, or None when the commit is held
+        (a subtransaction whose ``child`` reply came back)."""
+        name = tuple(txn)
+        if (
+            len(name) > 1
+            and name in self._slots
+            and (name, True) not in self._expect  # its reply came back
+        ):
+            # Its descendants finished first (each dropped its own
+            # count), or the held commit fails and forgets the tree.
+            del self._slots[name]
+            self._hold("commit", name, txn=list(txn), value=value)
+            return None
+        try:
+            return self.call("commit", txn=list(txn), value=value)
+        finally:
+            self._forget(name)
 
     def abort(self, txn) -> Dict[str, Any]:
-        return self.call("abort", txn=list(txn))
+        try:
+            return self.call("abort", txn=list(txn))
+        finally:
+            self._forget(tuple(txn))
 
     def begin_top(self) -> "WireTransaction":
         """Begin a top-level transaction as a handle (the facade's)."""
@@ -205,7 +353,8 @@ class WireTransaction:
     """A remote transaction with the facade handle's surface.
 
     ``begin_child`` / ``perform`` / ``commit`` / ``abort`` each go over
-    the client's connection as one request, so the client loop
+    the client's connection as one request (held or awaited, as
+    :class:`SyncClient` decides), so the client loop
     (:func:`repro.serve.loadgen.run_clients`) drives a remote tree as
     it drives a :class:`~repro.engine.threadsafe.ThreadSafeTransaction`.
     Failures raise :class:`ServeError`.

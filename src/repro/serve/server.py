@@ -15,7 +15,8 @@ that shape: one accept thread, and one blocking thread per connection
 2. admit the *whole* decoded burst before running any of it
    (:mod:`repro.serve.admission`), so the per-connection cap, the
    global cap and the token bucket all mean "decoded but unanswered";
-   a shed request is answered ``overloaded`` in its place;
+   a shed request, and every request after it in the burst, is
+   answered ``overloaded`` in its place, so a burst runs a prefix;
 3. run the admitted requests in order through
    :meth:`~repro.serve.session.Session.run`, so a lock wait, a shard
    pipe or a WAL fsync blocks this connection and nothing else;
@@ -320,6 +321,11 @@ class TransactionServer:
         """Admit a whole burst, then run it in order; the responses."""
         answers: List[Optional[Dict[str, Any]]] = []
         admitted = 0
+        # Once a frame is shed, so is every later one, so a burst runs
+        # a prefix: a client's held frames ride in front of the request
+        # that awaits them, and a refilled token must not admit that
+        # request (a top-level commit, say) after one of them was shed.
+        shed_hint: Optional[int] = None
         with self._lock:
             for message in messages:
                 op = message.get("op")
@@ -336,20 +342,24 @@ class TransactionServer:
                 elif op in _FAST_OPS:
                     answers.append(None)
                 else:
-                    ok, hint = self.admission.admit(admitted)
-                    if ok:
-                        admitted += 1
-                        answers.append(None)
+                    if shed_hint is None:
+                        ok, hint = self.admission.admit(admitted)
+                        if ok:
+                            admitted += 1
+                            answers.append(None)
+                            continue
+                        shed_hint = hint
                     else:
-                        self.metrics.counter("serve.shed").inc()
-                        answers.append(
-                            proto.error_response(
-                                message.get("id"),
-                                proto.ERR_OVERLOADED,
-                                "server overloaded; retry after the hint",
-                                retry_after_ms=hint,
-                            )
+                        self.admission.shed_total += 1
+                    self.metrics.counter("serve.shed").inc()
+                    answers.append(
+                        proto.error_response(
+                            message.get("id"),
+                            proto.ERR_OVERLOADED,
+                            "server overloaded; retry after the hint",
+                            retry_after_ms=shed_hint,
                         )
+                    )
             if admitted:
                 self._inflight.set(self.admission.inflight)
         try:

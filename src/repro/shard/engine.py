@@ -489,8 +489,11 @@ class ShardedEngine:
                     self._mirror_onto(top, name, shard)
                 if not operation.is_read:
                     top.written.add(shard)
-                # Counted when sent; taken back if the shard refuses.
+                # Counted when sent, and the access's slot in *txn*'s
+                # child numbering claimed; both taken back if the shard
+                # refuses, as a denied access claims no slot.
                 stats["accesses"] += 1
+                txn._claim_child_slot()
             on = self._tree._on_granted
             on_ok = None
             if on:
@@ -508,6 +511,7 @@ class ShardedEngine:
             except ShardDown:
                 with self._mutex:
                     stats["accesses"] -= 1
+                    txn._next_child -= 1
                 raise
             if reply.get("ok"):
                 return reply.get("value")
@@ -516,6 +520,7 @@ class ShardedEngine:
             denied = code in (proto.ERR_LOCK_DENIED, proto.ERR_RETRY_LATER)
             with self._mutex:
                 stats["accesses"] -= 1
+                txn._next_child -= 1
                 if denied:
                     stats["denials"] += 1
             if denied:

@@ -16,9 +16,11 @@ import pytest
 
 from repro.adt import Counter, IntRegister
 from repro.serve import protocol as proto
+from repro.serve.admission import TokenBucket
 from repro.serve.client import ServeError, SyncClient, backoff_ms
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.server import ServeConfig, TransactionServer
+from repro.serve.session import Session
 
 
 def start_server(scheme="moss-rw", objects=None, audit=True, **config):
@@ -290,6 +292,28 @@ class TestOverload:
                 assert proto.ERR_OVERLOADED in outcomes
         finally:
             handle.stop()
+
+    def test_a_shed_frame_sheds_the_rest_of_its_burst(self):
+        # One token, and the clock refills it between the burst's
+        # second and third frame: the third must not run after the
+        # second was shed, so a burst runs a prefix.
+        server = TransactionServer([Counter("c0")], config=ServeConfig())
+        ticks = [0.0, 0.0, 0.0, 5.0]
+        server.admission.bucket = TokenBucket(
+            1.0, 1.0, clock=lambda: ticks.pop(0) if ticks else 5.0
+        )
+        session = Session(server.facade, 0)
+        burst = [proto.request("begin", index) for index in (1, 2, 3)]
+        answers = proto.FrameDecoder().feed(server._answer(session, burst))
+        assert [answer["ok"] for answer in answers] == [True, False, False]
+        for answer in answers[1:]:
+            assert answer["error"]["code"] == proto.ERR_OVERLOADED
+            assert answer["error"]["retry_after_ms"] >= 1
+        stats = server.stats()
+        assert stats["shed"] == 2
+        assert stats["metrics"]["counters"]["serve.shed"] == 2
+        assert stats["inflight"] == 0
+        session.abort_orphans()
 
 
 class TestBatching:

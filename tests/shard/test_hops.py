@@ -92,10 +92,12 @@ class TestHopCounts:
         top.commit()
         assert _awaited(writes) == [(0, "perform")] * 5 + [(0, "decide")]
         # begin and both subcommits rode along, in order, in front.
+        # The children are named by the paper's rule: the top's write
+        # took slot 0, so they are slots 1 and 2.
         assert [op for op, _ in writes[0][1]] == ["begin", "perform"]
-        assert writes[3][1][0] == ("commit", top.name + (0,))
+        assert writes[3][1][0] == ("commit", top.name + (1,))
         assert writes[5][1] == [
-            ("commit", top.name + (1,)),
+            ("commit", top.name + (2,)),
             ("decide", top.name),
         ]
         assert engine.object_value("r4") == 4
