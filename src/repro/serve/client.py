@@ -246,6 +246,13 @@ class SyncClient:
         return self.call("stats")["stats"]
 
     def begin(self) -> TxnName:
+        if self._held:
+            # Settle another tree's frames in a write of their own: a
+            # failure among them would otherwise raise in place of this
+            # begin's answer, and its tree would be live but unnamed.
+            failure = self._send_with_held(b"")
+            if failure is not None:
+                raise failure
         name = tuple(self.call("begin")["txn"])
         self._slots[name] = 0
         return name

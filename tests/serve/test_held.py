@@ -143,6 +143,21 @@ class TestFailures:
             elder.commit(old)
             assert not younger._slots and not younger._held
 
+    def test_a_begin_behind_a_failed_held_frame_begins_nothing(self, server):
+        with connect(server) as elder, connect(server) as younger:
+            old = elder.begin()
+            young = younger.begin()
+            younger.write(young, "c0", kind="increment", args=[1])
+            elder.read(old, "c0", kind="value")  # wounds ``young``
+            younger.child(young)
+            with pytest.raises(ServeError) as excinfo:
+                younger.begin()
+            assert excinfo.value.code == proto.ERR_TXN_ABORTED
+            live = server.facade.engine.transactions
+            assert [name for name in live if len(name) == 1] == [old]
+            assert younger.begin() == (2,)
+            elder.commit(old)
+
     def test_shed_held_subcommit_leaves_the_tree_uncommitted(self):
         server, handle = start_server(audit=False)
         try:
