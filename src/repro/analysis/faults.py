@@ -1,46 +1,59 @@
-"""Deliberately broken locking policies for exercising the analyzers.
+"""Mutants: deliberately broken locking policies for testing the checkers.
 
-The analysis passes are only trustworthy if they catch real bugs, so
-this module provides engine policies with seeded violations of Moss'
-rules.  They are used by the test suite and by
-``python -m repro analyze --policy broken-no-inherit`` to demonstrate
-rule-level localisation; they must never be used for real work.
+A checker is only trustworthy if it catches real bugs, so this module
+provides *mutants* -- engine policies that each break exactly one of
+Moss' M(X) rules (Section 5.2) or the read/write designation.  They are
+used by the test suite, by the kill matrix
+(:mod:`repro.checking.matrix`), by ``python -m repro analyze --policy``
+and by ``python -m repro fuzz --faults``; they must never be used for
+real work.  :data:`MUTANTS` is the one name table every entry point
+reads, so adding a mutant edits this module only.
 
-:class:`NoInheritPolicy` breaks exactly one rule: on commit the
-object's locks are *dropped* instead of being passed to the parent
-(the INFORM_COMMIT effect of Section 5.2 is skipped).  Later
-conflicting accesses are then granted without any happens-before
-order, which the schedule linter localises as RW007/RW001 and the
-race detector as RACE001.
+=============================  ==========================================
+``broken-no-inherit``          a commit drops the locks instead of
+                               passing them to the parent
+``broken-abort-keeps-versions`` an abort discards the subtree's locks
+                               but keeps its versions
+``broken-abort-keeps-locks``   an abort discards the subtree's versions
+                               but keeps its locks
+``broken-inherit-past-parent`` a commit passes locks and version to the
+                               grandparent (the root for a top-level's
+                               children), skipping the live parent
+``broken-all-reads``           every access takes a read lock, so a
+                               write installs no version
+=============================  ==========================================
+
+Every mutant keeps ``model_conformant`` True on purpose: it *claims* to
+refine M(X), so its traces flow through the conformance pipeline, which
+then fails and hands the schedule to the checkers for a diagnosis.
+Mutation goes through the aggregate-maintaining holder helpers, so the
+fast-path bookkeeping stays truthful -- the fault is the skipped or
+misdirected rule, not a corrupted table.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Type
+
 from repro.core.names import TransactionName, parent
 from repro.engine.lockmanager import ManagedObject
 from repro.engine.locks import LockMode
-from repro.engine.policies import MossPolicy
+from repro.engine.policies import LockingPolicy, MossPolicy
 from repro.errors import EngineError
+
+# This module IS the fault injector: every lock-state change below is
+# a seeded rule violation, hence the CD005 suppressions.
 
 
 class NoInheritManagedObject(ManagedObject):
-    """A ManagedObject whose commit *drops* locks instead of inheriting.
-
-    Mutation goes through the aggregate-maintaining ``_discard_holder``
-    helpers so the fast-path bookkeeping (deepest holders, depth index,
-    generation) stays truthful even under the injected fault -- the
-    *rule* violation is skipping inheritance, not corrupting the table.
-    """
+    """A commit *drops* the locks instead of passing them up."""
 
     def on_commit(self, name: TransactionName) -> None:
-        mother = parent(name)
-        if mother is None:
+        if parent(name) is None:
             raise EngineError("cannot commit the root")
         moved = False
         if name in self.write_holders:
             self._discard_holder(name, LockMode.WRITE)
-            # This module IS the fault injector: promoting here, with
-            # the holder already dropped, is the injected bug.
             self.versions.promote(name)  # repro-lint: ignore[CD005]
             moved = True
         if name in self.read_holders:
@@ -50,16 +63,93 @@ class NoInheritManagedObject(ManagedObject):
             self.generation += 1
 
 
+class AbortKeepsVersionsManagedObject(ManagedObject):
+    """An abort discards the subtree's locks but keeps its versions."""
+
+    def on_abort(self, name: TransactionName) -> None:
+        for mode, depths in (
+            (LockMode.WRITE, self._write_depths),
+            (LockMode.READ, self._read_depths),
+        ):
+            for holder in self._subtree_members(depths, name):
+                self._discard_holder(holder, mode)
+        self.generation += 1
+
+
+class AbortKeepsLocksManagedObject(ManagedObject):
+    """An abort discards the subtree's versions but keeps its locks."""
+
+    def on_abort(self, name: TransactionName) -> None:
+        self.versions.discard_subtree(name)  # repro-lint: ignore[CD005]
+        self.generation += 1
+
+
+class InheritPastParentManagedObject(ManagedObject):
+    """A commit passes locks and version to the grandparent."""
+
+    def on_commit(self, name: TransactionName) -> None:
+        if parent(name) is None:
+            raise EngineError("cannot commit the root")
+        heir = name[:-2]
+        versions = self.versions
+        if versions.has(name):
+            value = versions.get(name)
+            versions.discard_subtree(name)  # repro-lint: ignore[CD005]
+            versions.install(heir, value)  # repro-lint: ignore[CD005]
+        for mode, holders in (
+            (LockMode.WRITE, self.write_holders),
+            (LockMode.READ, self.read_holders),
+        ):
+            if name in holders:
+                self._discard_holder(name, mode)
+                self._add_holder(heir, mode)
+        self.generation += 1
+
+
 class NoInheritPolicy(MossPolicy):
-    """Moss' policy with lock inheritance skipped (fault injection).
-
-    ``model_conformant`` stays True on purpose: the policy *claims* to
-    refine M(X) so its traces flow through the conformance pipeline,
-    which then fails and hands the schedule to the analyzers for a
-    rule-level diagnosis.
-    """
-
     name = "broken-no-inherit"
 
-    def make_managed(self, spec) -> NoInheritManagedObject:
+    def make_managed(self, spec) -> ManagedObject:
         return NoInheritManagedObject(spec)
+
+
+class AbortKeepsVersionsPolicy(MossPolicy):
+    name = "broken-abort-keeps-versions"
+
+    def make_managed(self, spec) -> ManagedObject:
+        return AbortKeepsVersionsManagedObject(spec)
+
+
+class AbortKeepsLocksPolicy(MossPolicy):
+    name = "broken-abort-keeps-locks"
+
+    def make_managed(self, spec) -> ManagedObject:
+        return AbortKeepsLocksManagedObject(spec)
+
+
+class InheritPastParentPolicy(MossPolicy):
+    name = "broken-inherit-past-parent"
+
+    def make_managed(self, spec) -> ManagedObject:
+        return InheritPastParentManagedObject(spec)
+
+
+class AllReadsPolicy(MossPolicy):
+    name = "broken-all-reads"
+
+    def mode_for(self, operation) -> LockMode:
+        return LockMode.READ
+
+
+#: Every mutant by name: the one table ``repro analyze --policy``,
+#: ``repro fuzz --faults``, the scheme registry and the kill matrix read.
+MUTANTS: Dict[str, Type[LockingPolicy]] = {
+    policy.name: policy
+    for policy in (
+        NoInheritPolicy,
+        AbortKeepsVersionsPolicy,
+        AbortKeepsLocksPolicy,
+        InheritPastParentPolicy,
+        AllReadsPolicy,
+    )
+}

@@ -26,7 +26,7 @@ from repro.core.names import TransactionName
 from repro.core.systems import RWLockingSystem, SerialSystem
 from repro.core.transaction import LocalView, TransactionLogic
 from repro.engine.engine import Engine
-from repro.errors import EngineError, NotEnabledError
+from repro.errors import EngineError, NotEnabledError, TruncatedTrace
 
 
 class TraceLogic(TransactionLogic):
@@ -91,7 +91,7 @@ class ConformanceReport:
     rejection: Optional[str]
     correctness: Optional[ScheduleReport]
     trace_length: int
-    #: Rule-level findings from :mod:`repro.analysis` explaining a
+    #: Rule-level findings from the schedule linter explaining a
     #: failure (populated only when the replay rejects or Theorem 34 is
     #: violated; empty tuple when the analyzers found nothing to blame).
     diagnosis: Optional[Tuple] = None
@@ -115,7 +115,26 @@ class ConformanceReport:
         return self.ok
 
 
-def _check_lockstep(
+def replay_trace(
+    system_type, alpha, factory
+) -> Tuple[RWLockingSystem, Optional[str]]:
+    """Replay *alpha* through the R/W Locking system automata.
+
+    Returns the system (in the state after the last accepted event)
+    and the first rejection, or None when every event was accepted.
+    """
+    rw_system = RWLockingSystem(system_type, logic_factory=factory)
+    for index, event in enumerate(alpha):
+        try:
+            rw_system.apply(event)
+        except NotEnabledError as exc:
+            return rw_system, "event %d (%s) rejected: %s" % (
+                index, event, exc
+            )
+    return rw_system, None
+
+
+def check_lockstep(
     engine: Engine, rw_system: RWLockingSystem
 ) -> Tuple[bool, Optional[str]]:
     """Compare live engine lock tables against the replayed M(X) state.
@@ -159,7 +178,9 @@ def check_engine_trace(engine: Engine) -> ConformanceReport:
     The engine must have been constructed with ``trace=True`` and run a
     scheme whose capabilities declare ``model_conformant`` (``moss-rw``
     or ``exclusive``); flat 2PL and MVTO do not refine Moss' automata
-    and are rejected up front.
+    and are rejected up front.  A recorder that dropped events (ring
+    buffer) kept only a suffix, which no replay from a fresh system can
+    judge: :class:`~repro.errors.TruncatedTrace`.
     """
     if not engine.capabilities.model_conformant:
         raise EngineError(
@@ -168,18 +189,16 @@ def check_engine_trace(engine: Engine) -> ConformanceReport:
     recorder = engine.recorder
     if recorder is None:
         raise EngineError("engine was not constructed with trace=True")
+    if recorder.dropped_events:
+        raise TruncatedTrace(
+            "the trace recorder dropped %d event(s); only a complete "
+            "trace can be judged" % recorder.dropped_events
+        )
     alpha = recorder.schedule()
     system_type = recorder.system_type(engine.specs)
     factory = trace_logic_factory(alpha, recorder.commit_values)
 
-    rw_system = RWLockingSystem(system_type, logic_factory=factory)
-    rejection: Optional[str] = None
-    for index, event in enumerate(alpha):
-        try:
-            rw_system.apply(event)
-        except NotEnabledError as exc:
-            rejection = "event %d (%s) rejected: %s" % (index, event, exc)
-            break
+    rw_system, rejection = replay_trace(system_type, alpha, factory)
     refinement_ok = rejection is None
 
     correctness: Optional[ScheduleReport] = None
@@ -191,15 +210,13 @@ def check_engine_trace(engine: Engine) -> ConformanceReport:
 
     lockstep_ok = True
     lockstep_error: Optional[str] = None
-    if refinement_ok and not recorder.dropped_events:
+    if refinement_ok:
         # With the complete trace replayed, the engine's live lock
         # tables and the replayed M(X) automata describe the same
         # moment; they must agree holder-for-holder.  This pins the
         # engine's grant fast path and depth-indexed aborts to the
-        # unoptimised model rules.  (A ring-buffer recorder that
-        # dropped events replayed only a suffix, so the comparison
-        # would be vacuous -- skip it.)
-        lockstep_ok, lockstep_error = _check_lockstep(engine, rw_system)
+        # unoptimised model rules.
+        lockstep_ok, lockstep_error = check_lockstep(engine, rw_system)
 
     report = ConformanceReport(
         refinement_ok=refinement_ok,
@@ -210,12 +227,9 @@ def check_engine_trace(engine: Engine) -> ConformanceReport:
         lockstep_error=lockstep_error,
     )
     if not report.ok:
-        # Hand the failing trace to the analyzers so every replay
+        # Hand the failing trace to the schedule linter so every replay
         # failure comes with a rule-level diagnosis.
-        from repro.analysis import analyze_trace
+        from repro.analysis import lint_schedule
 
-        schedule_report, race_report = analyze_trace(alpha, system_type)
-        report.diagnosis = tuple(
-            schedule_report.findings + race_report.findings
-        )
+        report.diagnosis = tuple(lint_schedule(alpha, system_type).findings)
     return report

@@ -168,66 +168,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _drive_random_workload(
-    seed: int,
-    transactions: int,
-    operations: int,
-    policy="moss-rw",
-):
-    """Drive one random nested workload; return the traced engine."""
-    from repro.adt import Counter, IntRegister
-    from repro.errors import LockDenied
-    from repro.kernel import get_scheme
-
-    rng = random.Random(seed)
-    engine = get_scheme(policy).build(
-        [Counter("c"), IntRegister("x")], trace=True
-    )
-    tops = [engine.begin_top() for _ in range(transactions)]
-    menu = [
-        ("c", Counter.increment(1)),
-        ("c", Counter.value()),
-        ("x", IntRegister.add(2)),
-        ("x", IntRegister.read()),
-    ]
-    live = {top.name: top for top in tops}
-    for _ in range(operations):
-        if not live:
-            break
-        txn = rng.choice(list(live.values()))
-        roll = rng.random()
-        if roll < 0.6:
-            try:
-                txn.perform(*rng.choice(menu))
-            except LockDenied:
-                pass
-        elif roll < 0.8:
-            child = txn.begin_child()
-            try:
-                child.perform(*rng.choice(menu))
-            except LockDenied:
-                pass
-            if rng.random() < 0.5:
-                child.commit()
-            else:
-                child.abort()
-        elif roll < 0.9 and not txn.live_children():
-            txn.commit()
-            del live[txn.name]
-        else:
-            txn.abort()
-            del live[txn.name]
-    for txn in list(live.values()):
-        for child in txn.live_children():
-            child.abort()
-        txn.commit()
-    return engine
-
-
 def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.checking import check_engine_trace
+    from repro.checking.matrix import drive_random_workload
 
-    engine = _drive_random_workload(
+    engine = drive_random_workload(
         args.seed, args.transactions, args.operations
     )
     report = check_engine_trace(engine)
@@ -245,22 +190,41 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _resolve_analysis_policy(name: str):
-    if name == "broken-no-inherit":
-        from repro.analysis.faults import NoInheritPolicy
+def _analysis_policy(name: str):
+    """``analyze --policy``: moss-rw, exclusive, or a mutant's policy."""
+    from repro.analysis.faults import MUTANTS
 
-        return NoInheritPolicy()
+    if name in MUTANTS:
+        return MUTANTS[name]()
+    if name in ("moss-rw", "exclusive"):
+        return name
+    raise argparse.ArgumentTypeError(
+        "unknown policy %r (choose from moss-rw, exclusive, %s)"
+        % (name, ", ".join(MUTANTS))
+    )
+
+
+def _fault_preset(name: str) -> str:
+    """``fuzz --faults``: a preset of :data:`repro.fuzz.FAULT_PRESETS`."""
+    from repro.fuzz.faults import FAULT_PRESETS
+
+    if name not in FAULT_PRESETS:
+        raise argparse.ArgumentTypeError(
+            "unknown preset %r (choose from %s)"
+            % (name, ", ".join(FAULT_PRESETS))
+        )
     return name
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import analyze_engine, render_json, render_text
+    from repro.checking.matrix import drive_random_workload
 
-    engine = _drive_random_workload(
+    engine = drive_random_workload(
         args.seed,
         args.transactions,
         args.operations,
-        policy=_resolve_analysis_policy(args.policy),
+        policy=args.policy,
     )
     schedule_report, race_report = analyze_engine(engine)
     reports = [schedule_report, race_report]
@@ -1056,8 +1020,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--policy",
         default="moss-rw",
-        choices=["moss-rw", "exclusive", "broken-no-inherit"],
-        help="locking policy (broken-no-inherit seeds a violation)",
+        type=_analysis_policy,
+        help=(
+            "locking policy: moss-rw, exclusive, or a mutant "
+            "(broken-no-inherit, ...) that seeds a violation"
+        ),
     )
     analyze.add_argument("--json", action="store_true")
     analyze.add_argument("--verbose", action="store_true")
@@ -1104,11 +1071,11 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--faults",
         default="none",
-        choices=[
-            "none", "crash", "deny-spike", "orphan",
-            "broken-no-inherit", "chaos",
-        ],
-        help="fault-injection preset",
+        type=_fault_preset,
+        help=(
+            "fault-injection preset: none, crash, deny-spike, orphan, "
+            "chaos, or a mutant (broken-no-inherit, ...)"
+        ),
     )
     fuzz.add_argument(
         "--scheme",

@@ -53,6 +53,14 @@ class EngineError(ReproError):
     """Base class for executable-engine failures."""
 
 
+class TruncatedTrace(EngineError):
+    """A trace recorder dropped events (ring-buffer mode).
+
+    The kept suffix starts mid-run, so replaying it from a fresh system
+    cannot judge the run: conformance checking refuses it.
+    """
+
+
 class TransactionAborted(EngineError):
     """The operation's transaction (or one of its ancestors) was aborted."""
 

@@ -16,9 +16,9 @@ Fault modes (composable; presets below):
   child handle, then drives one more access through that handle: the
   engine's orphan guard must reject it (a trace showing the access
   would be an RW002);
-* ``broken-no-inherit`` -- the engine runs
-  :class:`~repro.analysis.faults.NoInheritPolicy`, a genuine Moss-rule
-  violation for the oracle to find;
+* one preset per mutant (``broken-no-inherit``, ...) -- the engine runs
+  that policy from :data:`repro.analysis.faults.MUTANTS`, a genuine
+  Moss-rule violation for the oracles to find;
 * message delay/drop for :mod:`repro.dist` lives in
   :class:`repro.dist.runner.MessageFaults` and shares the seeding
   discipline.
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Union
 
-from repro.analysis.faults import NoInheritPolicy
+from repro.analysis.faults import MUTANTS
 from repro.engine.policies import LockingPolicy
 
 
@@ -43,23 +43,18 @@ class FaultPlan:
     orphan_rate: float = 0.0
     policy: str = "moss-rw"
 
-    def make_policy(self) -> Union[str, LockingPolicy]:
-        if self.policy == NoInheritPolicy.name:
-            return NoInheritPolicy()
-        return self.policy
-
     def scheme_for(
         self, requested: str = "moss-rw"
     ) -> Union[str, LockingPolicy]:
         """The scheme selector this plan runs *requested* under.
 
-        A fault-injected policy (e.g. ``broken-no-inherit``) overrides
-        the requested scheme -- the whole point of the preset is to run
-        a broken engine; otherwise the requested scheme wins.  The
+        A mutant (:data:`repro.analysis.faults.MUTANTS`) overrides the
+        requested scheme -- the whole point of the preset is to run a
+        broken engine; otherwise the requested scheme wins.  The
         return value feeds :func:`repro.kernel.get_scheme`.
         """
-        if self.policy == NoInheritPolicy.name:
-            return NoInheritPolicy()
+        if self.policy in MUTANTS:
+            return MUTANTS[self.policy]()
         if self.policy != "moss-rw":
             return self.policy
         return requested
@@ -84,10 +79,10 @@ FAULT_PRESETS: Dict[str, FaultPlan] = {
     "crash": FaultPlan(crash_rate=0.1),
     "deny-spike": FaultPlan(deny_rate=0.2),
     "orphan": FaultPlan(orphan_rate=0.15),
-    "broken-no-inherit": FaultPlan(policy=NoInheritPolicy.name),
     "chaos": FaultPlan(
         crash_rate=0.05, deny_rate=0.1, orphan_rate=0.05
     ),
+    **{name: FaultPlan(policy=name) for name in MUTANTS},
 }
 
 

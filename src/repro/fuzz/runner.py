@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.threadsafe import ThreadSafeEngine
-from repro.errors import TransactionAborted
+from repro.errors import TransactionAborted, TruncatedTrace
 from repro.fuzz.controller import (
     BoundedPreemptionStrategy,
     FuzzStall,
@@ -109,6 +109,9 @@ class FuzzCaseResult:
     #: :class:`repro.wal.WriteAheadLog` over an in-memory sink, or None
     #: when logging was off or the scheme declares ``durable=False``
     wal: Optional[object] = None
+    #: the traced engine the case ran on, for checkers beyond the
+    #: case's own (the kill matrix, :mod:`repro.checking.matrix`)
+    engine: Optional[object] = None
 
     @property
     def failed(self) -> bool:
@@ -287,7 +290,9 @@ def run_case(
     *observer* (a :class:`repro.obs.Observer`) attaches the tracing/
     metrics layer to the run, so a reproducer can ship with a span
     trace; *trace_limit* bounds the model-alphabet trace recorder
-    (ring-buffer mode) for long runs.  *audit* adds the online
+    (ring-buffer mode) for long runs; a run whose recorder dropped
+    events skips the conformance oracle, which only judges complete
+    traces.  *audit* adds the online
     serializability auditor as a fourth oracle: every top-level tree
     is audited (``sample_every=1`` -- an oracle must not sample, and
     the deliberately broken policies claim ``model_conformant``, so
@@ -360,8 +365,14 @@ def run_case(
     elif facade.engine.capabilities.model_conformant:
         from repro.checking import check_engine_trace
 
-        report = check_engine_trace(facade.engine)
-        if not report.ok:
+        try:
+            report = check_engine_trace(facade.engine)
+        except TruncatedTrace:
+            # A ring buffer that dropped events kept only a suffix,
+            # which no replay can judge: the case stays "ok", as the
+            # audit of such a run stays inconclusive.
+            report = None
+        if report is not None and not report.ok:
             kind = "conformance"
             findings = report.diagnosis or ()
             rule_codes = tuple(
@@ -415,6 +426,7 @@ def run_case(
         logs=logs,
         audit=audit_report,
         wal=wal_log,
+        engine=facade.engine,
     )
 
 

@@ -9,7 +9,7 @@ from repro.analysis import ScheduleLinter, lint_schedule
 from repro.analysis.faults import NoInheritPolicy
 from repro.analysis.schedule import SCHEDULE_RULES, STRUCTURAL_RULES
 from repro.checking.anomalies import orphan_anomaly_witness
-from repro.cli import _drive_random_workload
+from repro.checking.matrix import drive_random_workload
 from repro.core.events import (
     Commit,
     Create,
@@ -35,7 +35,7 @@ class TestCleanTraces:
     @pytest.mark.parametrize("policy", ["moss-rw", "exclusive"])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_workloads_have_no_findings(self, policy, seed):
-        engine = _drive_random_workload(seed, 4, 60, policy=policy)
+        engine = drive_random_workload(seed, 4, 60, policy=policy)
         events, system_type = trace_of(engine)
         report = lint_schedule(events, system_type)
         assert report.ok, [str(f) for f in report.findings]
@@ -122,7 +122,7 @@ class TestSeededViolations:
         assert "RW006" in report.codes()
 
     def test_no_inherit_policy_flagged_as_rw007_and_rw001(self):
-        engine = _drive_random_workload(
+        engine = drive_random_workload(
             0, 4, 60, policy=NoInheritPolicy()
         )
         events, system_type = trace_of(engine)
@@ -147,7 +147,7 @@ class TestSeededViolations:
 
     def test_findings_render_with_rule_code_and_location(self):
         events, system_type = trace_of(
-            _drive_random_workload(1, 4, 60, policy=NoInheritPolicy())
+            drive_random_workload(1, 4, 60, policy=NoInheritPolicy())
         )
         report = lint_schedule(events, system_type)
         rendered = str(report.findings[0])

@@ -7,7 +7,7 @@ import pytest
 from repro.adt import BankAccount, Counter, IntRegister
 from repro.checking import check_engine_trace, trace_logic_factory
 from repro.engine import Engine
-from repro.errors import EngineError, LockDenied
+from repro.errors import EngineError, LockDenied, TruncatedTrace
 
 
 def drive_simple_run(policy="moss-rw"):
@@ -152,6 +152,28 @@ class TestLockstep:
         report = check_engine_trace(engine)
         assert not report.lockstep_ok
         assert "c" in report.lockstep_error
+
+
+class TestTruncatedTraces:
+    """A ring buffer that dropped events kept a suffix, not a run."""
+
+    def test_a_truncated_trace_is_refused(self):
+        engine = Engine([Counter("c")], trace=True, trace_limit=4)
+        for _ in range(3):
+            top = engine.begin_top()
+            top.perform("c", Counter.increment(1))
+            top.commit()
+        assert engine.recorder.dropped_events
+        with pytest.raises(TruncatedTrace):
+            check_engine_trace(engine)
+
+    def test_fuzz_case_with_a_kept_suffix_is_not_a_violation(self):
+        from repro.fuzz import FuzzConfig, run_case
+
+        # Replaying the kept 40 events from a fresh system rejected
+        # the first one, and the correct run came back "conformance".
+        assert run_case(FuzzConfig(seed=3), trace_limit=40).kind == "ok"
+        assert run_case(FuzzConfig(seed=3), trace_limit=200).kind == "ok"
 
 
 class TestTraceLogicFactory:

@@ -47,9 +47,8 @@ class TestFindsNoInheritViolation:
         failure = found.failure
         assert failure.kind == "conformance"
         assert failure.failed
-        # Dropped inheritance shows up both as a lock-discipline race
-        # and as linter violations of the R/W rules.
-        assert "RACE001" in failure.rule_codes
+        # Dropped inheritance shows up as linter violations of the R/W
+        # rules.
         assert "RW001" in failure.rule_codes
 
     def test_finding_lines_mention_rules(self, found):

@@ -93,7 +93,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert code == 0
         assert "RW007" in output
-        assert "RACE001" in output
         assert "Section 5.2" in output
 
     def test_analyze_clean(self, capsys):
