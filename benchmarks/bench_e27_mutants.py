@@ -22,7 +22,7 @@ Regenerate EXPERIMENTS.md's E27 tables (and ``BENCH_E27.json``) with::
 
     PYTHONPATH=src python benchmarks/bench_e27_mutants.py
 
-(about two minutes on one core; under pytest it runs as
+(a few minutes on one core; under pytest it runs as
 ``test_e27_kill_matrix`` with the same seeds).
 """
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.analysis.findings import (
     AnalysisReport,
@@ -209,13 +209,6 @@ def _suppressions(source: str) -> dict:
 
 def _is_self(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
-
-
-def _receiver_of_attribute(node: ast.expr) -> Optional[ast.expr]:
-    """For ``expr.attr`` return ``expr``; None for non-attributes."""
-    if isinstance(node, ast.Attribute):
-        return node.value
-    return None
 
 
 class _ModuleLinter(ast.NodeVisitor):

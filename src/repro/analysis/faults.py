@@ -1,34 +1,20 @@
-"""Mutants: deliberately broken locking policies for testing the checkers.
+"""Mutants: locking policies that each break one rule, to test checkers.
 
-A checker is only trustworthy if it catches real bugs, so this module
-provides *mutants* -- engine policies that each break exactly one of
-Moss' M(X) rules (Section 5.2) or the read/write designation.  They are
-used by the test suite, by the kill matrix
-(:mod:`repro.checking.matrix`), by ``python -m repro analyze --policy``
-and by ``python -m repro fuzz --faults``; they must never be used for
-real work.  :data:`MUTANTS` is the one name table every entry point
-reads, so adding a mutant edits this module only.
-
-=============================  ==========================================
-``broken-no-inherit``          a commit drops the locks instead of
-                               passing them to the parent
-``broken-abort-keeps-versions`` an abort discards the subtree's locks
-                               but keeps its versions
-``broken-abort-keeps-locks``   an abort discards the subtree's versions
-                               but keeps its locks
-``broken-inherit-past-parent`` a commit passes locks and version to the
-                               grandparent (the root for a top-level's
-                               children), skipping the live parent
-``broken-all-reads``           every access takes a read lock, so a
-                               write installs no version
-=============================  ==========================================
+A checker is only trustworthy if it catches real bugs.  Each policy
+here breaks exactly one of Moss' M(X) rules (Section 5.2) or the
+read/write designation; ``docs/ANALYSIS.md`` catalogues them and the
+kill matrix (:mod:`repro.checking.matrix`) records which checker
+catches which.  :data:`MUTANTS` is the one name table ``repro analyze
+--policy``, ``repro fuzz --faults`` and the matrix read, so adding a
+mutant edits this module only.  Never use them for real work.
 
 Every mutant keeps ``model_conformant`` True on purpose: it *claims* to
 refine M(X), so its traces flow through the conformance pipeline, which
-then fails and hands the schedule to the checkers for a diagnosis.
-Mutation goes through the aggregate-maintaining holder helpers, so the
-fast-path bookkeeping stays truthful -- the fault is the skipped or
-misdirected rule, not a corrupted table.
+then fails and hands the schedule to the linter for a diagnosis.
+Holder mutation goes through the aggregate-maintaining helpers, so the
+fast-path bookkeeping stays truthful: the fault is the skipped or
+misdirected rule, not a corrupted table.  (This module IS the fault
+injector, hence its CD005 suppressions.)
 """
 
 from __future__ import annotations
@@ -40,9 +26,6 @@ from repro.engine.lockmanager import ManagedObject
 from repro.engine.locks import LockMode
 from repro.engine.policies import LockingPolicy, MossPolicy
 from repro.errors import EngineError
-
-# This module IS the fault injector: every lock-state change below is
-# a seeded rule violation, hence the CD005 suppressions.
 
 
 class NoInheritManagedObject(ManagedObject):
@@ -142,7 +125,7 @@ class AllReadsPolicy(MossPolicy):
 
 
 #: Every mutant by name: the one table ``repro analyze --policy``,
-#: ``repro fuzz --faults``, the scheme registry and the kill matrix read.
+#: ``repro fuzz --faults`` and the kill matrix read.
 MUTANTS: Dict[str, Type[LockingPolicy]] = {
     policy.name: policy
     for policy in (

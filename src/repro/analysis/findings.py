@@ -1,14 +1,14 @@
 """Rules, findings and reports shared by every analysis pass.
 
-Each analysis (schedule linter, race detector, code lint) is a set of
-coded :class:`Rule` objects registered in a module-level registry.  A
-rule's ``code`` is stable (``RW001``, ``RACE001``, ``CD001``, ...) and
+Each analysis (schedule linter, code lint, serializability audit) is a
+set of coded :class:`Rule` objects registered in a module-level
+registry.  A rule's ``code`` is stable (``RW001``, ``CD001``, ...) and
 its ``section`` cites the paper clause the rule enforces, so a finding
 always answers *which* of Moss' rules was broken, not merely that the
 schedule is wrong.  ``docs/ANALYSIS.md`` catalogues the registry.
 
 A :class:`Finding` localises one violation: event indices and
-transaction names for schedule/race findings, ``path:line`` for code
+transaction names for schedule findings, ``path:line`` for code
 findings.  :class:`AnalysisReport` aggregates findings and is falsy
 exactly when something was found, mirroring
 :class:`~repro.core.correctness.ScheduleReport`.
@@ -68,10 +68,8 @@ class Finding:
 
     rule: Rule
     message: str
-    #: Index into the analysed schedule (schedule/race findings).
+    #: Index into the analysed schedule (schedule findings).
     event_index: Optional[int] = None
-    #: Second endpoint of a pair finding (e.g. the other racy access).
-    related_index: Optional[int] = None
     transaction: Optional[TransactionName] = None
     object_name: Optional[str] = None
     #: Source location (code findings).
@@ -85,10 +83,6 @@ class Finding:
                 return "%s:%d" % (self.path, self.line)
             return self.path
         if self.event_index is not None:
-            if self.related_index is not None:
-                return "events %d/%d" % (
-                    self.event_index, self.related_index
-                )
             return "event %d" % self.event_index
         return "<schedule>"
 
@@ -103,8 +97,6 @@ class Finding:
         }
         if self.event_index is not None:
             payload["event_index"] = self.event_index
-        if self.related_index is not None:
-            payload["related_index"] = self.related_index
         if self.transaction is not None:
             payload["transaction"] = pretty_name(self.transaction)
         if self.object_name is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, FrozenSet, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Set, Tuple
 
 from repro.analysis.faults import MUTANTS
 from repro.checking.conformance import (
@@ -34,13 +34,7 @@ from repro.errors import ReproError
 #: live lock tables with the replayed M(X) automata, so it can only
 #: judge a trace that the refinement replay accepted.
 CHECKERS = (
-    "refinement",
-    "lockstep",
-    "theorem34",
-    "linter",
-    "race",
-    "auditor",
-    "classical",
+    "refinement", "lockstep", "theorem34", "linter", "auditor", "classical"
 )
 #: The unbroken policy every mutant is measured against.
 CONTROL = "moss-rw"
@@ -136,7 +130,7 @@ def judge(engine) -> Dict[str, Tuple[bool, float]]:
     on the trace has refused it, which counts as flagging it.  The
     auditor watched the run online; its time is its report only.
     """
-    from repro.analysis import detect_races, lint_schedule
+    from repro.analysis import lint_schedule
     from repro.audit import OnlineAuditor
     from repro.core.correctness import check_schedule
     from repro.core.serializability import equivalent_serial_order
@@ -146,37 +140,27 @@ def judge(engine) -> Dict[str, Tuple[bool, float]]:
     alpha = recorder.schedule()
     system_type = recorder.system_type(engine.specs)
     factory = trace_logic_factory(alpha, recorder.commit_values)
-    replayed = {}
+    replayed = []  # (the replayed system, its rejection or None)
 
     def refinement():
-        replayed["system"], rejection = replay_trace(
-            system_type, alpha, factory
-        )
-        replayed["ok"] = rejection is None
-        return rejection is not None
-
-    def lockstep():
-        return replayed["ok"] and not check_lockstep(
-            engine, replayed["system"]
-        )[0]
-
-    def theorem34():
-        serial = SerialSystem(system_type, logic_factory=factory)
-        return not check_schedule(system_type, alpha, serial_system=serial)
+        replayed[:] = replay_trace(system_type, alpha, factory)
+        return replayed[1] is not None
 
     checks = {
         "refinement": refinement,
-        "lockstep": lockstep,
-        "theorem34": theorem34,
+        "lockstep": lambda: (
+            replayed[1] is None and not check_lockstep(engine, replayed[0])[0]
+        ),
+        "theorem34": lambda: not check_schedule(
+            system_type,
+            alpha,
+            serial_system=SerialSystem(system_type, logic_factory=factory),
+        ),
         "linter": lambda: not lint_schedule(alpha, system_type).ok,
-        "race": lambda: not detect_races(alpha, system_type).ok,
         "auditor": lambda: (
-            engine.subscriber(OnlineAuditor).report().verdict
-            == "violation"
+            engine.subscriber(OnlineAuditor).report().verdict == "violation"
         ),
-        "classical": lambda: not equivalent_serial_order(
-            system_type, alpha
-        ),
+        "classical": lambda: not equivalent_serial_order(system_type, alpha),
     }
     verdicts = {}
     for name in CHECKERS:
@@ -196,28 +180,23 @@ class KillMatrix:
         self.driver = driver
         self.seeds = tuple(seeds)
         #: ``(policy, checker) -> seeds whose run the checker flagged``
-        self.kills: Dict[Tuple[str, str], FrozenSet[int]] = {}
+        self.kills: Dict[Tuple[str, str], Set[int]] = {
+            (policy, name): set() for policy in POLICIES for name in CHECKERS
+        }
         #: ``(policy, checker) -> seconds spent over all runs``
-        self.seconds: Dict[Tuple[str, str], float] = {}
-        run = DRIVERS[driver]
+        self.seconds = dict.fromkeys(self.kills, 0.0)
         for policy in POLICIES:
-            killed = {name: set() for name in CHECKERS}
-            spent = dict.fromkeys(CHECKERS, 0.0)
             for seed in self.seeds:
-                for name, (flagged, seconds) in judge(
-                    run(policy, seed)
-                ).items():
+                engine = DRIVERS[driver](policy, seed)
+                for name, (flagged, seconds) in judge(engine).items():
                     if flagged:
-                        killed[name].add(seed)
-                    spent[name] += seconds
-            for name in CHECKERS:
-                self.kills[policy, name] = frozenset(killed[name])
-                self.seconds[policy, name] = spent[name]
+                        self.kills[policy, name].add(seed)
+                    self.seconds[policy, name] += seconds
 
     def count(self, policy: str, checker: str) -> int:
         return len(self.kills[policy, checker])
 
-    def unique(self, policy: str, checker: str) -> FrozenSet[int]:
+    def unique(self, policy: str, checker: str) -> Set[int]:
         """Runs of *policy* that *checker* kills and no other does."""
         others = set()
         for name in CHECKERS:

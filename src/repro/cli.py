@@ -8,8 +8,8 @@ One command per way of exercising the reproduction:
 * ``conformance``  -- drive a random engine workload and replay its trace
   against the formal model.
 * ``analyze``      -- drive a random engine workload and run the schedule
-  linter + race detector over its trace (``--policy broken-no-inherit``
-  seeds a deliberate violation).
+  linter over its trace (``--policy broken-no-inherit`` or another
+  mutant seeds a deliberate violation).
 * ``lint``         -- AST code lint of the repo's own lock-discipline
   invariants (``CD001``...).
 * ``fuzz``         -- deterministic concurrency fuzzing: explore thread
@@ -226,10 +226,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         args.operations,
         policy=args.policy,
     )
-    schedule_report, race_report = analyze_engine(engine)
-    reports = [schedule_report, race_report]
+    report = analyze_engine(engine)
     if args.json:
-        print(render_json(reports))
+        print(render_json([report]))
     else:
         print(
             "policy %s, seed %d: %d events"
@@ -239,9 +238,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 len(engine.recorder.schedule()),
             )
         )
-        print(render_text(reports, verbose=args.verbose))
-    clean = schedule_report.ok and race_report.ok
-    return 0 if clean else 1
+        print(render_text([report], verbose=args.verbose))
+    return 0 if report.ok else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1012,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze",
-        help="schedule lint + race detection over a random engine trace",
+        help="schedule lint over a random engine trace",
     )
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--transactions", type=int, default=4)

@@ -157,11 +157,10 @@ class TraceRecorder:
         return SystemType(self._children, self._accesses, specs)
 
     def analyze(self, specs: Dict[str, ObjectSpec]):
-        """Run the schedule linter and race detector on this trace.
+        """Run the schedule linter on this trace; returns its report.
 
-        Returns ``(schedule_report, race_report)``; see
-        :mod:`repro.analysis`.  Imported lazily so plain engine runs do
-        not pay for the analysis machinery.
+        See :mod:`repro.analysis`.  Imported lazily so plain engine runs
+        do not pay for the analysis machinery.
         """
         from repro.analysis import analyze_trace
 

@@ -55,22 +55,7 @@ class FaultPlan:
         """
         if self.policy in MUTANTS:
             return MUTANTS[self.policy]()
-        if self.policy != "moss-rw":
-            return self.policy
-        return requested
-
-    @property
-    def label(self) -> str:
-        parts = []
-        if self.crash_rate:
-            parts.append("crash=%.2f" % self.crash_rate)
-        if self.deny_rate:
-            parts.append("deny=%.2f" % self.deny_rate)
-        if self.orphan_rate:
-            parts.append("orphan=%.2f" % self.orphan_rate)
-        if self.policy != "moss-rw":
-            parts.append("policy=%s" % self.policy)
-        return ", ".join(parts) if parts else "none"
+        return requested if self.policy == "moss-rw" else self.policy
 
 
 #: Named presets accepted by ``python -m repro fuzz --faults``.

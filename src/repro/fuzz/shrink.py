@@ -25,7 +25,7 @@ The shrinker is deterministic and bounded by *max_evaluations* runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from repro.fuzz.runner import (
     FuzzCaseResult,
@@ -166,8 +166,3 @@ def _lower_values(
                 best = result
                 break
     return best
-
-
-def minimized_signature(shrunk: ShrinkResult) -> Tuple:
-    """The (kind, rule codes) the minimal reproducer exhibits."""
-    return shrunk.minimized.signature

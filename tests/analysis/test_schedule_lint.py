@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.adt import IntRegister
-from repro.analysis import ScheduleLinter, lint_schedule
+from repro.analysis import ScheduleLinter, analyze_engine, lint_schedule
 from repro.analysis.faults import NoInheritPolicy
 from repro.analysis.schedule import SCHEDULE_RULES, STRUCTURAL_RULES
 from repro.checking.anomalies import orphan_anomaly_witness
@@ -95,6 +95,26 @@ class TestSeededViolations:
         )
         assert "RW004" in report.codes()
 
+    def test_missing_inform_abort_flagged_as_rw007_and_rw001(self):
+        # drive_simple_run has a doomed child read of "x" whose lock
+        # discard (INFORM_ABORT) is the only thing letting the later
+        # write of "x" through.  Without it the write is an illegal
+        # grant and the aborted reader's lock is stranded.
+        events, system_type = trace_of(drive_simple_run())
+        censored = tuple(
+            event
+            for event in events
+            if not (
+                isinstance(event, InformAbortAt)
+                and event.object_name == "x"
+            )
+        )
+        report = lint_schedule(censored, system_type)
+        assert {"RW001", "RW007"} <= set(report.codes())
+        assert all(
+            finding.object_name == "x" for finding in report.findings
+        )
+
     def test_wrong_access_value_flagged_as_rw005(self):
         events, system_type = trace_of(drive_simple_run())
         mutated = []
@@ -134,6 +154,15 @@ class TestSeededViolations:
             finding.event_index is not None
             for finding in report.findings
         )
+
+    def test_analyze_engine_returns_the_linter_report(self):
+        engine = drive_random_workload(
+            1, 4, 60, policy=NoInheritPolicy()
+        )
+        report = analyze_engine(engine)
+        assert report.subject == "schedule"
+        assert not report.ok
+        assert report.codes() == lint_schedule(*trace_of(engine)).codes()
 
     def test_duplicate_return_flagged_as_rw008(self):
         events, system_type = trace_of(drive_simple_run())

@@ -43,7 +43,7 @@ def matrix(request):
 
 
 def test_the_pins_cover_every_checker_and_mutant():
-    assert set(_ORDER) == set(CHECKERS) - {"race"}
+    assert set(_ORDER) == set(CHECKERS)
     for pins in PINNED.values():
         assert set(pins) == set(POLICIES) - {CONTROL}
 
