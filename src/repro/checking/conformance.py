@@ -93,7 +93,7 @@ class ConformanceReport:
     trace_length: int
     #: Rule-level findings from the schedule linter explaining a
     #: failure (populated only when the replay rejects or Theorem 34 is
-    #: violated; empty tuple when the analyzers found nothing to blame).
+    #: violated; empty tuple when the linter found nothing to blame).
     diagnosis: Optional[Tuple] = None
     #: Engine/M(X) lock-table lockstep: after a successful replay the
     #: engine's live holder sets must equal the replayed automata's,

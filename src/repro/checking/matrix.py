@@ -28,7 +28,6 @@ from repro.checking.conformance import (
     replay_trace,
     trace_logic_factory,
 )
-from repro.errors import ReproError
 
 #: The checkers, in report order.  ``lockstep`` compares the engine's
 #: live lock tables with the replayed M(X) automata, so it can only
@@ -126,9 +125,8 @@ DRIVERS: Dict[str, Callable] = {"random": _random_run, "fuzz": _fuzz_run}
 def judge(engine) -> Dict[str, Tuple[bool, float]]:
     """Run every checker on one traced, audited run.
 
-    Returns ``checker -> (flagged, seconds)``.  A checker that raises
-    on the trace has refused it, which counts as flagging it.  The
-    auditor watched the run online; its time is its report only.
+    Returns ``checker -> (flagged, seconds)``.  The auditor watched
+    the run online; its time is its report only.
     """
     from repro.analysis import lint_schedule
     from repro.audit import OnlineAuditor
@@ -165,10 +163,7 @@ def judge(engine) -> Dict[str, Tuple[bool, float]]:
     verdicts = {}
     for name in CHECKERS:
         started = time.perf_counter()
-        try:
-            flagged = bool(checks[name]())
-        except ReproError:
-            flagged = True
+        flagged = bool(checks[name]())
         verdicts[name] = (flagged, time.perf_counter() - started)
     return verdicts
 

@@ -42,7 +42,6 @@ runs are as reproducible as the test suite.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import Optional, Sequence
 
